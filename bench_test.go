@@ -8,6 +8,7 @@
 //	act-reduction-%   mean activation reduction the scheme achieved
 //	rowE-reduction-%  mean row-energy reduction (Fig. 12/15 benches)
 //	ipc-ratio         mean IPC versus baseline
+//	core-cycles/s     simulated core cycles per second of wall time
 package main
 
 import (
@@ -269,20 +270,35 @@ func BenchmarkParallelSweep(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed (core cycles
-// per second of wall time) on a representative app — useful for tracking
-// simulator performance regressions.
+// BenchmarkSimulatorThroughput measures raw simulation speed in core cycles
+// per second of wall time, and heap allocations per run, on SCP under
+// Dyn-Both with a fixed seed. Only the simulator is timed — sim.Prepare, the
+// Step loop and Finish — not kernel construction or a golden functional run,
+// so the metric tracks the simulator's own performance.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	b.ReportAllocs()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(exp.Options{Seed: int64(i + 2), Apps: []string{"jmein"}})
-		res, err := r.Baseline("jmein")
+		b.StopTimer()
+		k, err := workloads.New("SCP")
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles = res.Run.CoreCycles
+		b.StartTimer()
+		g := sim.Prepare(k, sim.DefaultConfig(), mc.DynBoth, 1)
+		for {
+			done, err := g.Step()
+			if err != nil {
+				g.Close()
+				b.Fatal(err)
+			}
+			if done {
+				break
+			}
+		}
+		cycles += g.Finish().Run.CoreCycles
 	}
-	b.ReportMetric(float64(cycles), "core-cycles/run")
+	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "core-cycles/s")
 }
 
 // benchTelemetry measures one full SCP run under Dyn-Both with the given

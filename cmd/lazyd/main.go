@@ -38,6 +38,11 @@ import (
 	"lazydram/internal/service"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a connection that trickles them in cannot hold a server
+// goroutine open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7090", "HTTP listen address (daemon) or daemon address (-submit)")
@@ -85,7 +90,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lazyd:", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "lazyd: serving http://%s (workers %d, queue %d)\n",

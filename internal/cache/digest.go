@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -53,22 +54,23 @@ func (c *Cache) DumpState() string {
 		c.tick, valid, dirty, approx, len(c.sets))
 }
 
-// DigestInto folds the MSHR file into h. Map iteration order is not
-// deterministic, so entries are visited in sorted line-address order; within
-// an entry, targets contribute only their count (they are opaque upstream
-// pointers), while pending stores contribute their full contents.
+// DigestInto folds the MSHR file into h. Table order depends on the hash and
+// on insertion history, so entries are visited in sorted line-address order;
+// within an entry, targets contribute only their count (they are opaque
+// upstream pointers), while pending stores contribute their full contents.
 func (m *MSHR) DigestInto(h *obs.Hasher) {
-	h.Int(len(m.entries))
-	if len(m.entries) == 0 {
+	h.Int(m.n)
+	if m.n == 0 {
 		return
 	}
-	keys := make([]uint64, 0, len(m.entries))
-	for k := range m.entries {
-		keys = append(keys, k)
+	es := make([]*MSHREntry, 0, m.n)
+	for _, s := range m.slots {
+		if s.e != nil {
+			es = append(es, s.e)
+		}
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		e := m.entries[k]
+	slices.SortFunc(es, func(a, b *MSHREntry) int { return cmp.Compare(a.LineAddr, b.LineAddr) })
+	for _, e := range es {
 		h.U64(e.LineAddr)
 		h.Int(len(e.Targets))
 		h.Int(len(e.Stores))

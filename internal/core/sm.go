@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"iter"
+	"slices"
 
 	"lazydram/internal/cache"
 )
@@ -216,7 +217,7 @@ func (s *SM) Shutdown() {
 // request network and reports acceptance.
 func (s *SM) Tick(now uint64, send func(*MemReq) bool) {
 	if len(s.outbox) > 0 && send(s.outbox[0]) {
-		s.outbox = s.outbox[1:]
+		s.outbox = slices.Delete(s.outbox, 0, 1)
 	}
 	s.wake(now)
 	s.lsuTick(now)
@@ -224,12 +225,14 @@ func (s *SM) Tick(now uint64, send func(*MemReq) bool) {
 }
 
 func (s *SM) issue(now uint64) {
-	issued := 0
+	issued, popped := 0, 0
 	// Pop at most the warps that were runnable on entry: warps re-queued on
-	// a structural hazard (LSU busy) retry next cycle, not this one.
+	// a structural hazard (LSU busy) retry next cycle, not this one. Popped
+	// entries are consumed by index and compacted away once, after the loop,
+	// so the queue keeps its storage.
 	for n := len(s.runnable); n > 0 && issued < s.cfg.Schedulers; n-- {
-		slot := s.runnable[0]
-		s.runnable = s.runnable[1:]
+		slot := s.runnable[popped]
+		popped++
 		w := s.warps[slot]
 		if w.finished {
 			continue
@@ -280,6 +283,7 @@ func (s *SM) issue(now uint64) {
 			issued++
 		}
 	}
+	s.runnable = slices.Delete(s.runnable, 0, popped)
 }
 
 // installMemOp coalesces the lane addresses of w's current memory
@@ -339,7 +343,7 @@ func (s *SM) releaseOp(op *memOp) {
 func (s *SM) lsuTick(now uint64) {
 	if s.lsu == nil && len(s.lsuQueue) > 0 {
 		slot := s.lsuQueue[0]
-		s.lsuQueue = s.lsuQueue[1:]
+		s.lsuQueue = slices.Delete(s.lsuQueue, 0, 1)
 		s.installMemOp(s.warps[slot])
 	}
 	op := s.lsu
@@ -480,6 +484,7 @@ func (s *SM) HandleReply(rep *MemReply, now uint64) {
 			}
 		}
 	}
+	s.mshr.Release(e)
 }
 
 // deliverLoad writes the loaded words of line into the destination register

@@ -122,7 +122,7 @@ func runFig8(r *Runner, w io.Writer, _ string) error {
 		am := dram.DefaultAddrMap()
 		push := func(row int64) {
 			c := dram.Coord{Channel: 0, Bank: 0, Row: row, Col: uint64(st.ReadReqs%16) * 128}
-			ctrl.Push(am.Encode(c), false, true, c, nil)
+			ctrl.Push(am.Encode(c), false, true, c)
 		}
 		// Initially visible: one request per row R1..R5.
 		for row := int64(1); row <= 5; row++ {
@@ -181,7 +181,7 @@ func runFig3(r *Runner, w io.Writer, _ string) error {
 		am := dram.DefaultAddrMap()
 		push := func(row int64, col uint64) {
 			c := dram.Coord{Channel: 0, Bank: 0, Row: row, Col: col}
-			ctrl.Push(am.Encode(c), false, false, c, nil)
+			ctrl.Push(am.Encode(c), false, false, c)
 		}
 		for now := uint64(0); now < 4000; now++ {
 			if now == 0 {

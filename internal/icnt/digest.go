@@ -14,11 +14,12 @@ import (
 // nil fn digests packet metadata only.
 func (n *Network) DigestInto(h *obs.Hasher, fn func(payload any, h *obs.Hasher)) {
 	h.U64(n.sent)
-	for dst, q := range n.queues {
-		h.Int(len(q))
+	for dst := range n.queues {
+		q := &n.queues[dst]
+		h.Int(q.n)
 		h.U64(n.lastPop[dst])
-		for i := range q {
-			p := &q[i]
+		for i := 0; i < q.n; i++ {
+			p := q.at(i)
 			h.Int(p.Src)
 			h.U64(p.readyAt)
 			if fn != nil {
@@ -32,12 +33,13 @@ func (n *Network) DigestInto(h *obs.Hasher, fn func(payload any, h *obs.Hasher))
 func (n *Network) DumpState() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "sent=%d pending=%d\n", n.sent, n.Pending())
-	for dst, q := range n.queues {
-		if len(q) == 0 {
+	for dst := range n.queues {
+		q := &n.queues[dst]
+		if q.n == 0 {
 			continue
 		}
 		fmt.Fprintf(&sb, "port[%d]: depth=%d headSrc=%d headReadyAt=%d\n",
-			dst, len(q), q[0].Src, q[0].readyAt)
+			dst, q.n, q.at(0).Src, q.at(0).readyAt)
 	}
 	return sb.String()
 }

@@ -31,10 +31,26 @@ func DefaultConfig(ports int) Config {
 	return Config{Ports: ports, LatencyCycles: 8, QueueDepth: 32}
 }
 
+// port is one destination port's FIFO: a ring of QueueDepth slots, so a
+// delivery moves no queued packet and a send never allocates.
+type port struct {
+	buf  []Packet
+	head int
+	n    int
+}
+
+// at returns the i-th queued packet (0 is the head); i must be below n.
+func (q *port) at(i int) *Packet {
+	if i += q.head; i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return &q.buf[i]
+}
+
 // Network is a one-direction crossbar. It is not safe for concurrent use.
 type Network struct {
 	cfg    Config
-	queues [][]Packet
+	queues []port
 	// lastPop tracks the last cycle a packet was delivered per port, to
 	// enforce one delivery per port per cycle.
 	lastPop []uint64
@@ -45,10 +61,11 @@ type Network struct {
 func New(cfg Config) *Network {
 	n := &Network{
 		cfg:     cfg,
-		queues:  make([][]Packet, cfg.Ports),
+		queues:  make([]port, cfg.Ports),
 		lastPop: make([]uint64, cfg.Ports),
 	}
 	for i := range n.lastPop {
+		n.queues[i].buf = make([]Packet, max(cfg.QueueDepth, 0))
 		n.lastPop[i] = ^uint64(0) // no pops yet
 	}
 	return n
@@ -56,7 +73,7 @@ func New(cfg Config) *Network {
 
 // CanSend reports whether the destination port can buffer another packet.
 func (n *Network) CanSend(dst int) bool {
-	return len(n.queues[dst]) < n.cfg.QueueDepth
+	return n.queues[dst].n < n.cfg.QueueDepth
 }
 
 // Send injects a packet at cycle now. It returns false (and drops nothing)
@@ -65,39 +82,44 @@ func (n *Network) Send(src, dst int, payload any, now uint64) bool {
 	if !n.CanSend(dst) {
 		return false
 	}
-	n.queues[dst] = append(n.queues[dst], Packet{
-		Src: src, Dst: dst, Payload: payload, readyAt: now + n.cfg.LatencyCycles,
-	})
+	q := &n.queues[dst]
+	*q.at(q.n) = Packet{Src: src, Dst: dst, Payload: payload, readyAt: now + n.cfg.LatencyCycles}
+	q.n++
 	n.sent++
 	return true
 }
 
 // Recv delivers at most one packet to dst at cycle now, in FIFO order.
 func (n *Network) Recv(dst int, now uint64) (Packet, bool) {
-	q := n.queues[dst]
-	if len(q) == 0 || q[0].readyAt > now || n.lastPop[dst] == now {
+	q := &n.queues[dst]
+	if q.n == 0 || q.at(0).readyAt > now || n.lastPop[dst] == now {
 		return Packet{}, false
 	}
-	p := q[0]
-	n.queues[dst] = q[1:]
+	h := q.at(0)
+	p := *h
+	*h = Packet{}
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
 	n.lastPop[dst] = now
 	return p, true
 }
 
 // Peek returns the head packet for dst without removing it, if deliverable.
 func (n *Network) Peek(dst int, now uint64) (Packet, bool) {
-	q := n.queues[dst]
-	if len(q) == 0 || q[0].readyAt > now || n.lastPop[dst] == now {
+	q := &n.queues[dst]
+	if q.n == 0 || q.at(0).readyAt > now || n.lastPop[dst] == now {
 		return Packet{}, false
 	}
-	return q[0], true
+	return *q.at(0), true
 }
 
 // Pending returns the total number of packets in flight.
 func (n *Network) Pending() int {
 	t := 0
-	for _, q := range n.queues {
-		t += len(q)
+	for i := range n.queues {
+		t += n.queues[i].n
 	}
 	return t
 }

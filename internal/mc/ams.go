@@ -1,6 +1,8 @@
 package mc
 
 import (
+	"slices"
+
 	"lazydram/internal/obs"
 	"lazydram/internal/stats"
 )
@@ -103,7 +105,7 @@ func (c *Controller) amsStep(now uint64) {
 	// Continue draining an in-progress row drop.
 	if len(a.dropList) > 0 {
 		r := a.dropList[0]
-		a.dropList = a.dropList[1:]
+		a.dropList = slices.Delete(a.dropList, 0, 1)
 		if r.state == ReqPending {
 			c.dropReq(r, now)
 		}
@@ -143,11 +145,7 @@ func (c *Controller) amsStep(now uint64) {
 		}
 		return
 	}
-	bq := &c.banks[req.Coord.Bank]
-	rq := bq.rows[req.Coord.Row]
-	if rq == nil {
-		return
-	}
+	rq := req.rq
 	if rq.pendingWrites > 0 || rq.pendingNonApprox > 0 {
 		if c.aud != nil {
 			reason := obs.ReasonAMSPendingNonApprox
@@ -191,12 +189,12 @@ func (c *Controller) amsStep(now uint64) {
 
 func (a *amsUnit) finishRowDrop(c *Controller) {
 	bq := &c.banks[a.dropBank]
-	if rq := bq.rows[a.dropRow]; rq != nil {
+	if rq := bq.row(a.dropRow); rq != nil {
 		rq.dropping = false
 		bq.version++
 		c.cenDirty |= 1 << uint(a.dropBank)
 		if rq.pending == 0 {
-			delete(bq.rows, a.dropRow)
+			bq.release(rq)
 		}
 	}
 }
@@ -227,7 +225,7 @@ func (c *Controller) oldestLive() *Request {
 		if bq.pending == 0 {
 			continue
 		}
-		r := bq.oldest()
+		r := bq.head()
 		if r != nil && (best == nil || r.Arrival < best.Arrival) {
 			best = r
 		}

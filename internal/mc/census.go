@@ -335,7 +335,7 @@ func (c *Controller) classifyHead(r *Request, b int, now, delay uint64, refreshi
 		// Conflict: under the open-row policy the row only closes once its
 		// pending hits drained — until then the head is queued behind them.
 		// Every drained hit retires on this bank, bumping version.
-		if rq := c.banks[b].rows[or]; c.cfg.Policy != FCFS &&
+		if rq := c.banks[b].row(or); c.cfg.Policy != FCFS &&
 			rq != nil && rq.pending > 0 && !rq.dropping {
 			return obs.StallQueued, cenOpen, cenSensNone
 		}

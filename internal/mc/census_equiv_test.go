@@ -88,7 +88,7 @@ func runCensusTrace(t *testing.T, timing dram.Timing, pol Policy, scheme Scheme,
 			}
 			write := rng.Intn(6) == 0
 			approxr := rng.Intn(2) == 0
-			ctrl.Push(uint64(i)*128, write, approxr, coord, nil)
+			ctrl.Push(uint64(i)*128, write, approxr, coord)
 		}
 		gap := rng.Intn(30)
 		if rng.Intn(10) == 0 {

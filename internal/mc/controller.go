@@ -230,9 +230,6 @@ func New(cfg Config, ch *dram.Channel, st *stats.Mem, onComplete CompletionFunc,
 		banks:      make([]bankQ, ch.NumBanks()),
 		cenBank:    -1,
 	}
-	for i := range c.banks {
-		c.banks[i].rows = make(map[int64]*rowQ)
-	}
 	if cfg.ProfileWindow == 0 {
 		cfg.ProfileWindow = DefaultProfileWindow
 		c.cfg.ProfileWindow = DefaultProfileWindow
@@ -315,7 +312,7 @@ func (c *Controller) coverage() float64 {
 
 // visibleRBL returns the number of pending same-row requests visible for r.
 func (c *Controller) visibleRBL(r *Request) int {
-	if rq := c.banks[r.Coord.Bank].rows[r.Coord.Row]; rq != nil {
+	if rq := c.banks[r.Coord.Bank].row(r.Coord.Row); rq != nil {
 		return rq.pending
 	}
 	return 0
@@ -362,7 +359,7 @@ func (c *Controller) Pending() int { return c.live }
 
 // Push enqueues a request. It panics if the queue is full; callers gate on
 // Full for backpressure.
-func (c *Controller) Push(addr uint64, write, approximable bool, coord dram.Coord, meta any) *Request {
+func (c *Controller) Push(addr uint64, write, approximable bool, coord dram.Coord) *Request {
 	if c.Full() {
 		panic("mc: push to full pending queue")
 	}
@@ -374,7 +371,6 @@ func (c *Controller) Push(addr uint64, write, approximable bool, coord dram.Coor
 		Approximable: approximable && !write,
 		Arrival:      c.now,
 		Coord:        coord,
-		Meta:         meta,
 	}
 	c.banks[coord.Bank].push(r)
 	c.live++
@@ -475,7 +471,7 @@ func (c *Controller) issue(now uint64) {
 		if or == dram.NoRow {
 			continue
 		}
-		rq := bq.rows[or]
+		rq := bq.row(or)
 		if rq == nil || rq.pending == 0 || rq.dropping {
 			continue
 		}
@@ -484,7 +480,7 @@ func (c *Controller) issue(now uint64) {
 			continue
 		}
 		if c.cfg.Policy == FCFS {
-			if head := bq.oldest(); head == nil || head != r {
+			if head := bq.head(); head == nil || head != r {
 				continue
 			}
 		}
@@ -516,7 +512,7 @@ func (c *Controller) issue(now uint64) {
 		if bq.pending == 0 {
 			continue
 		}
-		r := bq.oldest()
+		r := bq.head()
 		if r == nil {
 			continue
 		}
@@ -541,7 +537,7 @@ func (c *Controller) issue(now uint64) {
 			// Open-row policy: only close the row once it has no pending
 			// hits left. Under FCFS the bank head alone decides, so a miss
 			// at the head precharges past younger would-be hits.
-			if rq := bq.rows[or]; c.cfg.Policy != FCFS &&
+			if rq := bq.row(or); c.cfg.Policy != FCFS &&
 				rq != nil && rq.pending > 0 && !rq.dropping {
 				continue
 			}
@@ -585,7 +581,7 @@ func (c *Controller) closeIdleRow(now uint64) bool {
 		if or == dram.NoRow {
 			continue
 		}
-		rq := c.banks[b].rows[or]
+		rq := c.banks[b].row(or)
 		if rq != nil && (rq.pending > 0 || rq.dropping) {
 			continue
 		}

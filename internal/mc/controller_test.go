@@ -42,7 +42,7 @@ func newHarness(t *testing.T, scheme mc.Scheme, mutate ...func(*mc.Config)) *har
 // push enqueues a read (or write) for (bank, row, col).
 func (h *harness) push(bank int, row int64, col uint64, write, approximable bool) *mc.Request {
 	c := dram.Coord{Channel: 0, Bank: bank, Row: row, Col: col}
-	return h.ctrl.Push(h.am.Encode(c), write, approximable, c, nil)
+	return h.ctrl.Push(h.am.Encode(c), write, approximable, c)
 }
 
 func (h *harness) run(from, to uint64) {

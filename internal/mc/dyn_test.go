@@ -213,7 +213,7 @@ func TestFig8Scenario(t *testing.T) {
 		am := dram.DefaultAddrMap()
 		push := func(row int64) {
 			c := dram.Coord{Channel: 0, Bank: 0, Row: row, Col: uint64(st.ReadReqs%16) * 128}
-			ctrl.Push(am.Encode(c), false, true, c, nil)
+			ctrl.Push(am.Encode(c), false, true, c)
 		}
 		for row := int64(1); row <= 5; row++ {
 			push(row)

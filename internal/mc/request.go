@@ -17,6 +17,8 @@
 package mc
 
 import (
+	"slices"
+
 	"lazydram/internal/dram"
 	"lazydram/internal/fault"
 	"lazydram/internal/obs"
@@ -47,15 +49,14 @@ type Request struct {
 	Arrival uint64
 	// Coord is the decoded DRAM coordinate of Addr.
 	Coord dram.Coord
-	// Meta is an opaque upstream cookie (e.g. the MSHR entry) returned with
-	// the completion callback.
-	Meta any
 	// Faults carries the bit flips the fault model injected into this read's
 	// data burst (nil for clean bursts or when injection is off); the fill
 	// path applies them to the bytes returned upstream.
 	Faults *fault.LineFaults
 
 	state ReqState
+	// rq is the request's row queue while it is pending (nil afterwards).
+	rq *rowQ
 
 	// stall accumulates the cycle census's head-stall charges per cause
 	// (written only when a census is attached). At retirement the controller
@@ -71,6 +72,7 @@ func (r *Request) State() ReqState { return r.state }
 // rowQ collects the pending requests destined to one (bank, row) pair, in
 // arrival order. Served/dropped entries are removed lazily.
 type rowQ struct {
+	row              int64
 	reqs             []*Request
 	pending          int
 	pendingWrites    int
@@ -91,9 +93,7 @@ func (q *rowQ) push(r *Request) {
 
 // oldest returns the oldest still-pending request, trimming dead entries.
 func (q *rowQ) oldest() *Request {
-	for len(q.reqs) > 0 && q.reqs[0].state != ReqPending {
-		q.reqs = q.reqs[1:]
-	}
+	q.reqs = trimRetired(q.reqs)
 	if len(q.reqs) == 0 {
 		return nil
 	}
@@ -110,63 +110,103 @@ func (q *rowQ) retire(r *Request) {
 	}
 }
 
+// trimRetired removes q's prefix of served/dropped requests in place: the
+// survivors move to the front of the same backing array (slices.Delete also
+// clears the vacated tail), so the next append reuses its capacity instead
+// of reallocating as a front-resliced slice would.
+func trimRetired(q []*Request) []*Request {
+	k := 0
+	for k < len(q) && q[k].state != ReqPending {
+		k++
+	}
+	return slices.Delete(q, 0, k)
+}
+
 // bankQ is the per-bank view of the pending queue.
+//
+// rows holds the bank's live row queues (pending requests, or an AMS row
+// drop in progress) in no particular order and is searched linearly: the
+// controller's queue holds at most QueueSize requests spread over all banks,
+// so a bank has only a handful of live rows (under 4 on average for SCP
+// under Dyn-Both), and a short scan beats hashing. Every pending request
+// also points straight at its row queue (Request.rq), so the per-request
+// paths need no search at all. Retired row queues go to spare and are
+// reused by the next new row.
 type bankQ struct {
 	fifo    []*Request // arrival order, lazily trimmed
-	rows    map[int64]*rowQ
+	rows    []*rowQ
+	spare   []*rowQ
 	pending int
 
 	// version counts the mutations that can change oldest()'s answer:
-	// pushes, retirements, and AMS row-drop transitions. The cycle census
-	// charges every bank's head once per cycle; the version-stamped cache
-	// below lets it reuse the head found last cycle instead of rescanning
-	// the fifo. (The census span cache invalidates eagerly via the
-	// controller's dirty-bank mask instead of comparing stamps; every
-	// version-bump site also marks the bank dirty.)
+	// pushes, retirements, and AMS row-drop transitions. Every site that
+	// moves one of those inputs must bump it, because head() — which the
+	// scheduler, the AMS unit and the cycle census all read — trusts an
+	// unchanged version to mean an unchanged answer. (The census span cache
+	// invalidates eagerly via the controller's dirty-bank mask instead of
+	// comparing stamps; every version-bump site also marks the bank dirty.)
 	version    uint32
 	cenHead    *Request
 	cenVersion uint32
 }
 
+// row returns the bank's live queue for row, or nil.
+func (b *bankQ) row(row int64) *rowQ {
+	for _, rq := range b.rows {
+		if rq.row == row {
+			return rq
+		}
+	}
+	return nil
+}
+
 func (b *bankQ) push(r *Request) {
 	b.fifo = append(b.fifo, r)
-	rq := b.rows[r.Coord.Row]
+	rq := b.row(r.Coord.Row)
 	if rq == nil {
-		rq = &rowQ{}
-		b.rows[r.Coord.Row] = rq
+		if n := len(b.spare); n > 0 {
+			rq = b.spare[n-1]
+			b.spare = b.spare[:n-1]
+		} else {
+			rq = &rowQ{}
+		}
+		rq.row = r.Coord.Row
+		b.rows = append(b.rows, rq)
 	}
+	r.rq = rq
 	rq.push(r)
 	b.pending++
 	b.version++
 }
 
+// release retires row queue rq, which has no pending requests and no drop in
+// progress, to the spare list. Only pending requests dereference their rq
+// back-pointer, so no live reference to the recycled queue remains.
+func (b *bankQ) release(rq *rowQ) {
+	for i, q := range b.rows {
+		if q == rq {
+			last := len(b.rows) - 1
+			b.rows[i] = b.rows[last]
+			b.rows[last] = nil
+			b.rows = b.rows[:last]
+			break
+		}
+	}
+	clear(rq.reqs)
+	*rq = rowQ{reqs: rq.reqs[:0]}
+	b.spare = append(b.spare, rq)
+}
+
 // oldest returns the oldest pending request in the bank whose row is not
 // currently being drained by an AMS row drop.
 func (b *bankQ) oldest() *Request {
-	for len(b.fifo) > 0 && b.fifo[0].state != ReqPending {
-		b.fifo = b.fifo[1:]
-	}
+	b.fifo = trimRetired(b.fifo)
 	for _, r := range b.fifo {
-		if r.state != ReqPending {
-			continue
+		if r.state == ReqPending && !r.rq.dropping {
+			return r
 		}
-		if rq := b.rows[r.Coord.Row]; rq != nil && rq.dropping {
-			continue
-		}
-		return r
 	}
 	return nil
-}
-
-// oldestAny returns the oldest pending request regardless of drop state.
-func (b *bankQ) oldestAny() *Request {
-	for len(b.fifo) > 0 && b.fifo[0].state != ReqPending {
-		b.fifo = b.fifo[1:]
-	}
-	if len(b.fifo) == 0 {
-		return nil
-	}
-	return b.fifo[0]
 }
 
 // head is oldest() behind the version-stamped cache; the zero value (both
@@ -182,9 +222,10 @@ func (b *bankQ) head() *Request {
 func (b *bankQ) retire(r *Request) {
 	b.pending--
 	b.version++
-	rq := b.rows[r.Coord.Row]
+	rq := r.rq
+	r.rq = nil
 	rq.retire(r)
 	if rq.pending == 0 && !rq.dropping {
-		delete(b.rows, r.Coord.Row)
+		b.release(rq)
 	}
 }

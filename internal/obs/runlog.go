@@ -629,10 +629,11 @@ func (l *RunLog) WriteChromeTrace(w io.Writer) error {
 		emit(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":"dedup joins"}}`, workers)
 		for _, sp := range spans {
 			if sp.startedUS >= 0 && sp.finishedUS >= 0 {
+				// A span shorter than the clock's 1 µs resolution exports
+				// as a zero-width slice: widening it would overlap the next
+				// slice on its worker lane when that one started within the
+				// same microsecond.
 				dur := sp.finishedUS - sp.startedUS
-				if dur < 1 {
-					dur = 1
-				}
 				cps := 0.0
 				if sp.finishedUS > sp.startedUS {
 					cps = float64(sp.simCycles) / (float64(sp.finishedUS-sp.startedUS) / usPerSec)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -423,12 +424,23 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxJobBody caps a POST /v1/jobs body. A job spec is a few hundred bytes;
+// the cap keeps a broken or hostile client from making the daemon read and
+// buffer an unbounded body.
+const maxJobBody = 64 << 10
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		s.met.JobOutcome(obs.JobRejected)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				apiError{Error: fmt.Sprintf("job spec exceeds %d bytes", maxJobBody)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad job spec: " + err.Error()})
 		return
 	}

@@ -488,3 +488,34 @@ func TestHTTPAPI(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitBodyCap posts a job body past the 64 KiB cap: the daemon must
+// answer 413 without decoding it and count the job as rejected.
+func TestSubmitBodyCap(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newTestService(t, Config{Registry: reg})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := `{"app":"` + strings.Repeat("x", maxJobBody) + `"}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d (%s), want 413", resp.StatusCode, raw)
+	}
+	if n := s.Stats().Jobs; n != 0 {
+		t.Fatalf("oversized body admitted %d jobs", n)
+	}
+	res, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if want := `lazyd_jobs_total{state="rejected"} 1`; !strings.Contains(string(prom), want) {
+		t.Fatalf("/metrics missing %q", want)
+	}
+}

@@ -73,9 +73,10 @@ func (p *partition) digest() obs.PartDigest {
 // perform identical push/pop sequences), pending replies, and the VP unit's
 // counters.
 func (p *partition) digestHeaps(h *obs.Hasher) {
-	h.Int(len(p.wbQueue))
-	for i := range p.wbQueue {
-		e := &p.wbQueue[i]
+	wbs := p.pendingWBs()
+	h.Int(len(wbs))
+	for i := range wbs {
+		e := &wbs[i]
 		h.U64(e.addr)
 		h.Bytes(e.data[:])
 	}
@@ -83,11 +84,11 @@ func (p *partition) digestHeaps(h *obs.Hasher) {
 	for i := range p.done {
 		it := &p.done[i]
 		h.U64(it.readyAt)
-		h.U64(it.req.ID)
-		h.U64(it.req.Addr)
-		h.Bool(it.approx)
-		if it.req.Faults != nil {
-			h.Int(it.req.Faults.Count())
+		h.U64(it.v.req.ID)
+		h.U64(it.v.req.Addr)
+		h.Bool(it.v.approx)
+		if it.v.req.Faults != nil {
+			h.Int(it.v.req.Faults.Count())
 		} else {
 			h.Int(0)
 		}
@@ -96,8 +97,8 @@ func (p *partition) digestHeaps(h *obs.Hasher) {
 	for i := range p.hits {
 		it := &p.hits[i]
 		h.U64(it.readyAt)
-		h.U64(it.rep.Req.LineAddr)
-		h.Bytes(it.rep.Data[:])
+		h.U64(it.v.Req.LineAddr)
+		h.Bytes(it.v.Data[:])
 	}
 	h.Int(len(p.outReplies))
 	for _, r := range p.outReplies {
@@ -121,23 +122,24 @@ func (p *partition) digestHeaps(h *obs.Hasher) {
 // lazydiverge's focused state diffs.
 func (p *partition) dumpHeaps() string {
 	var sb strings.Builder
+	wbs := p.pendingWBs()
 	fmt.Fprintf(&sb, "wbQueue=%d done=%d hits=%d outReplies=%d\n",
-		len(p.wbQueue), len(p.done), len(p.hits), len(p.outReplies))
-	if len(p.wbQueue) > 0 {
-		fmt.Fprintf(&sb, "wb[0]: addr=%#x\n", p.wbQueue[0].addr)
+		len(wbs), len(p.done), len(p.hits), len(p.outReplies))
+	if len(wbs) > 0 {
+		fmt.Fprintf(&sb, "wb[0]: addr=%#x\n", wbs[0].addr)
 	}
 	if len(p.done) > 0 {
 		it := &p.done[0]
 		faults := 0
-		if it.req.Faults != nil {
-			faults = it.req.Faults.Count()
+		if it.v.req.Faults != nil {
+			faults = it.v.req.Faults.Count()
 		}
 		fmt.Fprintf(&sb, "done[0]: readyAt=%d req=#%d@%#x approx=%v faultBits=%d\n",
-			it.readyAt, it.req.ID, it.req.Addr, it.approx, faults)
+			it.readyAt, it.v.req.ID, it.v.req.Addr, it.v.approx, faults)
 	}
 	if len(p.hits) > 0 {
 		it := &p.hits[0]
-		fmt.Fprintf(&sb, "hits[0]: readyAt=%d line=%#x\n", it.readyAt, it.rep.Req.LineAddr)
+		fmt.Fprintf(&sb, "hits[0]: readyAt=%d line=%#x\n", it.readyAt, it.v.Req.LineAddr)
 	}
 	if len(p.outReplies) > 0 {
 		r := p.outReplies[0]

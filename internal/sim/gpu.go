@@ -312,22 +312,12 @@ func (g *GPU) coreTick() {
 	if g.pool != nil {
 		g.pool.coreTick(now)
 		for _, p := range g.partitions {
-			if r := p.popReply(); r != nil {
-				r.SentAt = now
-				if !g.replyNet.Send(p.id, r.Req.SM, r, now) {
-					p.unpopReply(r)
-				}
-			}
+			p.sendReply(g.replyNet, now)
 		}
 	} else {
 		for _, p := range g.partitions {
 			p.coreTick(now)
-			if r := p.popReply(); r != nil {
-				r.SentAt = now
-				if !g.replyNet.Send(p.id, r.Req.SM, r, now) {
-					p.unpopReply(r)
-				}
-			}
+			p.sendReply(g.replyNet, now)
 		}
 	}
 	// 2. Reply network delivers to SMs.

@@ -1,13 +1,14 @@
 package sim
 
 import (
-	"container/heap"
+	"slices"
 
 	"lazydram/internal/approx"
 	"lazydram/internal/cache"
 	"lazydram/internal/core"
 	"lazydram/internal/dram"
 	"lazydram/internal/fault"
+	"lazydram/internal/icnt"
 	"lazydram/internal/mc"
 	"lazydram/internal/memimage"
 	"lazydram/internal/obs"
@@ -20,36 +21,67 @@ type wbEntry struct {
 	data [cache.LineSize]byte
 }
 
-// doneItem is a completed (or dropped) MC request waiting for its data-ready
-// time in memory cycles.
+// timed is one readyHeap entry: a value that becomes due at readyAt.
+type timed[T any] struct {
+	readyAt uint64
+	v       T
+}
+
+// readyHeap is a binary min-heap on readyAt. Its sift-up and sift-down are
+// container/heap's up and down, step for step: entries with equal readyAt
+// pop in exactly the order that algorithm yields, and that order decides
+// reply order and therefore simulated timing. Being typed, it neither boxes
+// entries into interfaces nor dispatches Less/Swap through one.
+type readyHeap[T any] []timed[T]
+
+func (h *readyHeap[T]) push(readyAt uint64, v T) {
+	*h = append(*h, timed[T]{readyAt: readyAt, v: v})
+	q := *h
+	j := len(q) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || q[j].readyAt >= q[i].readyAt {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+// due reports whether the earliest entry is ready at now.
+func (h readyHeap[T]) due(now uint64) bool { return len(h) > 0 && h[0].readyAt <= now }
+
+// pop removes and returns the earliest entry; the heap must be non-empty.
+func (h *readyHeap[T]) pop() timed[T] {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].readyAt < q[j].readyAt {
+			j = j2
+		}
+		if q[j].readyAt >= q[i].readyAt {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	x := q[n]
+	q[n] = timed[T]{}
+	*h = q[:n]
+	return x
+}
+
+// doneItem is a completed (or dropped) MC request waiting in the done heap
+// for its data-ready time in memory cycles.
 type doneItem struct {
-	readyAt uint64
-	req     *mc.Request
-	approx  bool
+	req    *mc.Request
+	approx bool
 }
-
-type doneHeap []doneItem
-
-func (h doneHeap) Len() int           { return len(h) }
-func (h doneHeap) Less(i, j int) bool { return h[i].readyAt < h[j].readyAt }
-func (h doneHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *doneHeap) Push(x any)        { *h = append(*h, x.(doneItem)) }
-func (h *doneHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// hitItem is an L2 hit reply waiting for the L2 access latency, in core
-// cycles.
-type hitItem struct {
-	readyAt uint64
-	rep     *core.MemReply
-}
-
-type hitHeap []hitItem
-
-func (h hitHeap) Len() int           { return len(h) }
-func (h hitHeap) Less(i, j int) bool { return h[i].readyAt < h[j].readyAt }
-func (h hitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *hitHeap) Push(x any)        { *h = append(*h, x.(hitItem)) }
-func (h *hitHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // partition is one memory partition: L2 slice, its MSHRs, the lazy memory
 // controller, one DRAM channel, and the value-prediction unit.
@@ -88,9 +120,15 @@ type partition struct {
 	gapLen       uint64
 	gapIdle      bool
 
-	wbQueue    []wbEntry
-	done       doneHeap
-	hits       hitHeap
+	// wbQueue[wbHead:] are the write-backs not yet in the pending queue. The
+	// drained prefix is reclaimed in place when an append would otherwise
+	// grow the slice (write-heavy phases keep dozens queued).
+	wbQueue []wbEntry
+	wbHead  int
+	// done holds completed MC reads until their data-ready memory cycle;
+	// hits holds L2-hit replies until their core-cycle latency elapses.
+	done       readyHeap[doneItem]
+	hits       readyHeap[*core.MemReply]
 	outReplies []*core.MemReply
 
 	// traffic is the partition's rolling data digest: every fill's returned
@@ -154,7 +192,7 @@ func (p *partition) onMCComplete(req *mc.Request, approxDrop bool, readyAt uint6
 		// and energy.
 		return
 	}
-	heap.Push(&p.done, doneItem{readyAt: readyAt, req: req, approx: approxDrop})
+	p.done.push(readyAt, doneItem{req: req, approx: approxDrop})
 }
 
 // queueWB commits an evicted dirty line to the image immediately and queues
@@ -168,26 +206,32 @@ func (p *partition) queueWB(addr uint64, data []byte) {
 		p.traffic = obs.FoldU64(p.traffic, addr)
 		p.traffic = obs.FoldBytes(p.traffic, data)
 	}
-	var e wbEntry
-	e.addr = addr
-	copy(e.data[:], data)
-	p.wbQueue = append(p.wbQueue, e)
+	if p.wbHead > 0 && len(p.wbQueue) == cap(p.wbQueue) {
+		p.wbQueue = p.wbQueue[:copy(p.wbQueue, p.wbQueue[p.wbHead:])]
+		p.wbHead = 0
+	}
+	p.wbQueue = append(p.wbQueue, wbEntry{addr: addr})
+	copy(p.wbQueue[len(p.wbQueue)-1].data[:], data)
 }
+
+// pendingWBs returns the queued write-backs, oldest first.
+func (p *partition) pendingWBs() []wbEntry { return p.wbQueue[p.wbHead:] }
 
 // memTick advances the partition by one memory cycle.
 func (p *partition) memTick(now uint64) {
 	// Drain one write-back into the pending queue per memory cycle.
-	if len(p.wbQueue) > 0 && !p.ctrl.Full() {
-		wb := p.wbQueue[0]
-		p.wbQueue = p.wbQueue[1:]
-		coord := p.cfg.AddrMap.Decode(wb.addr)
-		p.ctrl.Push(wb.addr, true, false, coord, nil)
+	if p.wbHead < len(p.wbQueue) && !p.ctrl.Full() {
+		addr := p.wbQueue[p.wbHead].addr
+		if p.wbHead++; p.wbHead == len(p.wbQueue) {
+			p.wbQueue, p.wbHead = p.wbQueue[:0], 0
+		}
+		p.ctrl.Push(addr, true, false, p.cfg.AddrMap.Decode(addr))
 	}
 	p.ctrl.Tick(now)
-	for len(p.done) > 0 && p.done[0].readyAt <= now {
-		it := heap.Pop(&p.done).(doneItem)
+	for p.done.due(now) {
+		it := p.done.pop()
 		p.pops++
-		p.finishFill(it)
+		p.finishFill(it.readyAt, it.v)
 	}
 	if p.cen != nil {
 		// Batched partition census: count advancing cycles and non-advancing
@@ -216,12 +260,12 @@ func (p *partition) memTick(now uint64) {
 // flight (the partition-census "fully idle" class; pending L2-hit replies
 // live on the core clock and do not keep the memory side busy).
 func (p *partition) memIdle() bool {
-	return p.ctrl.Pending() == 0 && len(p.wbQueue) == 0 && len(p.done) == 0
+	return p.ctrl.Pending() == 0 && len(p.pendingWBs()) == 0 && len(p.done) == 0
 }
 
 // finishFill installs a returned (or value-predicted) line in the L2, merges
 // pending stores, and queues replies for every merged load waiter.
-func (p *partition) finishFill(it doneItem) {
+func (p *partition) finishFill(readyAt uint64, it doneItem) {
 	line := it.req.Addr
 	e := p.mshr.Lookup(line)
 	var data [cache.LineSize]byte
@@ -232,7 +276,7 @@ func (p *partition) finishFill(it doneItem) {
 			// truth this drop can be scored against.
 			var truth [cache.LineSize]byte
 			p.im.ReadLine(line, truth[:])
-			p.qual.RecordLine(it.readyAt, line, data[:], truth[:])
+			p.qual.RecordLine(readyAt, line, data[:], truth[:])
 		}
 	} else {
 		p.im.ReadLine(line, data[:])
@@ -244,7 +288,7 @@ func (p *partition) finishFill(it doneItem) {
 		if f := it.req.Faults; f != nil {
 			truth := data
 			f.Apply(data[:])
-			p.fq.RecordLine(it.readyAt, line, data[:], truth[:])
+			p.fq.RecordLine(readyAt, line, data[:], truth[:])
 		}
 		p.vp.Observe(line, &data)
 	}
@@ -252,7 +296,7 @@ func (p *partition) finishFill(it doneItem) {
 		// The delivered bytes — post-fault-corruption, post-prediction — are
 		// the partition's externally visible data. Fold them with the delivery
 		// time so timing-identical-but-data-different runs still diverge here.
-		p.traffic = obs.FoldU64(p.traffic, it.readyAt)
+		p.traffic = obs.FoldU64(p.traffic, readyAt)
 		p.traffic = obs.FoldU64(p.traffic, line)
 		p.traffic = obs.FoldBytes(p.traffic, data[:])
 	}
@@ -273,6 +317,7 @@ func (p *partition) finishFill(it doneItem) {
 		rep.Data = data
 		p.outReplies = append(p.outReplies, rep)
 	}
+	p.mshr.Release(e)
 }
 
 func applyWord(data *[cache.LineSize]byte, s cache.PendingStore) {
@@ -285,24 +330,23 @@ func applyWord(data *[cache.LineSize]byte, s cache.PendingStore) {
 // coreTick advances the partition's core-clock side: releasing L2 hits whose
 // latency elapsed.
 func (p *partition) coreTick(now uint64) {
-	for len(p.hits) > 0 && p.hits[0].readyAt <= now {
-		it := heap.Pop(&p.hits).(hitItem)
-		p.outReplies = append(p.outReplies, it.rep)
+	for p.hits.due(now) {
+		p.outReplies = append(p.outReplies, p.hits.pop().v)
 	}
 }
 
-// popReply hands the next outgoing reply to the reply network, if any.
-func (p *partition) popReply() *core.MemReply {
+// sendReply offers the oldest outgoing reply to the reply network at core
+// cycle now and dequeues it once the network accepted it; a refused reply
+// stays at the head and is offered again next cycle.
+func (p *partition) sendReply(net *icnt.Network, now uint64) {
 	if len(p.outReplies) == 0 {
-		return nil
+		return
 	}
 	r := p.outReplies[0]
-	p.outReplies = p.outReplies[1:]
-	return r
-}
-
-func (p *partition) unpopReply(r *core.MemReply) {
-	p.outReplies = append([]*core.MemReply{r}, p.outReplies...)
+	r.SentAt = now
+	if net.Send(p.id, r.Req.SM, r, now) {
+		p.outReplies = slices.Delete(p.outReplies, 0, 1)
+	}
 }
 
 // acceptReq attempts to consume one SM transaction. It returns false when a
@@ -316,7 +360,7 @@ func (p *partition) acceptReq(req *core.MemReq, now uint64) bool {
 			p.tr.Observe(obs.StageL2Hit, p.cfg.L2HitLatency)
 			rep := &core.MemReply{Req: req}
 			rep.Data = data
-			heap.Push(&p.hits, hitItem{readyAt: now + p.cfg.L2HitLatency, rep: rep})
+			p.hits.push(now+p.cfg.L2HitLatency, rep)
 			return true
 		}
 		if e := p.mshr.Lookup(line); e != nil {
@@ -334,7 +378,7 @@ func (p *partition) acceptReq(req *core.MemReq, now uint64) bool {
 		e := p.mshr.Allocate(line)
 		e.Targets = append(e.Targets, req)
 		coord := p.cfg.AddrMap.Decode(line)
-		p.ctrl.Push(line, false, p.annot.Approximable(line), coord, e)
+		p.ctrl.Push(line, false, p.annot.Approximable(line), coord)
 		return true
 	}
 	// Store transaction: write-back L2 with write-allocate.
@@ -359,7 +403,7 @@ func (p *partition) acceptReq(req *core.MemReq, now uint64) bool {
 	coord := p.cfg.AddrMap.Decode(line)
 	// The fill-for-write is a DRAM read, but never approximable: dropping it
 	// would lose the exactness guarantee for stores.
-	p.ctrl.Push(line, false, false, coord, e)
+	p.ctrl.Push(line, false, false, coord)
 	return true
 }
 
@@ -386,7 +430,7 @@ func (p *partition) noteIngressStall(merge bool) {
 // idle reports whether no request, reply, or write-back is in flight.
 func (p *partition) idle() bool {
 	return p.mshr.Len() == 0 && p.ctrl.Pending() == 0 &&
-		len(p.wbQueue) == 0 && len(p.done) == 0 && len(p.hits) == 0 &&
+		len(p.pendingWBs()) == 0 && len(p.done) == 0 && len(p.hits) == 0 &&
 		len(p.outReplies) == 0
 }
 

@@ -213,7 +213,7 @@ func DriveWith(cfg DriveConfig, gen Generator, n int) Result {
 				res.Rejected++
 			} else {
 				c := dram.Coord{Channel: 0, Bank: req.Bank, Row: req.Row, Col: req.Col}
-				ctrl.Push(am.Encode(c), req.Write, req.Approximable, c, nil)
+				ctrl.Push(am.Encode(c), req.Write, req.Approximable, c)
 			}
 		}
 		ctrl.Tick(now)
