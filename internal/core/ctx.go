@@ -4,9 +4,10 @@ import "math"
 
 // Ctx is a warp's architectural state visible to its program: vector
 // registers written by loads and a reusable lane-set buffer for building
-// memory instructions. A program may only inspect registers after the load
-// that writes them has been yielded (the simulator resumes the program only
-// once the memory instruction completed, so the values are always present).
+// memory instructions. A program may only inspect registers after the
+// blocking load that writes them, or the Join after an async one, has been
+// yielded: the simulator resumes the program only once that instruction
+// completed, so the values are always present (see Program).
 type Ctx struct {
 	Regs [MaxRegs][WarpSize]uint32
 	// lanes[r] is the lane-set buffer of register slot r; loads targeting r

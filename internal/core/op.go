@@ -49,5 +49,13 @@ type Op struct {
 	Lanes *LaneSet
 }
 
+// endsBatch reports whether the program may observe simulated state once op
+// completes, so it must not run ahead of it: a blocking load writes
+// registers the program reads next, a join releases async loads' registers,
+// and a store's lane set (slot MaxRegs-1) is shared by every store builder.
+func (op Op) endsBatch() bool {
+	return op.Kind == OpJoin || op.Kind == OpStore || (op.Kind == OpLoad && !op.Async)
+}
+
 // lineOf returns the 128-byte line address containing addr.
 func lineOf(addr uint64) uint64 { return addr &^ 127 }

@@ -8,14 +8,33 @@ import (
 	"lazydram/internal/cache"
 )
 
-// Program generates the instruction stream of one warp. The sequence is
-// pulled lazily: the simulator resumes it only after the previously yielded
-// instruction completed, so the program may read registers written by the
-// preceding load.
+// Program generates the instruction stream of one warp. The SM does not pull
+// it one op at a time: it resumes the program once per sync point, and the
+// program runs ahead, buffering ops until one after which it may observe
+// simulated state — a blocking load, a Join or a store — or until maxBatch
+// ops are buffered. The SM still issues the buffered ops one per issue slot,
+// so the timing is that of a per-op pull. Two rules make that equivalence
+// hold:
+//
+//   - A program must not read an async load's destination register before
+//     the Join that follows it (see Ctx.Async). Every other register it
+//     reads was written by a blocking load that completed before the
+//     program was resumed.
+//   - A program must never observe time, or any other simulated state than
+//     its registers: between sync points it runs ahead of the simulated
+//     clock.
 type Program func(warpID int, ctx *Ctx) iter.Seq[Op]
 
-// MemReq is a coalesced 128-byte line transaction leaving an SM toward a
-// memory partition.
+// maxBatch bounds the ops a program may buffer ahead of the SM; a
+// compute-only loop would otherwise grow its buffer without limit.
+const maxBatch = 16
+
+// MemReq is a coalesced 128-byte line transaction. It leaves an SM toward a
+// memory partition and, for a load, returns through the reply network
+// carrying the line, so one object serves the whole transaction. The issuing
+// SM owns it and recycles it through Release: a load request once
+// HandleReply has consumed its reply, a store request once a partition has
+// accepted it (the L2 or its MSHR copied the words by then).
 type MemReq struct {
 	SM       int
 	LineAddr uint64
@@ -26,12 +45,9 @@ type MemReq struct {
 	// the observability layer uses it to measure end-to-end and
 	// interconnect latency.
 	IssuedAt uint64
-}
 
-// MemReply answers a load MemReq with the line's bytes. Approx marks data
-// synthesized by the value-prediction unit for an AMS-dropped request.
-type MemReply struct {
-	Req    *MemReq
+	// Data is a load's reply: the line's bytes. Approx marks data
+	// synthesized by the value-prediction unit for an AMS-dropped request.
 	Data   [cache.LineSize]byte
 	Approx bool
 	// SentAt is the core cycle the reply entered the reply network; used by
@@ -68,11 +84,18 @@ func DefaultConfig() Config {
 
 // warp is one resident warp slot.
 type warp struct {
-	id       int
-	slot     int32
-	ctx      *Ctx
-	next     func() (Op, bool)
-	stop     func()
+	id   int
+	slot int32
+	ctx  *Ctx
+	// resume runs the slot's coroutine to the program's next sync point,
+	// filling batch; ended reports that the program returned, so batch
+	// holds its last ops. stop releases the coroutine.
+	resume func() (ended, ok bool)
+	stop   func()
+	// batch[head:] are the buffered ops the SM has not consumed yet.
+	batch    []Op
+	head     int
+	ended    bool
 	readyAt  uint64
 	blocked  bool
 	hasOp    bool
@@ -82,6 +105,9 @@ type warp struct {
 	// blocked at an OpJoin until that count drains.
 	asyncOps    int
 	joinWaiting bool
+	// wheelNext links the warps sleeping in the same wake-wheel bucket:
+	// the next one's slot+1, 0 at the tail.
+	wheelNext int32
 }
 
 // memOp is a memory instruction being processed by the load/store unit.
@@ -115,14 +141,21 @@ type SM struct {
 	warps    []*warp
 
 	// runnable is the FIFO of warp slots eligible to issue (loose round
-	// robin); wheel wakes sleeping warps at their readyAt cycle.
-	runnable []int32
-	wheel    [wheelSize][]int32
+	// robin). The wake wheel holds sleeping warps until their readyAt
+	// cycle: bucket c%wheelSize is an intrusive FIFO through
+	// warp.wheelNext, with wheelHead/wheelTail holding slot+1 (0 = empty).
+	runnable  []int32
+	wheelHead [wheelSize]int32
+	wheelTail [wheelSize]int32
 
 	lsu      *memOp
 	lsuQueue []int32 // warps parked with a decoded memory instruction
 	opPool   []*memOp
 	outbox   []*MemReq
+	// loadPool and storePool hold released transactions for newReq. Kept
+	// apart so that only store requests carry Stores storage.
+	loadPool  []*MemReq
+	storePool []*MemReq
 
 	outstanding int // load transactions in flight past the L1
 
@@ -140,8 +173,7 @@ func NewSM(id int, cfg Config, prog Program, warpIDs []int) *SM {
 		warpIDs: warpIDs,
 	}
 	for len(s.warps) < cfg.MaxResidentWarps && s.nextSeed < len(warpIDs) {
-		w := s.launch()
-		w.slot = int32(len(s.warps))
+		w := s.launch(int32(len(s.warps)))
 		s.warps = append(s.warps, w)
 		s.runnable = append(s.runnable, w.slot)
 	}
@@ -159,26 +191,90 @@ func (s *SM) sleep(w *warp, now uint64) {
 	if delta >= wheelSize {
 		panic("core: instruction latency exceeds wake-wheel horizon")
 	}
-	slot := w.readyAt % wheelSize
-	s.wheel[slot] = append(s.wheel[slot], w.slot)
-}
-
-// wake moves warps whose readyAt cycle arrived into the runnable queue.
-func (s *SM) wake(now uint64) {
-	slot := now % wheelSize
-	if len(s.wheel[slot]) == 0 {
-		return
+	b := w.readyAt % wheelSize
+	w.wheelNext = 0
+	if t := s.wheelTail[b]; t == 0 {
+		s.wheelHead[b] = w.slot + 1
+	} else {
+		s.warps[t-1].wheelNext = w.slot + 1
 	}
-	s.runnable = append(s.runnable, s.wheel[slot]...)
-	s.wheel[slot] = s.wheel[slot][:0]
+	s.wheelTail[b] = w.slot + 1
 }
 
-func (s *SM) launch() *warp {
-	id := s.warpIDs[s.nextSeed]
+// wake moves warps whose readyAt cycle arrived into the runnable queue, in
+// the order they went to sleep.
+func (s *SM) wake(now uint64) {
+	b := now % wheelSize
+	for l := s.wheelHead[b]; l != 0; l = s.warps[l-1].wheelNext {
+		s.runnable = append(s.runnable, l-1)
+	}
+	s.wheelHead[b], s.wheelTail[b] = 0, 0
+}
+
+// launch starts the next warp ID in a fresh warp record with its own slot
+// coroutine.
+func (s *SM) launch(slot int32) *warp {
+	// The batch starts with room for the common case, a few async loads
+	// and their join; a longer one grows it once for the slot's lifetime.
+	w := &warp{id: s.warpIDs[s.nextSeed], slot: slot, ctx: &Ctx{}, batch: make([]Op, 0, 4)}
 	s.nextSeed++
-	ctx := &Ctx{}
-	next, stop := iter.Pull(s.prog(id, ctx))
-	return &warp{id: id, ctx: ctx, next: next, stop: stop}
+	w.resume, w.stop = iter.Pull(s.runSlot(w))
+	return w
+}
+
+// relaunch starts the next warp ID in w's record and coroutine; w's program
+// has ended with no load in flight. The record is reset to exactly what
+// launch would build, zeroed registers included.
+func (s *SM) relaunch(w *warp) {
+	*w.ctx = Ctx{}
+	*w = warp{id: s.warpIDs[s.nextSeed], slot: w.slot, ctx: w.ctx,
+		resume: w.resume, stop: w.stop, batch: w.batch[:0]}
+	s.nextSeed++
+}
+
+// runSlot is the body of a slot coroutine: it runs the programs of the
+// warps that successively occupy w's record. Each resume runs the current
+// program to its next sync point (a full batch, or an op that ends one) and
+// yields ended=false; when the program returns it yields ended=true, and
+// the next resume starts the program of whatever warp ID w holds by then.
+func (s *SM) runSlot(w *warp) iter.Seq[bool] {
+	return func(yield func(bool) bool) {
+		live := true
+		push := func(op Op) bool {
+			if !live {
+				return false
+			}
+			w.batch = append(w.batch, op)
+			if len(w.batch) == maxBatch || op.endsBatch() {
+				live = yield(false)
+			}
+			return live
+		}
+		for live {
+			s.prog(w.id, w.ctx)(push)
+			live = live && yield(true)
+		}
+	}
+}
+
+// nextOp returns w's next op, resuming its program when the buffered batch
+// is used up; ok is false once the program has ended and its ops are
+// consumed.
+func (w *warp) nextOp() (Op, bool) {
+	if w.head == len(w.batch) {
+		if w.ended {
+			return Op{}, false
+		}
+		w.head, w.batch = 0, w.batch[:0]
+		ended, ok := w.resume()
+		w.ended = ended || !ok
+		if len(w.batch) == 0 {
+			return Op{}, false
+		}
+	}
+	op := w.batch[w.head]
+	w.head++
+	return op, true
 }
 
 // Insts returns the number of warp instructions issued.
@@ -238,16 +334,9 @@ func (s *SM) issue(now uint64) {
 			continue
 		}
 		if !w.hasOp {
-			op, ok := w.next()
+			op, ok := w.nextOp()
 			if !ok {
-				w.finished = true
-				w.stop()
-				if s.nextSeed < len(s.warpIDs) {
-					nw := s.launch()
-					nw.slot = slot
-					s.warps[slot] = nw
-					s.runnable = append(s.runnable, slot)
-				}
+				s.retire(w)
 				continue
 			}
 			w.cur = op
@@ -284,6 +373,25 @@ func (s *SM) issue(now uint64) {
 		}
 	}
 	s.runnable = slices.Delete(s.runnable, 0, popped)
+}
+
+// retire finishes w, whose program ended, and starts the next warp ID in
+// its slot. The slot's record and coroutine carry over unless async loads
+// are still in flight: their replies write into w's registers, so w is
+// abandoned to them and the next warp gets a fresh record and coroutine.
+func (s *SM) retire(w *warp) {
+	w.finished = true
+	switch {
+	case s.nextSeed == len(s.warpIDs):
+		w.stop()
+		return
+	case w.asyncOps == 0:
+		s.relaunch(w)
+	default:
+		w.stop()
+		s.warps[w.slot] = s.launch(w.slot)
+	}
+	s.runnable = append(s.runnable, w.slot)
 }
 
 // installMemOp coalesces the lane addresses of w's current memory
@@ -425,7 +533,7 @@ func (s *SM) lsuLoadLine(op *memOp, line uint64, now uint64) bool {
 	e.Targets = append(e.Targets, op)
 	op.outstanding++
 	s.outstanding++
-	s.outbox = append(s.outbox, &MemReq{SM: s.id, LineAddr: line, Load: true, IssuedAt: now})
+	s.outbox = append(s.outbox, s.newReq(line, true, now))
 	return true
 }
 
@@ -433,7 +541,7 @@ func (s *SM) lsuStoreLine(op *memOp, line uint64, now uint64) bool {
 	if len(s.outbox) >= s.cfg.OutboxDepth {
 		return false
 	}
-	var stores []cache.PendingStore
+	r := s.newReq(line, false, now)
 	for l := 0; l < WarpSize; l++ {
 		if op.lanes.Active&(1<<uint(l)) == 0 {
 			continue
@@ -445,10 +553,44 @@ func (s *SM) lsuStoreLine(op *memOp, line uint64, now uint64) bool {
 		v := op.lanes.Vals[l]
 		// Write-through: keep a resident L1 copy coherent with the L2.
 		s.l1.MergeWord(a, uint64(v), 4, false)
-		stores = append(stores, cache.PendingStore{Addr: a, Val: uint64(v), N: 4})
+		r.Stores = append(r.Stores, cache.PendingStore{Addr: a, Val: uint64(v), N: 4})
 	}
-	s.outbox = append(s.outbox, &MemReq{SM: s.id, LineAddr: line, Stores: stores, IssuedAt: now})
+	s.outbox = append(s.outbox, r)
 	return true
+}
+
+// newReq returns a transaction for line, reusing a released one of the same
+// kind when it can. A recycled store request keeps its WarpSize-capacity
+// Stores slice.
+func (s *SM) newReq(line uint64, load bool, now uint64) *MemReq {
+	pool := &s.storePool
+	if load {
+		pool = &s.loadPool
+	}
+	var r *MemReq
+	if n := len(*pool); n > 0 {
+		r = (*pool)[n-1]
+		*pool = (*pool)[:n-1]
+		*r = MemReq{Stores: r.Stores[:0]}
+	} else {
+		r = &MemReq{}
+		if !load {
+			r.Stores = make([]cache.PendingStore, 0, WarpSize)
+		}
+	}
+	r.SM, r.LineAddr, r.Load, r.IssuedAt = s.id, line, load, now
+	return r
+}
+
+// Release returns a transaction this SM issued for reuse. Call it once
+// nothing refers to r any more: for a load after HandleReply consumed its
+// reply, for a store once a partition accepted it.
+func (s *SM) Release(r *MemReq) {
+	if r.Load {
+		s.loadPool = append(s.loadPool, r)
+	} else {
+		s.storePool = append(s.storePool, r)
+	}
 }
 
 func (s *SM) completeOp(op *memOp, now uint64) {
@@ -459,11 +601,11 @@ func (s *SM) completeOp(op *memOp, now uint64) {
 	s.sleep(op.w, now)
 }
 
-// HandleReply processes a load reply from the memory partition: it fills the
-// L1, delivers lane values to every merged waiter, and unblocks warps whose
-// memory instruction is now complete.
-func (s *SM) HandleReply(rep *MemReply, now uint64) {
-	line := rep.Req.LineAddr
+// HandleReply processes a load's reply from the memory partition: it fills
+// the L1, delivers lane values to every merged waiter, and unblocks warps
+// whose memory instruction is now complete.
+func (s *SM) HandleReply(rep *MemReq, now uint64) {
+	line := rep.LineAddr
 	e := s.mshr.Lookup(line)
 	if e == nil {
 		return // spurious reply; cannot happen in normal operation

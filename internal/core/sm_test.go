@@ -52,11 +52,11 @@ func (f *fakeMem) deliver(sm *core.SM, now uint64) {
 			rest = append(rest, p)
 			continue
 		}
-		rep := &core.MemReply{Req: p.req}
 		for off := uint64(0); off < cache.LineSize; off += 4 {
-			binary.LittleEndian.PutUint32(rep.Data[off:], wordAt(p.req.LineAddr+off))
+			binary.LittleEndian.PutUint32(p.req.Data[off:], wordAt(p.req.LineAddr+off))
 		}
-		sm.HandleReply(rep, now)
+		sm.HandleReply(p.req, now)
+		sm.Release(p.req)
 	}
 	f.inFlight = rest
 }
@@ -355,5 +355,162 @@ func TestPartialWarpMasksInactiveLanes(t *testing.T) {
 	runSM(t, sm, mem, 10000)
 	if got != wordAt(4096+8) {
 		t.Fatalf("lane 2 = %#x, want %#x", got, wordAt(4096+8))
+	}
+}
+
+// TestProgramResumesOncePerBlockingLoad checks a program is resumed once per
+// sync point, not once per op: yielding compute, compute, load repeatedly,
+// it is suspended only at each blocking load. The program detects a
+// resumption by the driver's clock moving across a yield; the SM still
+// issues one op per slot, so the instruction count and the cycle count are
+// those the op sequence implies.
+func TestProgramResumesOncePerBlockingLoad(t *testing.T) {
+	const iters, latency = 10, 5
+	var now uint64
+	resumes := 0
+	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
+		return func(yield func(core.Op) bool) {
+			step := func(op core.Op) bool {
+				at := now
+				ok := yield(op)
+				if now != at {
+					resumes++
+				}
+				return ok
+			}
+			for i := 0; i < iters; i++ {
+				if !step(ctx.Compute(2)) || !step(ctx.Compute(3)) ||
+					!step(ctx.LoadSeq32(0, 4096+uint64(i)*cache.LineSize, 0, core.WarpSize)) {
+					return
+				}
+			}
+		}
+	}
+	cfg := smConfig()
+	sm := core.NewSM(0, cfg, prog, []int{0})
+	mem := newFakeMem(latency)
+	for ; !sm.Done(); now++ {
+		if now == 10000 {
+			t.Fatal("SM did not finish")
+		}
+		mem.deliver(sm, now)
+		sm.Tick(now, mem.send(now))
+	}
+	if resumes != iters {
+		t.Fatalf("program resumed %d times, want %d (once per blocking load)", resumes, iters)
+	}
+	if got := sm.Insts(); got != 3*iters {
+		t.Fatalf("Insts = %d, want %d", got, 3*iters)
+	}
+	// Per iteration: the two computes (2+3 cycles), one cycle for the LSU to
+	// queue the line, one to hand it to the network, the memory latency,
+	// and the L1 return latency. The program's end is seen at the issue
+	// slot after the last load returned; now is one past that cycle.
+	perIter := uint64(2+3+1+1+latency) + cfg.L1HitLatency
+	if want := iters*perIter + 1; now != want {
+		t.Fatalf("took %d cycles, want %d", now, want)
+	}
+}
+
+// TestSlotReuseZeroesRegisters checks the next warp in a reused slot starts
+// with zeroed registers, in the record its predecessor used.
+func TestSlotReuseZeroesRegisters(t *testing.T) {
+	var ctxs [2]*core.Ctx
+	dirty := false
+	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
+		return func(yield func(core.Op) bool) {
+			ctxs[warpID] = ctx
+			for r := range ctx.Regs {
+				for _, v := range ctx.Regs[r] {
+					dirty = dirty || v != 0
+				}
+			}
+			yield(ctx.LoadSeq32(warpID, 4096, 0, core.WarpSize))
+		}
+	}
+	cfg := smConfig()
+	cfg.MaxResidentWarps = 1
+	sm := core.NewSM(0, cfg, prog, []int{0, 1})
+	runSM(t, sm, newFakeMem(5), 10000)
+	if ctxs[0] != ctxs[1] {
+		t.Fatal("warp 1 did not reuse warp 0's record")
+	}
+	if dirty {
+		t.Fatal("warp 1 started with warp 0's register values")
+	}
+}
+
+// TestSlotWithAsyncInFlightNotReused checks a warp that ends with an
+// un-joined async load in flight hands its slot to a fresh record: the late
+// reply lands in the old warp's registers, not the next warp's.
+func TestSlotWithAsyncInFlightNotReused(t *testing.T) {
+	const latency = 200
+	var ctxs [2]*core.Ctx
+	var after [core.WarpSize]uint32
+	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
+		return func(yield func(core.Op) bool) {
+			ctxs[warpID] = ctx
+			if warpID == 0 {
+				yield(ctx.Async(ctx.LoadSeq32(0, 4096, 0, core.WarpSize)))
+				return // ends without a join
+			}
+			// Outlast warp 0's load, then read register 0 after a blocking
+			// load has resumed this program.
+			if !yield(ctx.Compute(2*latency)) || !yield(ctx.LoadSeq32(1, 8192, 0, core.WarpSize)) {
+				return
+			}
+			after = ctx.Regs[0]
+		}
+	}
+	cfg := smConfig()
+	cfg.MaxResidentWarps = 1
+	sm := core.NewSM(0, cfg, prog, []int{0, 1})
+	runSM(t, sm, newFakeMem(latency), 10000)
+	if ctxs[0] == ctxs[1] {
+		t.Fatal("warp 1 reused the record of a warp with a load in flight")
+	}
+	if want := wordAt(4096); ctxs[0].Regs[0][0] != want {
+		t.Fatalf("late reply wrote %#x into warp 0, want %#x", ctxs[0].Regs[0][0], want)
+	}
+	for l, v := range after {
+		if v != 0 {
+			t.Fatalf("warp 1 register 0 lane %d = %#x after warp 0's late reply, want 0", l, v)
+		}
+	}
+}
+
+// TestComputeLoopCutAtBatchBound checks a program that never reaches a sync
+// point buffers at most MaxBatch ops per resumption, and that Shutdown
+// still ends it. The loop gives up after 4*MaxBatch ops so that a missing
+// bound fails here instead of hanging the first Tick.
+func TestComputeLoopCutAtBatchBound(t *testing.T) {
+	yields, returned := 0, false
+	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
+		return func(yield func(core.Op) bool) {
+			defer func() { returned = true }()
+			for yields < 4*core.MaxBatch {
+				yields++
+				if !yield(ctx.Compute(1)) {
+					return
+				}
+			}
+		}
+	}
+	sm := core.NewSM(0, smConfig(), prog, []int{0})
+	mem := newFakeMem(5)
+	sm.Tick(0, mem.send(0))
+	if yields != core.MaxBatch {
+		t.Fatalf("first resumption buffered %d ops, want the bound %d", yields, core.MaxBatch)
+	}
+	for now := uint64(1); now <= core.MaxBatch; now++ {
+		sm.Tick(now, mem.send(now))
+	}
+	if yields != 2*core.MaxBatch {
+		t.Fatalf("after %d issued ops the program yielded %d, want %d",
+			core.MaxBatch+1, yields, 2*core.MaxBatch)
+	}
+	sm.Shutdown()
+	if !returned || !sm.Done() {
+		t.Fatalf("after Shutdown: program returned=%v, SM done=%v", returned, sm.Done())
 	}
 }

@@ -237,11 +237,24 @@ func (r *Runner) run(app string, scheme mc.Scheme, v Variant, origin string) (*s
 
 // simulate executes one run under the worker semaphore and fully finalizes
 // the span (Done or Fail) before releasing the worker slot, so per-slot
-// spans never overlap in time.
-func (r *Runner) simulate(sp *obs.RunSpan, app string, scheme mc.Scheme, v Variant) (*sim.Result, time.Duration, error) {
+// spans never overlap in time. A panic anywhere in the run (a Variant's
+// Mutate, the simulator, the scoring) becomes the run's error, so it fails
+// this run alone and, through run, reaches every joined waiter.
+func (r *Runner) simulate(sp *obs.RunSpan, app string, scheme mc.Scheme, v Variant) (res *sim.Result, wall time.Duration, err error) {
+	slot := -1
+	defer func() {
+		if p := recover(); p != nil {
+			res, wall, err = nil, 0, fmt.Errorf("%s/%s: panic: %v", app, scheme.Name(), p)
+		}
+		if err != nil {
+			sp.Fail(err)
+		}
+		if slot >= 0 {
+			r.slots <- slot
+		}
+	}()
 	kern, err := workloads.New(app)
 	if err != nil {
-		sp.Fail(err)
 		return nil, 0, err
 	}
 	cfg := sim.DefaultConfig()
@@ -252,9 +265,7 @@ func (r *Runner) simulate(sp *obs.RunSpan, app string, scheme mc.Scheme, v Varia
 	}
 	if v.Mutate != nil {
 		if v.Tag == "" {
-			err := fmt.Errorf("exp: Variant.Mutate requires a Tag for %s", app)
-			sp.Fail(err)
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("exp: Variant.Mutate requires a Tag for %s", app)
 		}
 		v.Mutate(&cfg)
 	}
@@ -265,11 +276,10 @@ func (r *Runner) simulate(sp *obs.RunSpan, app string, scheme mc.Scheme, v Varia
 	sp.GoldenWait()
 	golden, err := r.goldenFor(app, seed)
 	if err != nil {
-		sp.Fail(err)
 		return nil, 0, err
 	}
 	sp.Queued()
-	slot := <-r.slots
+	slot = <-r.slots
 	sp.Running(slot)
 	var before runtime.MemStats
 	logging := r.opts.RunLog != nil
@@ -277,8 +287,8 @@ func (r *Runner) simulate(sp *obs.RunSpan, app string, scheme mc.Scheme, v Varia
 		runtime.ReadMemStats(&before)
 	}
 	start := time.Now()
-	res, err := sim.Simulate(kern, cfg, scheme, seed)
-	wall := time.Since(start)
+	res, err = sim.Simulate(kern, cfg, scheme, seed)
+	wall = time.Since(start)
 	var allocBytes, mallocs uint64
 	if logging {
 		var after runtime.MemStats
@@ -290,14 +300,10 @@ func (r *Runner) simulate(sp *obs.RunSpan, app string, scheme mc.Scheme, v Varia
 		mallocs = after.Mallocs - before.Mallocs
 	}
 	if err != nil {
-		err = fmt.Errorf("%s/%s: %w", app, scheme.Name(), err)
-		sp.Fail(err)
-		r.slots <- slot
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("%s/%s: %w", app, scheme.Name(), err)
 	}
 	res.Run.AppError = approx.MeanRelativeError(golden, res.Output)
 	sp.Done(res.Run.Mem.Cycles, allocBytes, mallocs)
-	r.slots <- slot
 	return res, wall, nil
 }
 
@@ -381,9 +387,8 @@ func (r *Runner) goldenFor(app string, seed int64) ([]float32, error) {
 	r.golden[key] = e
 	r.mu.Unlock()
 
-	kern, err := workloads.New(app)
-	if err != nil {
-		e.err = err
+	e.out, e.err = functional(app, seed)
+	if e.err != nil {
 		// Mirror run's retry semantics: drop the failed entry before waking
 		// waiters so a later Golden call re-resolves instead of replaying.
 		r.mu.Lock()
@@ -391,11 +396,24 @@ func (r *Runner) goldenFor(app string, seed int64) ([]float32, error) {
 			delete(r.golden, key)
 		}
 		r.mu.Unlock()
-	} else {
-		e.out = sim.RunFunctional(kern, seed)
 	}
 	close(e.done)
 	return e.out, e.err
+}
+
+// functional computes app's golden output for seed. A panic in the kernel
+// becomes the error, so the golden entry's waiters are always released.
+func functional(app string, seed int64) (out []float32, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			out, err = nil, fmt.Errorf("%s: functional run: panic: %v", app, p)
+		}
+	}()
+	kern, err := workloads.New(app)
+	if err != nil {
+		return nil, err
+	}
+	return sim.RunFunctional(kern, seed), nil
 }
 
 // Stats is a point-in-time snapshot of the runner's execution state, exposed

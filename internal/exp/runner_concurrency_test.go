@@ -2,12 +2,15 @@ package exp_test
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lazydram/internal/exp"
 	"lazydram/internal/mc"
+	"lazydram/internal/obs"
 	"lazydram/internal/sim"
 )
 
@@ -110,5 +113,59 @@ func TestRunnerWorkerCountInvariance(t *testing.T) {
 		if !reflect.DeepEqual(one[i].Run, four[i].Run) {
 			t.Errorf("point %d: run statistics differ between 1 and 4 workers", i)
 		}
+	}
+}
+
+// TestRunnerPanicIsolation checks a panicking simulation fails its own run
+// instead of the process: Run returns an error naming the panic, a caller
+// that joined the in-flight run is released with the same error, and the
+// error is not memoized — a later identical Run simulates again.
+func TestRunnerPanicIsolation(t *testing.T) {
+	rl := obs.NewRunLog(obs.RunLogOptions{})
+	r := exp.NewRunner(exp.Options{Seed: 1, Workers: 2, RunLog: rl})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	v := exp.Variant{
+		Tag: "panics",
+		Mutate: func(*sim.Config) {
+			if calls.Add(1) == 1 {
+				close(entered)
+				<-release
+			}
+			panic("mutate exploded")
+		},
+	}
+	errs := make(chan error, 2)
+	run := func() {
+		_, err := r.Run("jmein", mc.Baseline, v)
+		errs <- err
+	}
+	go run()
+	<-entered
+	go run()
+	// Hold the first flight until the second caller has joined it.
+	deadline := time.Now().Add(10 * time.Second)
+	for rl.Summary().Deduped < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("second caller never joined the in-flight run")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "mutate exploded") {
+				t.Fatalf("caller %d: err = %v, want the panic as an error", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("caller %d never returned", i)
+		}
+	}
+	if _, err := r.Run("jmein", mc.Baseline, v); err == nil {
+		t.Fatal("retry succeeded; Mutate panics on every call")
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("Mutate ran %d times, want 2: the retry must simulate again", n)
 	}
 }

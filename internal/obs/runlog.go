@@ -627,7 +627,12 @@ func (l *RunLog) WriteChromeTrace(w io.Writer) error {
 			emit(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":"worker %d"}}`, wkr, wkr)
 		}
 		emit(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":"dedup joins"}}`, workers)
-		for _, sp := range spans {
+		// Slices go out in start order, so each worker lane reads in time
+		// order: spans are created in Begin order, and a run that began
+		// first may have waited behind a later one for its worker slot.
+		ran := append([]*RunSpan(nil), spans...)
+		sort.SliceStable(ran, func(i, j int) bool { return ran[i].startedUS < ran[j].startedUS })
+		for _, sp := range ran {
 			if sp.startedUS >= 0 && sp.finishedUS >= 0 {
 				// A span shorter than the clock's 1 µs resolution exports
 				// as a zero-width slice: widening it would overlap the next

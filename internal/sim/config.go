@@ -39,7 +39,8 @@ type Kernel interface {
 	Phases() int
 	// NumWarps is the number of warps in the given phase's grid.
 	NumWarps(phase int) int
-	// Program returns the instruction stream of warp warpID of phase.
+	// Program returns the instruction stream of warp warpID of phase; it
+	// must keep the rules of core.Program.
 	Program(phase, warpID int, ctx *core.Ctx) iter.Seq[core.Op]
 	// Output extracts the result buffer for error measurement. Callers must
 	// flush caches first (Simulate does).

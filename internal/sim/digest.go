@@ -17,30 +17,31 @@ import (
 // simulation goroutine at barrier-quiesced points, so it reads partition
 // state without locking.
 
-// digestPayload folds an interconnect packet payload. Reply data is hashed in
-// full: a corrupted line in flight between partitions and SMs is exactly the
-// state a fault divergence lives in.
-func digestPayload(payload any, h *obs.Hasher) {
-	switch m := payload.(type) {
-	case *core.MemReq:
-		h.U64(m.LineAddr)
-		h.Bool(m.Load)
-		h.U64(m.IssuedAt)
-		h.Int(m.SM)
-		h.Int(len(m.Stores))
-		for _, s := range m.Stores {
-			h.U64(s.Addr)
-			h.U64(s.Val)
-			h.Int(s.N)
-		}
-	case *core.MemReply:
-		h.U64(m.Req.LineAddr)
-		h.Bool(m.Approx)
-		h.U64(m.SentAt)
-		h.Bytes(m.Data[:])
-	default:
-		h.Int(0)
+// digestReq folds a request-network payload: a transaction on its way to a
+// partition.
+func digestReq(payload any, h *obs.Hasher) {
+	m := payload.(*core.MemReq)
+	h.U64(m.LineAddr)
+	h.Bool(m.Load)
+	h.U64(m.IssuedAt)
+	h.Int(m.SM)
+	h.Int(len(m.Stores))
+	for _, s := range m.Stores {
+		h.U64(s.Addr)
+		h.U64(s.Val)
+		h.Int(s.N)
 	}
+}
+
+// digestReply folds a reply-network payload: a load transaction carrying its
+// line back to the SM. The data is hashed in full: a corrupted line in flight
+// between partitions and SMs is exactly the state a fault divergence lives in.
+func digestReply(payload any, h *obs.Hasher) {
+	m := payload.(*core.MemReq)
+	h.U64(m.LineAddr)
+	h.Bool(m.Approx)
+	h.U64(m.SentAt)
+	h.Bytes(m.Data[:])
 }
 
 // digest computes the partition's component digests at the current instant.
@@ -97,12 +98,12 @@ func (p *partition) digestHeaps(h *obs.Hasher) {
 	for i := range p.hits {
 		it := &p.hits[i]
 		h.U64(it.readyAt)
-		h.U64(it.v.Req.LineAddr)
+		h.U64(it.v.LineAddr)
 		h.Bytes(it.v.Data[:])
 	}
 	h.Int(len(p.outReplies))
 	for _, r := range p.outReplies {
-		h.U64(r.Req.LineAddr)
+		h.U64(r.LineAddr)
 		h.Bool(r.Approx)
 		h.Bytes(r.Data[:])
 	}
@@ -139,11 +140,11 @@ func (p *partition) dumpHeaps() string {
 	}
 	if len(p.hits) > 0 {
 		it := &p.hits[0]
-		fmt.Fprintf(&sb, "hits[0]: readyAt=%d line=%#x\n", it.readyAt, it.v.Req.LineAddr)
+		fmt.Fprintf(&sb, "hits[0]: readyAt=%d line=%#x\n", it.readyAt, it.v.LineAddr)
 	}
 	if len(p.outReplies) > 0 {
 		r := p.outReplies[0]
-		fmt.Fprintf(&sb, "reply[0]: line=%#x approx=%v\n", r.Req.LineAddr, r.Approx)
+		fmt.Fprintf(&sb, "reply[0]: line=%#x approx=%v\n", r.LineAddr, r.Approx)
 	}
 	return sb.String()
 }
@@ -170,8 +171,8 @@ func (g *GPU) digestRecord() obs.DigestRecord {
 	g.digestCores(h)
 	rec.Cores = h.Sum()
 	h.Reset()
-	g.reqNet.DigestInto(h, digestPayload)
-	g.replyNet.DigestInto(h, digestPayload)
+	g.reqNet.DigestInto(h, digestReq)
+	g.replyNet.DigestInto(h, digestReply)
 	rec.Icnt = h.Sum()
 	mh := obs.NewHasher()
 	mh.U64(rec.Cores)
@@ -206,10 +207,10 @@ func (g *GPU) ComponentDigests() []obs.ComponentDigest {
 	}
 	out = append(out, obs.ComponentDigest{Path: "cores", Digest: rec.Cores})
 	h.Reset()
-	g.reqNet.DigestInto(h, digestPayload)
+	g.reqNet.DigestInto(h, digestReq)
 	out = append(out, obs.ComponentDigest{Path: "icnt.req", Digest: h.Sum()})
 	h.Reset()
-	g.replyNet.DigestInto(h, digestPayload)
+	g.replyNet.DigestInto(h, digestReply)
 	out = append(out, obs.ComponentDigest{Path: "icnt.reply", Digest: h.Sum()})
 	out = append(out, obs.ComponentDigest{Path: "icnt", Digest: rec.Icnt})
 	for i, p := range g.partitions {

@@ -320,20 +320,24 @@ func (g *GPU) coreTick() {
 			p.sendReply(g.replyNet, now)
 		}
 	}
-	// 2. Reply network delivers to SMs.
+	// 2. Reply network delivers to SMs. The load transaction ends here, so
+	// its SM takes the request back.
 	for s, sm := range g.sms {
 		if pkt, ok := g.replyNet.Recv(s, now); ok {
-			rep := pkt.Payload.(*core.MemReply)
+			rep := pkt.Payload.(*core.MemReq)
 			g.tr.Observe(obs.StageIcntReply, now-rep.SentAt)
-			g.tr.Observe(obs.StageTotal, now-rep.Req.IssuedAt)
+			g.tr.Observe(obs.StageTotal, now-rep.IssuedAt)
 			sm.HandleReply(rep, now)
+			sm.Release(rep)
 		}
 	}
 	// 3. SMs execute; their sends are routed by address.
 	for _, sm := range g.sms {
 		sm.Tick(now, g.sendReq(now))
 	}
-	// 4. Request network delivers to partitions, honouring backpressure.
+	// 4. Request network delivers to partitions, honouring backpressure. An
+	// accepted store is complete once the L2 or its MSHR copied its words,
+	// so its SM takes the request back; a load travels on as the reply.
 	for pi, p := range g.partitions {
 		pkt, ok := g.reqNet.Peek(pi, now)
 		if !ok {
@@ -343,6 +347,9 @@ func (g *GPU) coreTick() {
 		if p.acceptReq(req, now) {
 			g.reqNet.Recv(pi, now)
 			g.tr.Observe(obs.StageIcntReq, now-req.IssuedAt)
+			if !req.Load {
+				g.sms[req.SM].Release(req)
+			}
 		}
 	}
 }

@@ -126,10 +126,15 @@ type partition struct {
 	wbQueue []wbEntry
 	wbHead  int
 	// done holds completed MC reads until their data-ready memory cycle;
-	// hits holds L2-hit replies until their core-cycle latency elapses.
+	// hits holds L2-hit replies until their core-cycle latency elapses. A
+	// reply is its load request, carrying the line in its Data.
 	done       readyHeap[doneItem]
-	hits       readyHeap[*core.MemReply]
-	outReplies []*core.MemReply
+	hits       readyHeap[*core.MemReq]
+	outReplies []*core.MemReq
+	// fill is finishFill's line buffer. A local would escape to the heap
+	// through the predictor's Observe; one buffer is enough because every
+	// fill copies the line out before the next one starts.
+	fill [cache.LineSize]byte
 
 	// traffic is the partition's rolling data digest: every fill's returned
 	// bytes (after fault corruption) and every write-back's bytes are folded
@@ -268,9 +273,9 @@ func (p *partition) memIdle() bool {
 func (p *partition) finishFill(readyAt uint64, it doneItem) {
 	line := it.req.Addr
 	e := p.mshr.Lookup(line)
-	var data [cache.LineSize]byte
+	data := &p.fill
 	if it.approx {
-		data = p.vp.Predict(line)
+		*data = p.vp.Predict(line)
 		if p.qual != nil {
 			// The image never sees predicted data, so it stays the ground
 			// truth this drop can be scored against.
@@ -286,11 +291,11 @@ func (p *partition) finishFill(readyAt uint64, it doneItem) {
 		// to). The VP observes the corrupted data, as a real unit sampling
 		// the fill path would.
 		if f := it.req.Faults; f != nil {
-			truth := data
+			truth := *data
 			f.Apply(data[:])
 			p.fq.RecordLine(readyAt, line, data[:], truth[:])
 		}
-		p.vp.Observe(line, &data)
+		p.vp.Observe(line, data)
 	}
 	if p.digestOn {
 		// The delivered bytes — post-fault-corruption, post-prediction — are
@@ -309,13 +314,13 @@ func (p *partition) finishFill(readyAt uint64, it doneItem) {
 	p.mshr.Remove(line)
 	for _, s := range e.Stores {
 		p.l2.MergeWord(s.Addr, s.Val, s.N, true)
-		applyWord(&data, s)
+		applyWord(data, s)
 	}
 	for _, t := range e.Targets {
 		req := t.(*core.MemReq)
-		rep := &core.MemReply{Req: req, Approx: it.approx}
-		rep.Data = data
-		p.outReplies = append(p.outReplies, rep)
+		req.Data = *data
+		req.Approx = it.approx
+		p.outReplies = append(p.outReplies, req)
 	}
 	p.mshr.Release(e)
 }
@@ -344,7 +349,7 @@ func (p *partition) sendReply(net *icnt.Network, now uint64) {
 	}
 	r := p.outReplies[0]
 	r.SentAt = now
-	if net.Send(p.id, r.Req.SM, r, now) {
+	if net.Send(p.id, r.SM, r, now) {
 		p.outReplies = slices.Delete(p.outReplies, 0, 1)
 	}
 }
@@ -355,12 +360,9 @@ func (p *partition) sendReply(net *icnt.Network, now uint64) {
 func (p *partition) acceptReq(req *core.MemReq, now uint64) bool {
 	line := req.LineAddr
 	if req.Load {
-		var data [cache.LineSize]byte
-		if p.l2.Read(line, data[:]) {
+		if p.l2.Read(line, req.Data[:]) {
 			p.tr.Observe(obs.StageL2Hit, p.cfg.L2HitLatency)
-			rep := &core.MemReply{Req: req}
-			rep.Data = data
-			p.hits.push(now+p.cfg.L2HitLatency, rep)
+			p.hits.push(now+p.cfg.L2HitLatency, req)
 			return true
 		}
 		if e := p.mshr.Lookup(line); e != nil {
