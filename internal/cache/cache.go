@@ -73,6 +73,14 @@ func New(cfg Config) *Cache {
 	}
 }
 
+// Reset empties the cache: every line invalid and zeroed, the access tick
+// and the counters zero, exactly as New leaves it. The line storage is kept.
+func (c *Cache) Reset() {
+	clear(c.sets)
+	c.tick = 0
+	c.stats = Stats{}
+}
+
 // Stats returns a copy of the cache counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -195,8 +203,9 @@ func (c *Cache) PeekLine(addr uint64, dst []byte) bool {
 	return true
 }
 
-// MergeWord merges a word write into a resident line without touching LRU or
-// statistics; used to apply pending stores when a fill returns.
+// MergeWord merges a word write of n bytes (n <= 8) into a resident line
+// without touching LRU or statistics; MergeLine merges a store transaction's
+// words at once.
 func (c *Cache) MergeWord(addr uint64, val uint64, n int, markDirty bool) bool {
 	l := c.find(lineTag(addr))
 	if l == nil {
@@ -211,6 +220,31 @@ func (c *Cache) MergeWord(addr uint64, val uint64, n int, markDirty bool) bool {
 		l.approx = false
 	}
 	return true
+}
+
+// MergeLine merges the words of data whose bit is set in mask (bit w is the
+// 4-byte word at offset 4*w) into the resident line containing addr, with a
+// single lookup and without touching LRU or statistics: one MergeWord per
+// masked word in a single call. It reports whether the line was resident.
+func (c *Cache) MergeLine(addr uint64, mask uint32, data *[LineSize]byte, markDirty bool) bool {
+	l := c.find(lineTag(addr))
+	if l == nil {
+		return false
+	}
+	mergeWords(&l.data, mask, data)
+	if markDirty && mask != 0 {
+		l.dirty = true
+		l.approx = false
+	}
+	return true
+}
+
+// mergeWords copies the words of src whose bit is set in mask into dst.
+func mergeWords(dst *[LineSize]byte, mask uint32, src *[LineSize]byte) {
+	for ; mask != 0; mask &= mask - 1 {
+		off := 4 * bits.TrailingZeros32(mask)
+		copy(dst[off:off+4], src[off:off+4])
+	}
 }
 
 // Invalidate drops the line containing addr, returning its dirty payload if

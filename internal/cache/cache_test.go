@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lazydram/internal/cache"
+	"lazydram/internal/obs"
 )
 
 func tinyCache(t *testing.T) *cache.Cache {
@@ -320,4 +321,76 @@ func TestMSHRDoubleAllocatePanics(t *testing.T) {
 		}
 	}()
 	m.Allocate(0)
+}
+
+// TestMergeLineMatchesMergeWords checks that one MergeLine leaves the same
+// bytes, flags, LRU state and counters as one MergeWord per masked word, over
+// random masks, fill kinds and dirty marking, and that both miss alike.
+func TestMergeLineMatchesMergeWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		a, b := tinyCache(t), tinyCache(t)
+		addr := uint64(rng.Intn(16)) * cache.LineSize
+		fill := line(byte(rng.Intn(256)))
+		approx := rng.Intn(2) == 0
+		a.Fill(addr, fill, approx)
+		b.Fill(addr, fill, approx)
+		var data [cache.LineSize]byte
+		rng.Read(data[:])
+		mask, dirty := rng.Uint32(), rng.Intn(2) == 0
+		if i%50 == 0 {
+			mask = 0
+		}
+		target := addr
+		if rng.Intn(8) == 0 {
+			target += 16 * cache.LineSize // not resident
+		}
+		hitA := a.MergeLine(target, mask, &data, dirty)
+		hitB := true
+		for w := 0; w < cache.LineSize/4; w++ {
+			if mask&(1<<w) != 0 {
+				val := uint64(data[4*w]) | uint64(data[4*w+1])<<8 | uint64(data[4*w+2])<<16 | uint64(data[4*w+3])<<24
+				hitB = b.MergeWord(target+uint64(4*w), val, 4, dirty)
+			}
+		}
+		if mask != 0 && hitA != hitB {
+			t.Fatalf("case %d: MergeLine hit %v, MergeWord hit %v", i, hitA, hitB)
+		}
+		bufA, bufB := make([]byte, cache.LineSize), make([]byte, cache.LineSize)
+		a.PeekLine(addr, bufA)
+		b.PeekLine(addr, bufB)
+		if string(bufA) != string(bufB) {
+			t.Fatalf("case %d (mask %#x): MergeLine bytes %x, MergeWord bytes %x", i, mask, bufA, bufB)
+		}
+		ha, hb := obs.NewHasher(), obs.NewHasher()
+		a.DigestInto(ha)
+		b.DigestInto(hb)
+		if ha.Sum() != hb.Sum() || a.Stats() != b.Stats() {
+			t.Fatalf("case %d (mask %#x, dirty %v): flags, LRU or counters differ", i, mask, dirty)
+		}
+	}
+}
+
+// TestResetMatchesNew checks that a used cache, once reset, is
+// indistinguishable from a new one.
+func TestResetMatchesNew(t *testing.T) {
+	c, fresh := tinyCache(t), tinyCache(t)
+	for i := uint64(0); i < 12; i++ {
+		c.Fill(i*cache.LineSize, line(byte(i)), i%3 == 0)
+		c.Read(i*cache.LineSize, nil)
+		c.WriteWord(i*cache.LineSize, i, 4, true)
+	}
+	c.Reset()
+	h1, h2 := obs.NewHasher(), obs.NewHasher()
+	c.DigestInto(h1)
+	fresh.DigestInto(h2)
+	if h1.Sum() != h2.Sum() || c.Stats() != fresh.Stats() {
+		t.Fatal("reset cache differs from a new one")
+	}
+	buf := make([]byte, cache.LineSize)
+	for i := uint64(0); i < 12; i++ {
+		if c.PeekLine(i*cache.LineSize, buf) {
+			t.Fatalf("line %d still resident after Reset", i)
+		}
+	}
 }

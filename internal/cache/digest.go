@@ -2,7 +2,9 @@ package cache
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"lazydram/internal/obs"
@@ -54,10 +56,26 @@ func (c *Cache) DumpState() string {
 		c.tick, valid, dirty, approx, len(c.sets))
 }
 
+// HashStoreWords folds a store's words into h as the (addr, val, n) word list
+// of a per-word store record, in ascending address order: bit w of mask is
+// the 4-byte word at line+4*w, its value read from data. For a store whose
+// lanes write distinct words in ascending address order this is exactly the
+// lane-order list it replaced. That holds for every bundled store:
+// StoreSeqF32, and FWT's scatters, whose indices strictly increase per warp.
+func HashStoreWords(h *obs.Hasher, line uint64, mask uint32, data *[LineSize]byte) {
+	for ; mask != 0; mask &= mask - 1 {
+		off := 4 * uint64(bits.TrailingZeros32(mask))
+		h.U64(line + off)
+		h.U64(uint64(binary.LittleEndian.Uint32(data[off:])))
+		h.Int(4)
+	}
+}
+
 // DigestInto folds the MSHR file into h. Table order depends on the hash and
 // on insertion history, so entries are visited in sorted line-address order;
 // within an entry, targets contribute only their count (they are opaque
-// upstream pointers), while pending stores contribute their full contents.
+// upstream pointers), while pending stores contribute their full contents
+// as one word list (see HashStoreWords).
 func (m *MSHR) DigestInto(h *obs.Hasher) {
 	h.Int(m.n)
 	if m.n == 0 {
@@ -73,11 +91,13 @@ func (m *MSHR) DigestInto(h *obs.Hasher) {
 	for _, e := range es {
 		h.U64(e.LineAddr)
 		h.Int(len(e.Targets))
-		h.Int(len(e.Stores))
-		for _, s := range e.Stores {
-			h.U64(s.Addr)
-			h.U64(s.Val)
-			h.Int(s.N)
+		words := 0
+		for i := range e.Stores {
+			words += bits.OnesCount32(e.Stores[i].Mask)
+		}
+		h.Int(words)
+		for i := range e.Stores {
+			HashStoreWords(h, e.LineAddr, e.Stores[i].Mask, &e.Stores[i].Data)
 		}
 		h.Bool(e.HasStore)
 		h.Bool(e.Issued)

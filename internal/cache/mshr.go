@@ -1,11 +1,24 @@
 package cache
 
-// PendingStore is a word-granularity store waiting for its line fill
-// (write-allocate caches merge the store data when the fill returns).
-type PendingStore struct {
-	Addr uint64
-	Val  uint64
-	N    int // bytes
+// LineStore is one store transaction waiting for its line fill
+// (write-allocate caches merge the store data when the fill returns): the
+// 4-byte words whose bit is set in Mask take their bytes from Data.
+type LineStore struct {
+	Mask uint32
+	Data [LineSize]byte
+}
+
+// MergeInto applies the pending stores to data in arrival order, so a later
+// store to a word overwrites an earlier one, and returns the union of their
+// masks.
+func (e *MSHREntry) MergeInto(data *[LineSize]byte) uint32 {
+	var mask uint32
+	for i := range e.Stores {
+		s := &e.Stores[i]
+		mergeWords(data, s.Mask, &s.Data)
+		mask |= s.Mask
+	}
+	return mask
 }
 
 // MSHREntry tracks one outstanding line miss and the requests merged into it.
@@ -14,8 +27,9 @@ type MSHREntry struct {
 	// Targets are opaque upstream waiters (e.g. warp transaction handles)
 	// notified when the fill arrives.
 	Targets []any
-	// Stores are pending word writes merged into the line at fill time.
-	Stores []PendingStore
+	// Stores are pending store transactions merged into the line at fill
+	// time, in arrival order.
+	Stores []LineStore
 	// HasStore marks entries allocated (or joined) by a store; the filled
 	// line becomes dirty.
 	HasStore bool

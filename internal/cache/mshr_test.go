@@ -92,7 +92,7 @@ func TestMSHRMatchesMapModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: Allocate(%#x) returned a dirty entry %+v", seed, step, a, e)
 				}
 				e.Targets = append(e.Targets, step)
-				e.Stores = append(e.Stores, PendingStore{Addr: a, Val: uint64(step), N: 4})
+				e.Stores = append(e.Stores, LineStore{Mask: uint32(step) | 1})
 				e.HasStore = true
 				ref[a] = e
 			case op == 1 && ref[a] != nil:
@@ -139,7 +139,7 @@ func TestMSHRDigestOrderIndependent(t *testing.T) {
 		for _, i := range perm {
 			e := m.Allocate(lines[i])
 			e.Targets = append(e.Targets, i)
-			e.Stores = append(e.Stores, PendingStore{Addr: lines[i] + 4, Val: uint64(i), N: 4})
+			e.Stores = append(e.Stores, LineStore{Mask: 2, Data: [LineSize]byte{4: byte(i)}})
 			e.HasStore = i%2 == 0
 			e.Issued = i%3 == 0
 		}
@@ -160,5 +160,25 @@ func TestMSHRDigestOrderIndependent(t *testing.T) {
 		if got := digest(rng.Perm(len(lines)), i%2 == 1); got != want {
 			t.Fatalf("permutation %d: digest %#x, want %#x", i, got, want)
 		}
+	}
+}
+
+// TestMergeIntoAppliesStoresInArrivalOrder checks that of two pending stores
+// writing one word the later one lands in the filled line, and that the
+// returned mask is the union of theirs.
+func TestMergeIntoAppliesStoresInArrivalOrder(t *testing.T) {
+	e := &MSHREntry{Stores: []LineStore{
+		{Mask: 0b011, Data: [LineSize]byte{0: 1, 4: 1}},
+		{Mask: 0b110, Data: [LineSize]byte{4: 2, 8: 2}},
+	}}
+	var line [LineSize]byte
+	for i := range line {
+		line[i] = 9
+	}
+	if mask := e.MergeInto(&line); mask != 0b111 {
+		t.Fatalf("mask = %#b, want 0b111", mask)
+	}
+	if line[0] != 1 || line[4] != 2 || line[8] != 2 || line[1] != 0 || line[12] != 9 {
+		t.Fatalf("merged line starts % x, want the later store in word 1 and word 3 untouched", line[:16])
 	}
 }

@@ -42,13 +42,12 @@ func fullMask(n int) uint32 {
 }
 
 // LoadSeq32 builds a fully coalesced load: lane l reads the 32-bit word at
-// base + 4*(elem + l), for l in [0, n).
+// base + 4*(elem + l), for l in [0, n). The lane set stays in its contiguous
+// form: it records lane 0's address, not 32 of them.
 func (c *Ctx) LoadSeq32(dst int, base uint64, elem int, n int) Op {
 	ls := &c.lanes[dst]
 	ls.Active = fullMask(n)
-	for l := 0; l < n && l < WarpSize; l++ {
-		ls.Addrs[l] = base + 4*uint64(elem+l)
-	}
+	ls.Base, ls.Seq = base+4*uint64(elem), true
 	return Op{Kind: OpLoad, Dst: uint8(dst), Lanes: ls}
 }
 
@@ -58,7 +57,7 @@ func (c *Ctx) LoadSeq32(dst int, base uint64, elem int, n int) Op {
 // row-thrashing access shape.
 func (c *Ctx) LoadStride32(dst int, base uint64, elem, strideElems, n int) Op {
 	ls := &c.lanes[dst]
-	ls.Active = fullMask(n)
+	ls.Active, ls.Seq = fullMask(n), false
 	for l := 0; l < n && l < WarpSize; l++ {
 		ls.Addrs[l] = base + 4*uint64(elem+l*strideElems)
 	}
@@ -69,7 +68,7 @@ func (c *Ctx) LoadStride32(dst int, base uint64, elem, strideElems, n int) Op {
 // l in [0, n).
 func (c *Ctx) LoadGather32(dst int, base uint64, idx []int, n int) Op {
 	ls := &c.lanes[dst]
-	ls.Active = fullMask(n)
+	ls.Active, ls.Seq = fullMask(n), false
 	for l := 0; l < n && l < WarpSize; l++ {
 		ls.Addrs[l] = base + 4*uint64(idx[l])
 	}
@@ -77,12 +76,12 @@ func (c *Ctx) LoadGather32(dst int, base uint64, idx []int, n int) Op {
 }
 
 // StoreSeqF32 builds a fully coalesced store: lane l writes vals[l] to
-// base + 4*(elem + l), for l in [0, n).
+// base + 4*(elem + l), for l in [0, n), in the contiguous lane-set form.
 func (c *Ctx) StoreSeqF32(base uint64, elem int, vals []float32, n int) Op {
 	ls := &c.lanes[MaxRegs-1]
 	ls.Active = fullMask(n)
+	ls.Base, ls.Seq = base+4*uint64(elem), true
 	for l := 0; l < n && l < WarpSize; l++ {
-		ls.Addrs[l] = base + 4*uint64(elem+l)
 		ls.Vals[l] = math.Float32bits(vals[l])
 	}
 	return Op{Kind: OpStore, Lanes: ls}
@@ -92,7 +91,7 @@ func (c *Ctx) StoreSeqF32(base uint64, elem int, vals []float32, n int) Op {
 // base + 4*(elem + l*strideElems), for l in [0, n).
 func (c *Ctx) StoreStrideF32(base uint64, elem, strideElems int, vals []float32, n int) Op {
 	ls := &c.lanes[MaxRegs-1]
-	ls.Active = fullMask(n)
+	ls.Active, ls.Seq = fullMask(n), false
 	for l := 0; l < n && l < WarpSize; l++ {
 		ls.Addrs[l] = base + 4*uint64(elem+l*strideElems)
 		ls.Vals[l] = math.Float32bits(vals[l])
@@ -104,7 +103,7 @@ func (c *Ctx) StoreStrideF32(base uint64, elem, strideElems int, vals []float32,
 // base + 4*idx[l], for l in [0, n).
 func (c *Ctx) StoreScatterF32(base uint64, idx []int, vals []float32, n int) Op {
 	ls := &c.lanes[MaxRegs-1]
-	ls.Active = fullMask(n)
+	ls.Active, ls.Seq = fullMask(n), false
 	for l := 0; l < n && l < WarpSize; l++ {
 		ls.Addrs[l] = base + 4*uint64(idx[l])
 		ls.Vals[l] = math.Float32bits(vals[l])

@@ -27,8 +27,8 @@ func TestLoadSeq32Addresses(t *testing.T) {
 		t.Fatalf("active mask = %b, want 4 lanes", op.Lanes.Active)
 	}
 	for l := 0; l < 4; l++ {
-		if want := uint64(1000 + 4*(5+l)); op.Lanes.Addrs[l] != want {
-			t.Fatalf("lane %d addr = %d, want %d", l, op.Lanes.Addrs[l], want)
+		if want := uint64(1000 + 4*(5+l)); op.Lanes.Addr(l) != want {
+			t.Fatalf("lane %d addr = %d, want %d", l, op.Lanes.Addr(l), want)
 		}
 	}
 }
@@ -89,7 +89,7 @@ func TestLoadsUseDistinctLaneBuffersPerRegister(t *testing.T) {
 	if a.Lanes == b.Lanes {
 		t.Fatal("loads to different registers must not share a lane buffer")
 	}
-	if a.Lanes.Addrs[0] != 0 || b.Lanes.Addrs[0] != 4096 {
+	if a.Lanes.Addr(0) != 0 || b.Lanes.Addr(0) != 4096 {
 		t.Fatal("second load corrupted the first load's addresses")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"lazydram/internal/obs"
@@ -23,7 +24,7 @@ func (s *SM) DigestInto(h *obs.Hasher) {
 		h.U64(r.LineAddr)
 		h.Bool(r.Load)
 		h.U64(r.IssuedAt)
-		h.Int(len(r.Stores))
+		h.Int(bits.OnesCount32(r.Mask)) // the words stored
 	}
 	h.Int(len(s.runnable))
 	for _, slot := range s.runnable {

@@ -2,3 +2,13 @@ package core
 
 // MaxBatch exposes the batch bound to the external tests.
 const MaxBatch = maxBatch
+
+// Coalesce exposes the load/store unit's grouping of lanes by line.
+func Coalesce(ls *LaneSet) (lines []uint64, masks []uint32) {
+	op := memOp{lanes: ls}
+	op.numLines = coalesce(ls, &op.masks)
+	for i := 0; i < op.numLines; i++ {
+		lines = append(lines, op.line(i))
+	}
+	return lines, op.masks[:op.numLines]
+}

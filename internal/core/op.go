@@ -27,11 +27,24 @@ const (
 )
 
 // LaneSet carries the per-lane addresses and values of one memory
-// instruction. Bit l of Active marks lane l as participating.
+// instruction. Bit l of Active marks lane l as participating. Addresses are
+// word-aligned and come in one of two forms: a contiguous set (Seq) records
+// only lane 0's address in Base, lane l addressing Base + 4*l; any other
+// shape lists every lane's address in Addrs. Read them through Addr.
 type LaneSet struct {
 	Addrs  [WarpSize]uint64
 	Vals   [WarpSize]uint32
 	Active uint32
+	Base   uint64
+	Seq    bool
+}
+
+// Addr returns lane l's address.
+func (ls *LaneSet) Addr(l int) uint64 {
+	if ls.Seq {
+		return ls.Base + 4*uint64(l)
+	}
+	return ls.Addrs[l]
 }
 
 // Op is one warp instruction. Compute ops carry a latency in core cycles;

@@ -3,9 +3,11 @@ package core
 import (
 	"encoding/binary"
 	"iter"
+	"math/bits"
 	"slices"
 
 	"lazydram/internal/cache"
+	"lazydram/internal/dram"
 )
 
 // Program generates the instruction stream of one warp. The SM does not pull
@@ -39,17 +41,26 @@ type MemReq struct {
 	SM       int
 	LineAddr uint64
 	Load     bool
-	// Stores carries the word writes of a store transaction.
-	Stores []cache.PendingStore
+	// Routed marks Coord as set by the transaction's first send attempt.
+	Routed bool
+	// Approx marks reply data synthesized by the value-prediction unit for
+	// an AMS-dropped request.
+	Approx bool
+	// Mask marks the words a store transaction writes: bit w is the 4-byte
+	// word at LineAddr+4*w, its bytes in Data. Zero for a load.
+	Mask uint32
 	// IssuedAt is the core cycle the transaction entered the SM's outbox;
 	// the observability layer uses it to measure end-to-end and
 	// interconnect latency.
 	IssuedAt uint64
+	// Coord is the line's DRAM coordinate, decoded once per transaction
+	// (fields are ordered to keep the struct at 200 bytes); send retries and
+	// the partition reuse it.
+	Coord dram.Coord
 
-	// Data is a load's reply: the line's bytes. Approx marks data
-	// synthesized by the value-prediction unit for an AMS-dropped request.
-	Data   [cache.LineSize]byte
-	Approx bool
+	// Data holds a store's written words and a load's reply: the line's
+	// bytes.
+	Data [cache.LineSize]byte
 	// SentAt is the core cycle the reply entered the reply network; used by
 	// the observability layer to measure reply-interconnect latency.
 	SentAt uint64
@@ -89,7 +100,8 @@ type warp struct {
 	ctx  *Ctx
 	// resume runs the slot's coroutine to the program's next sync point,
 	// filling batch; ended reports that the program returned, so batch
-	// holds its last ops. stop releases the coroutine.
+	// holds its last ops. stop releases the coroutine; both are nil once it
+	// has been released (halt).
 	resume func() (ended, ok bool)
 	stop   func()
 	// batch[head:] are the buffered ops the SM has not consumed yet.
@@ -112,11 +124,13 @@ type warp struct {
 
 // memOp is a memory instruction being processed by the load/store unit.
 type memOp struct {
-	w           *warp
-	kind        OpKind
-	dst         uint8
-	lanes       *LaneSet
-	lines       [WarpSize]uint64 // unique line addresses, in lane order
+	w     *warp
+	kind  OpKind
+	lanes *LaneSet
+	regs  *[WarpSize]uint32 // a load's destination register row
+	// masks[i] marks the lanes addressing the op's i-th unique line, the
+	// lines in lane order (see line).
+	masks       [WarpSize]uint32
 	numLines    int
 	nextLine    int
 	outstanding int
@@ -152,10 +166,7 @@ type SM struct {
 	lsuQueue []int32 // warps parked with a decoded memory instruction
 	opPool   []*memOp
 	outbox   []*MemReq
-	// loadPool and storePool hold released transactions for newReq. Kept
-	// apart so that only store requests carry Stores storage.
-	loadPool  []*MemReq
-	storePool []*MemReq
+	reqPool  []*MemReq // released transactions, for newReq
 
 	outstanding int // load transactions in flight past the L1
 
@@ -172,12 +183,49 @@ func NewSM(id int, cfg Config, prog Program, warpIDs []int) *SM {
 		prog:    prog,
 		warpIDs: warpIDs,
 	}
-	for len(s.warps) < cfg.MaxResidentWarps && s.nextSeed < len(warpIDs) {
-		w := s.launch(int32(len(s.warps)))
-		s.warps = append(s.warps, w)
-		s.runnable = append(s.runnable, w.slot)
-	}
+	s.fillSlots(nil)
 	return s
+}
+
+// Reseed readies a Done SM to run warpIDs through prog (the next kernel
+// phase), leaving it exactly as NewSM would: a cold L1 (as after a real
+// kernel launch), an empty MSHR, zero counters, fresh runnable and warp
+// lists, zeroed registers. It keeps the storage: the L1 lines, the MSHR
+// table and free entries, the memOp and transaction pools, and the warp
+// records with their Ctx and parked slot coroutines.
+func (s *SM) Reseed(prog Program, warpIDs []int) {
+	if !s.Done() {
+		panic("core: reseed of an SM with work in flight")
+	}
+	s.l1.Reset()
+	s.prog, s.warpIDs, s.nextSeed, s.insts = prog, warpIDs, 0, 0
+	s.runnable = s.runnable[:0]
+	clear(s.wheelHead[:])
+	clear(s.wheelTail[:])
+	old := s.warps
+	s.warps = s.warps[:0]
+	s.fillSlots(old)
+}
+
+// fillSlots starts the first warp IDs in the empty slot list, reusing the
+// live record of the same slot in old (the previous phase's slots) and
+// releasing the old slots left over.
+func (s *SM) fillSlots(old []*warp) {
+	for len(s.warps) < s.cfg.MaxResidentWarps && s.nextSeed < len(s.warpIDs) {
+		slot := int32(len(s.warps))
+		var w *warp
+		if int(slot) < len(old) && old[slot].stop != nil {
+			w = old[slot]
+			s.relaunch(w)
+		} else {
+			w = s.launch(slot)
+		}
+		s.warps = append(s.warps, w)
+		s.runnable = append(s.runnable, slot)
+	}
+	for _, w := range old[min(len(s.warps), len(old)):] {
+		w.halt()
+	}
 }
 
 // sleep schedules the warp to re-enter the runnable queue at its readyAt
@@ -223,8 +271,9 @@ func (s *SM) launch(slot int32) *warp {
 }
 
 // relaunch starts the next warp ID in w's record and coroutine; w's program
-// has ended with no load in flight. The record is reset to exactly what
-// launch would build, zeroed registers included.
+// has ended with no load in flight, and its coroutine is parked between
+// programs. The record is reset to exactly what launch would build, zeroed
+// registers included.
 func (s *SM) relaunch(w *warp) {
 	*w.ctx = Ctx{}
 	*w = warp{id: s.warpIDs[s.nextSeed], slot: w.slot, ctx: w.ctx,
@@ -298,14 +347,21 @@ func (s *SM) Done() bool {
 	return true
 }
 
-// Shutdown releases the coroutines of unfinished warp programs. Call when a
-// run is aborted before completion.
+// halt releases w's slot coroutine, once.
+func (w *warp) halt() {
+	if w.stop != nil {
+		w.stop()
+		w.resume, w.stop = nil, nil
+	}
+}
+
+// Shutdown releases every slot coroutine: those of unfinished programs and
+// those parked for a next phase. Call it when a run ends or is abandoned;
+// it is safe to call more than once.
 func (s *SM) Shutdown() {
 	for _, w := range s.warps {
-		if !w.finished {
-			w.finished = true
-			w.stop()
-		}
+		w.finished = true
+		w.halt()
 	}
 }
 
@@ -379,19 +435,58 @@ func (s *SM) issue(now uint64) {
 // its slot. The slot's record and coroutine carry over unless async loads
 // are still in flight: their replies write into w's registers, so w is
 // abandoned to them and the next warp gets a fresh record and coroutine.
+// The phase's last program in a slot leaves its coroutine parked for
+// Reseed, even with loads in flight: Reseed waits for the SM to be Done,
+// by which time every reply has landed.
 func (s *SM) retire(w *warp) {
 	w.finished = true
 	switch {
 	case s.nextSeed == len(s.warpIDs):
-		w.stop()
 		return
 	case w.asyncOps == 0:
 		s.relaunch(w)
 	default:
-		w.stop()
+		w.halt()
 		s.warps[w.slot] = s.launch(w.slot)
 	}
 	s.runnable = append(s.runnable, w.slot)
+}
+
+// coalesce groups ls's active lanes by line: masks[i] receives the lanes
+// addressing the i-th unique line, the lines in lane order. It returns the
+// line count. A contiguous set spans at most two lines, so its masks are
+// arithmetic.
+func coalesce(ls *LaneSet, masks *[WarpSize]uint32) int {
+	n := 0
+	if ls.Seq {
+		// Lanes [0, k) address Base's line (k is 32 when it holds all).
+		k := (lineOf(ls.Base) + cache.LineSize - ls.Base + 3) / 4
+		lo := ls.Active & (uint32(1)<<k - 1)
+		if lo != 0 {
+			masks[0] = lo
+			n = 1
+		}
+		if hi := ls.Active &^ lo; hi != 0 {
+			masks[n] = hi
+			n++
+		}
+		return n
+	}
+	var lines [WarpSize]uint64
+	for m := ls.Active; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		line := lineOf(ls.Addrs[l])
+		i := 0
+		for i < n && lines[i] != line {
+			i++
+		}
+		if i == n {
+			lines[n], masks[n] = line, 0
+			n++
+		}
+		masks[i] |= 1 << l
+	}
+	return n
 }
 
 // installMemOp coalesces the lane addresses of w's current memory
@@ -407,29 +502,13 @@ func (s *SM) installMemOp(w *warp) {
 	}
 	op.w = w
 	op.kind = w.cur.Kind
-	op.dst = w.cur.Dst
 	op.async = w.cur.Async && w.cur.Kind == OpLoad
 	op.lanes = w.cur.Lanes
+	op.regs = &w.ctx.Regs[w.cur.Dst]
 	if op.async {
 		w.asyncOps++
 	}
-	for l := 0; l < WarpSize; l++ {
-		if op.lanes.Active&(1<<uint(l)) == 0 {
-			continue
-		}
-		line := lineOf(op.lanes.Addrs[l])
-		seen := false
-		for i := 0; i < op.numLines; i++ {
-			if op.lines[i] == line {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			op.lines[op.numLines] = line
-			op.numLines++
-		}
-	}
+	op.numLines = coalesce(op.lanes, &op.masks)
 	s.lsu = op
 	w.blocked = true
 	w.hasOp = false
@@ -442,7 +521,7 @@ func (s *SM) releaseOp(op *memOp) {
 		return
 	}
 	op.pooled = true
-	op.lanes = nil
+	op.lanes, op.regs = nil, nil
 	s.opPool = append(s.opPool, op)
 }
 
@@ -459,12 +538,11 @@ func (s *SM) lsuTick(now uint64) {
 		return
 	}
 	if op.nextLine < op.numLines {
-		line := op.lines[op.nextLine]
 		if op.kind == OpLoad {
-			if !s.lsuLoadLine(op, line, now) {
+			if !s.lsuLoadLine(op, op.nextLine, now) {
 				return // structural stall; retry next cycle
 			}
-		} else if !s.lsuStoreLine(op, line, now) {
+		} else if !s.lsuStoreLine(op, op.nextLine, now) {
 			return
 		}
 		op.nextLine++
@@ -506,7 +584,9 @@ func (s *SM) finishAsync(op *memOp, now uint64) {
 	s.releaseOp(op)
 }
 
-func (s *SM) lsuLoadLine(op *memOp, line uint64, now uint64) bool {
+// lsuLoadLine issues op's i-th line transaction.
+func (s *SM) lsuLoadLine(op *memOp, i int, now uint64) bool {
+	line := op.line(i)
 	// Probe hazards before recording the access so a structurally stalled
 	// transaction does not inflate the L1 statistics on every retry.
 	if e := s.mshr.Lookup(line); e != nil {
@@ -522,7 +602,7 @@ func (s *SM) lsuLoadLine(op *memOp, line uint64, now uint64) bool {
 	var buf [cache.LineSize]byte
 	if s.l1.Contains(line) {
 		s.l1.Read(line, buf[:])
-		deliverLoad(op, line, &buf)
+		deliverLoad(op, i, &buf)
 		return true
 	}
 	if s.mshr.Full() || len(s.outbox) >= s.cfg.OutboxDepth {
@@ -537,46 +617,37 @@ func (s *SM) lsuLoadLine(op *memOp, line uint64, now uint64) bool {
 	return true
 }
 
-func (s *SM) lsuStoreLine(op *memOp, line uint64, now uint64) bool {
+// lsuStoreLine issues op's i-th line transaction: the words its lanes
+// write, as a mask plus the line bytes. Lanes are written in lane order, so
+// of two lanes storing to one word the later one wins.
+func (s *SM) lsuStoreLine(op *memOp, i int, now uint64) bool {
 	if len(s.outbox) >= s.cfg.OutboxDepth {
 		return false
 	}
+	line := op.line(i)
 	r := s.newReq(line, false, now)
-	for l := 0; l < WarpSize; l++ {
-		if op.lanes.Active&(1<<uint(l)) == 0 {
-			continue
-		}
-		a := op.lanes.Addrs[l]
-		if lineOf(a) != line {
-			continue
-		}
-		v := op.lanes.Vals[l]
-		// Write-through: keep a resident L1 copy coherent with the L2.
-		s.l1.MergeWord(a, uint64(v), 4, false)
-		r.Stores = append(r.Stores, cache.PendingStore{Addr: a, Val: uint64(v), N: 4})
+	ls := op.lanes
+	for m := op.masks[i]; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		off := ls.Addr(l) % cache.LineSize
+		binary.LittleEndian.PutUint32(r.Data[off:off+4], ls.Vals[l])
+		r.Mask |= 1 << (off / 4)
 	}
+	// Write-through: keep a resident L1 copy coherent with the L2.
+	s.l1.MergeLine(line, r.Mask, &r.Data, false)
 	s.outbox = append(s.outbox, r)
 	return true
 }
 
-// newReq returns a transaction for line, reusing a released one of the same
-// kind when it can. A recycled store request keeps its WarpSize-capacity
-// Stores slice.
+// newReq returns a transaction for line, reusing a released one when it can.
 func (s *SM) newReq(line uint64, load bool, now uint64) *MemReq {
-	pool := &s.storePool
-	if load {
-		pool = &s.loadPool
-	}
 	var r *MemReq
-	if n := len(*pool); n > 0 {
-		r = (*pool)[n-1]
-		*pool = (*pool)[:n-1]
-		*r = MemReq{Stores: r.Stores[:0]}
+	if n := len(s.reqPool); n > 0 {
+		r = s.reqPool[n-1]
+		s.reqPool = s.reqPool[:n-1]
+		*r = MemReq{}
 	} else {
 		r = &MemReq{}
-		if !load {
-			r.Stores = make([]cache.PendingStore, 0, WarpSize)
-		}
 	}
 	r.SM, r.LineAddr, r.Load, r.IssuedAt = s.id, line, load, now
 	return r
@@ -585,13 +656,7 @@ func (s *SM) newReq(line uint64, load bool, now uint64) *MemReq {
 // Release returns a transaction this SM issued for reuse. Call it once
 // nothing refers to r any more: for a load after HandleReply consumed its
 // reply, for a store once a partition accepted it.
-func (s *SM) Release(r *MemReq) {
-	if r.Load {
-		s.loadPool = append(s.loadPool, r)
-	} else {
-		s.storePool = append(s.storePool, r)
-	}
-}
+func (s *SM) Release(r *MemReq) { s.reqPool = append(s.reqPool, r) }
 
 func (s *SM) completeOp(op *memOp, now uint64) {
 	op.w.blocked = false
@@ -614,7 +679,7 @@ func (s *SM) HandleReply(rep *MemReq, now uint64) {
 	s.l1.Fill(line, rep.Data[:], rep.Approx)
 	for _, t := range e.Targets {
 		op := t.(*memOp)
-		deliverLoad(op, line, &rep.Data)
+		deliverLoad(op, op.lineIndex(line), &rep.Data)
 		op.outstanding--
 		s.outstanding--
 		if op.outstanding == 0 && op.nextLine >= op.numLines && s.lsu != op {
@@ -629,18 +694,27 @@ func (s *SM) HandleReply(rep *MemReq, now uint64) {
 	s.mshr.Release(e)
 }
 
-// deliverLoad writes the loaded words of line into the destination register
-// of every active lane addressed within it.
-func deliverLoad(op *memOp, line uint64, data *[cache.LineSize]byte) {
-	for l := 0; l < WarpSize; l++ {
-		if op.lanes.Active&(1<<uint(l)) == 0 {
-			continue
-		}
-		a := op.lanes.Addrs[l]
-		if lineOf(a) != line {
-			continue
-		}
-		off := a % cache.LineSize
-		op.w.ctx.Regs[op.dst][l] = binary.LittleEndian.Uint32(data[off : off+4])
+// line returns the address of op's i-th line: that of its first lane.
+func (op *memOp) line(i int) uint64 {
+	return lineOf(op.lanes.Addr(bits.TrailingZeros32(op.masks[i])))
+}
+
+// lineIndex returns the index of line among op's lines.
+func (op *memOp) lineIndex(line uint64) int {
+	i := 0
+	for op.line(i) != line {
+		i++
+	}
+	return i
+}
+
+// deliverLoad writes the words of op's i-th line, data, into the
+// destination register of the lanes addressing it.
+func deliverLoad(op *memOp, i int, data *[cache.LineSize]byte) {
+	ls, regs := op.lanes, op.regs
+	for m := op.masks[i]; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		off := ls.Addr(l) % cache.LineSize
+		regs[l] = binary.LittleEndian.Uint32(data[off : off+4])
 	}
 }

@@ -36,8 +36,10 @@ func (f *fakeMem) send(now uint64) func(*core.MemReq) bool {
 		if r.Load {
 			f.inFlight = append(f.inFlight, pendingReq{req: r, at: now + f.latency})
 		} else {
-			for _, s := range r.Stores {
-				f.stores[s.Addr] = uint32(s.Val)
+			for w := uint64(0); w < cache.LineSize/4; w++ {
+				if r.Mask&(1<<w) != 0 {
+					f.stores[r.LineAddr+4*w] = binary.LittleEndian.Uint32(r.Data[4*w:])
+				}
 			}
 		}
 		return true

@@ -10,39 +10,51 @@ import (
 )
 
 // TestStepLoopAllocationCeiling pins the heap allocations of the untraced
-// step loop. jmein under Dyn-Both measures 3.7k mallocs per 1000 core cycles
-// (down from 30.2k before the memory request path stopped allocating queue
-// storage, MSHR entries and heap boxes, and from 10.5k before warp programs
-// ran in one recycled coroutine per slot and SMs recycled their memory
-// transactions); the ceiling sits at about 1.5x that, so a regression back
-// toward per-request or per-warp allocation fails here instead of only
-// showing up as a slower benchmark. The count is deterministic for a fixed
-// seed, so the margin covers code drift, not noise.
+// step loop. The count is deterministic for a fixed seed, so each ceiling,
+// about 1.5x what the tree measured when it was set, covers code drift, not
+// noise; a regression back toward per-request, per-warp or per-phase
+// allocation fails here instead of only showing up as a slower benchmark.
+//
+//   - jmein under Dyn-Both, single-phase: 3.7k mallocs per 1000 core cycles
+//     (30.2k before the memory request path stopped allocating queue
+//     storage, MSHR entries and heap boxes; 10.5k before warp programs ran
+//     in one recycled coroutine per slot and SMs recycled their memory
+//     transactions).
+//   - FWT under Dyn-DMS, 17 dependent phases: 2.9k (12.3k while every
+//     phase rebuilt its SMs, their slot coroutines, L1s and MSHRs).
 func TestStepLoopAllocationCeiling(t *testing.T) {
-	const ceiling = 5500 // mallocs per 1000 core cycles
-	k, err := workloads.New("jmein")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := sim.Prepare(k, sim.DefaultConfig(), mc.DynBoth, 1)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for {
-		done, err := g.Step()
+	for _, c := range []struct {
+		app     string
+		scheme  mc.Scheme
+		ceiling float64 // mallocs per 1000 core cycles
+	}{
+		{"jmein", mc.DynBoth, 5500},
+		{"FWT", mc.DynDMS, 4300},
+	} {
+		k, err := workloads.New(c.app)
 		if err != nil {
-			g.Close()
 			t.Fatal(err)
 		}
-		if done {
-			break
+		g := sim.Prepare(k, sim.DefaultConfig(), c.scheme, 1)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for {
+			done, err := g.Step()
+			if err != nil {
+				g.Close()
+				t.Fatal(err)
+			}
+			if done {
+				break
+			}
 		}
-	}
-	runtime.ReadMemStats(&m1)
-	cycles := g.CoreCycle()
-	g.Finish()
-	perK := float64(m1.Mallocs-m0.Mallocs) / (float64(cycles) / 1000)
-	t.Logf("%.0f mallocs per 1000 core cycles over %d cycles", perK, cycles)
-	if perK > ceiling {
-		t.Fatalf("step loop allocates %.0f objects per 1000 core cycles, ceiling %d", perK, ceiling)
+		runtime.ReadMemStats(&m1)
+		cycles := g.CoreCycle()
+		g.Finish()
+		perK := float64(m1.Mallocs-m0.Mallocs) / (float64(cycles) / 1000)
+		t.Logf("%s: %.0f mallocs per 1000 core cycles over %d cycles", c.app, perK, cycles)
+		if perK > c.ceiling {
+			t.Errorf("%s: step loop allocates %.0f objects per 1000 core cycles, ceiling %.0f", c.app, perK, c.ceiling)
+		}
 	}
 }

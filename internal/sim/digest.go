@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"lazydram/internal/approx"
+	"lazydram/internal/cache"
 	"lazydram/internal/core"
 	"lazydram/internal/obs"
 )
@@ -18,19 +20,16 @@ import (
 // state without locking.
 
 // digestReq folds a request-network payload: a transaction on its way to a
-// partition.
+// partition. A store's words are hashed as a per-word list (see
+// cache.HashStoreWords).
 func digestReq(payload any, h *obs.Hasher) {
 	m := payload.(*core.MemReq)
 	h.U64(m.LineAddr)
 	h.Bool(m.Load)
 	h.U64(m.IssuedAt)
 	h.Int(m.SM)
-	h.Int(len(m.Stores))
-	for _, s := range m.Stores {
-		h.U64(s.Addr)
-		h.U64(s.Val)
-		h.Int(s.N)
-	}
+	h.Int(bits.OnesCount32(m.Mask))
+	cache.HashStoreWords(h, m.LineAddr, m.Mask, &m.Data)
 }
 
 // digestReply folds a reply-network payload: a load transaction carrying its

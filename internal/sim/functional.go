@@ -36,14 +36,14 @@ func ApplyOp(im *memimage.Image, ctx *core.Ctx, op core.Op) {
 			if op.Lanes.Active&(1<<uint(l)) == 0 {
 				continue
 			}
-			ctx.Regs[op.Dst][l] = im.Read32(op.Lanes.Addrs[l])
+			ctx.Regs[op.Dst][l] = im.Read32(op.Lanes.Addr(l))
 		}
 	case core.OpStore:
 		for l := 0; l < core.WarpSize; l++ {
 			if op.Lanes.Active&(1<<uint(l)) == 0 {
 				continue
 			}
-			im.Write32(op.Lanes.Addrs[l], op.Lanes.Vals[l])
+			im.Write32(op.Lanes.Addr(l), op.Lanes.Vals[l])
 		}
 	case core.OpCompute:
 		// no architectural effect

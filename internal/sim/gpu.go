@@ -48,14 +48,19 @@ type Result struct {
 
 // GPU is one fully wired simulated GPU executing one kernel. Partitions,
 // interconnect and clocks persist across the kernel's phases (mirroring the
-// L2 staying warm across dependent kernel launches); SMs are re-seeded per
-// phase.
+// L2 staying warm across dependent kernel launches). So do the SMs, built
+// by the first phase: each later phase reseeds them with its warps and a
+// cold L1, keeping their storage and parked warp-slot coroutines, which are
+// released when the last phase ends or the run is abandoned.
 type GPU struct {
 	cfg    Config
 	scheme mc.Scheme
 	kern   Kernel
 	im     *memimage.Image
 
+	// cores holds every SM, across phases; sms is cores while a phase runs
+	// and empty between phases, once retireSMs folded their counters.
+	cores      []*core.SM
 	sms        []*core.SM
 	partitions []*partition
 	reqNet     *icnt.Network
@@ -154,7 +159,7 @@ func NewGPU(cfg Config, scheme mc.Scheme, kern Kernel, im *memimage.Image) *GPU 
 // aggregated statistics. It is Step in a loop: callers that need lockstep
 // control (cmd/lazydiverge) drive Step directly and then call Finish.
 func (g *GPU) Run() (*Result, error) {
-	defer g.pool.close() // stop the shard workers on every exit path
+	defer g.Close() // stop the shard workers and warps on every exit path
 	for {
 		done, err := g.Step()
 		if err != nil {
@@ -238,6 +243,7 @@ func (g *GPU) Step() (done bool, err error) {
 		g.phase++
 		g.seeded = false
 		if g.phase >= g.kern.Phases() {
+			g.shutdown()
 			return true, nil
 		}
 	}
@@ -247,14 +253,18 @@ func (g *GPU) Step() (done bool, err error) {
 // Finish ends a stepwise run: it stops the shard workers and aggregates the
 // results. Call it once, after Step has returned done=true.
 func (g *GPU) Finish() *Result {
-	g.pool.close()
+	g.Close()
 	return g.collect()
 }
 
-// Close stops the shard workers without collecting results; for abandoning a
-// stepwise run early (a Step error, or a located divergence). Safe to call
-// more than once; Run and Finish close the pool themselves.
-func (g *GPU) Close() { g.pool.close() }
+// Close stops the shard workers and every SM's warp coroutines without
+// collecting results; for abandoning a stepwise run early (a Step error, or
+// a located divergence). Safe to call more than once; Run and Finish close
+// the GPU themselves.
+func (g *GPU) Close() {
+	g.pool.close()
+	g.shutdown()
+}
 
 // MemCycle returns the current memory-clock cycle.
 func (g *GPU) MemCycle() uint64 { return g.memCycle }
@@ -262,8 +272,9 @@ func (g *GPU) MemCycle() uint64 { return g.memCycle }
 // CoreCycle returns the current core-clock cycle.
 func (g *GPU) CoreCycle() uint64 { return g.coreCycle }
 
-// seedPhase distributes the phase's thread blocks round-robin over fresh SMs
-// (L1 caches start cold per launch, as on real hardware).
+// seedPhase distributes the phase's thread blocks round-robin over the SMs:
+// built by the first phase, reseeded by every later one. Either way each SM
+// starts the phase with a cold L1, as after a kernel launch on real hardware.
 func (g *GPU) seedPhase(ph int) {
 	wpb := g.cfg.WarpsPerBlock
 	if wpb < 1 {
@@ -277,10 +288,16 @@ func (g *GPU) seedPhase(ph int) {
 	prog := core.Program(func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
 		return g.kern.Program(ph, warpID, ctx)
 	})
-	g.sms = g.sms[:0]
-	for s := 0; s < g.cfg.NumSMs; s++ {
-		g.sms = append(g.sms, core.NewSM(s, g.cfg.SM, prog, warpsPerSM[s]))
+	if g.cores == nil {
+		for s := 0; s < g.cfg.NumSMs; s++ {
+			g.cores = append(g.cores, core.NewSM(s, g.cfg.SM, prog, warpsPerSM[s]))
+		}
+	} else {
+		for s, sm := range g.cores {
+			sm.Reseed(prog, warpsPerSM[s])
+		}
 	}
+	g.sms = g.cores
 }
 
 func (g *GPU) retireSMs() {
@@ -292,11 +309,12 @@ func (g *GPU) retireSMs() {
 	}
 	// Folded SMs must not be counted again by live probes (probeSample,
 	// publishMetrics) between phases or at collect time.
-	g.sms = g.sms[:0]
+	g.sms = nil
 }
 
+// shutdown releases every SM's warp coroutines, parked ones included.
 func (g *GPU) shutdown() {
-	for _, s := range g.sms {
+	for _, s := range g.cores {
 		s.Shutdown()
 	}
 }
@@ -354,10 +372,15 @@ func (g *GPU) coreTick() {
 	}
 }
 
+// sendReq returns the SMs' send function for cycle now. A transaction's
+// line is decoded on its first attempt only; backpressured retries and the
+// partition's acceptReq reuse the coordinate.
 func (g *GPU) sendReq(now uint64) func(*core.MemReq) bool {
 	return func(r *core.MemReq) bool {
-		dst := g.cfg.AddrMap.Decode(r.LineAddr).Channel
-		return g.reqNet.Send(r.SM, dst, r, now)
+		if !r.Routed {
+			r.Coord, r.Routed = g.cfg.AddrMap.Decode(r.LineAddr), true
+		}
+		return g.reqNet.Send(r.SM, r.Coord.Channel, r, now)
 	}
 }
 

@@ -312,9 +312,10 @@ func (p *partition) finishFill(readyAt uint64, it doneItem) {
 		return // scripted/direct MC traffic without an L2 waiter
 	}
 	p.mshr.Remove(line)
-	for _, s := range e.Stores {
-		p.l2.MergeWord(s.Addr, s.Val, s.N, true)
-		applyWord(data, s)
+	// Pending stores land in the reply bytes and, with one lookup, in the
+	// filled line.
+	if mask := e.MergeInto(data); mask != 0 {
+		p.l2.MergeLine(line, mask, data, true)
 	}
 	for _, t := range e.Targets {
 		req := t.(*core.MemReq)
@@ -323,13 +324,6 @@ func (p *partition) finishFill(readyAt uint64, it doneItem) {
 		p.outReplies = append(p.outReplies, req)
 	}
 	p.mshr.Release(e)
-}
-
-func applyWord(data *[cache.LineSize]byte, s cache.PendingStore) {
-	off := int(s.Addr % cache.LineSize)
-	for i := 0; i < s.N; i++ {
-		data[off+i] = byte(s.Val >> (8 * i))
-	}
 }
 
 // coreTick advances the partition's core-clock side: releasing L2 hits whose
@@ -354,9 +348,9 @@ func (p *partition) sendReply(net *icnt.Network, now uint64) {
 	}
 }
 
-// acceptReq attempts to consume one SM transaction. It returns false when a
-// structural hazard (MSHR or pending queue full) forces the request to wait
-// in the network.
+// acceptReq attempts to consume one SM transaction, routed by GPU.sendReq
+// (req.Coord is set). It returns false when a structural hazard (MSHR or
+// pending queue full) forces the request to wait in the network.
 func (p *partition) acceptReq(req *core.MemReq, now uint64) bool {
 	line := req.LineAddr
 	if req.Load {
@@ -379,19 +373,16 @@ func (p *partition) acceptReq(req *core.MemReq, now uint64) bool {
 		}
 		e := p.mshr.Allocate(line)
 		e.Targets = append(e.Targets, req)
-		coord := p.cfg.AddrMap.Decode(line)
-		p.ctrl.Push(line, false, p.annot.Approximable(line), coord)
+		p.ctrl.Push(line, false, p.annot.Approximable(line), req.Coord)
 		return true
 	}
 	// Store transaction: write-back L2 with write-allocate.
 	if p.l2.Read(line, nil) {
-		for _, s := range req.Stores {
-			p.l2.MergeWord(s.Addr, s.Val, s.N, true)
-		}
+		p.l2.MergeLine(line, req.Mask, &req.Data, true)
 		return true
 	}
 	if e := p.mshr.Lookup(line); e != nil {
-		e.Stores = append(e.Stores, req.Stores...)
+		e.Stores = append(e.Stores, cache.LineStore{Mask: req.Mask, Data: req.Data})
 		e.HasStore = true
 		return true
 	}
@@ -400,12 +391,11 @@ func (p *partition) acceptReq(req *core.MemReq, now uint64) bool {
 		return false
 	}
 	e := p.mshr.Allocate(line)
-	e.Stores = append(e.Stores, req.Stores...)
+	e.Stores = append(e.Stores, cache.LineStore{Mask: req.Mask, Data: req.Data})
 	e.HasStore = true
-	coord := p.cfg.AddrMap.Decode(line)
 	// The fill-for-write is a DRAM read, but never approximable: dropping it
 	// would lose the exactness guarantee for stores.
-	p.ctrl.Push(line, false, false, coord)
+	p.ctrl.Push(line, false, false, req.Coord)
 	return true
 }
 

@@ -527,7 +527,7 @@ func TestAllAddressesInBounds(t *testing.T) {
 						if op.Lanes.Active&(1<<uint(l)) == 0 {
 							continue
 						}
-						a := op.Lanes.Addrs[l]
+						a := op.Lanes.Addr(l)
 						if a%4 != 0 {
 							t.Fatalf("%s phase %d warp %d: unaligned address %d", name, ph, w, a)
 						}
