@@ -26,7 +26,7 @@
 // reproducible, which the repository's determinism gates rely on.
 //
 // The package depends only on internal/stats (injection counters land in
-// stats.Mem's bank matrix) and is imported by mc, sim, and trafgen; it must
+// stats.Mem's bank matrix) and is imported by mc and sim; it must
 // never import them back.
 package fault
 

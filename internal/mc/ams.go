@@ -106,9 +106,7 @@ func (c *Controller) amsStep(now uint64) {
 	if len(a.dropList) > 0 {
 		r := a.dropList[0]
 		a.dropList = slices.Delete(a.dropList, 0, 1)
-		if r.state == ReqPending {
-			c.dropReq(r, now)
-		}
+		c.dropReq(r, now)
 		if len(a.dropList) == 0 {
 			a.finishRowDrop(c)
 		}
@@ -163,24 +161,21 @@ func (c *Controller) amsStep(now uint64) {
 		}
 		return
 	}
-	if rq.pending > a.thRBL {
+	if len(rq.reqs) > a.thRBL {
 		// visible RBL too high; keep the coverage for lower-RBL rows
 		if c.aud != nil {
 			c.auditSampled(now, req, obs.ReasonAMSHighRBL)
 		}
 		return
 	}
-	// Drop the whole visible row, starting with the oldest request now.
+	// Drop the whole visible row, starting with the oldest request now. The
+	// bank head is its row's oldest request, so the rest of the row queue is
+	// the drain list, in order.
 	rq.dropping = true
-	c.banks[req.Coord.Bank].version++
-	c.cenDirty |= 1 << uint(req.Coord.Bank)
+	c.touch(req.Coord.Bank)
 	a.dropBank = req.Coord.Bank
 	a.dropRow = req.Coord.Row
-	for _, r := range rq.reqs {
-		if r.state == ReqPending && r != req {
-			a.dropList = append(a.dropList, r)
-		}
-	}
+	a.dropList = append(a.dropList, rq.reqs[1:]...)
 	c.dropReq(req, now)
 	if len(a.dropList) == 0 {
 		a.finishRowDrop(c)
@@ -191,9 +186,8 @@ func (a *amsUnit) finishRowDrop(c *Controller) {
 	bq := &c.banks[a.dropBank]
 	if rq := bq.row(a.dropRow); rq != nil {
 		rq.dropping = false
-		bq.version++
-		c.cenDirty |= 1 << uint(a.dropBank)
-		if rq.pending == 0 {
+		c.touch(a.dropBank)
+		if len(rq.reqs) == 0 {
 			bq.release(rq)
 		}
 	}
@@ -217,18 +211,19 @@ func (c *Controller) dropReq(r *Request, now uint64) {
 }
 
 // oldestLive returns the oldest pending request across all banks, skipping
-// rows currently being drained by a row drop.
+// rows currently being drained by a row drop. The answer depends only on
+// the bank heads, so it is memoized on the controller's touch count.
 func (c *Controller) oldestLive() *Request {
+	if c.liveVersion == c.version {
+		return c.liveHead
+	}
 	var best *Request
 	for b := range c.banks {
-		bq := &c.banks[b]
-		if bq.pending == 0 {
-			continue
-		}
-		r := bq.head()
+		r := c.banks[b].head()
 		if r != nil && (best == nil || r.Arrival < best.Arrival) {
 			best = r
 		}
 	}
+	c.liveHead, c.liveVersion = best, c.version
 	return best
 }

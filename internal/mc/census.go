@@ -194,10 +194,7 @@ func (c *Controller) cenClassify(b int, now, delay uint64, refreshing bool) {
 	bq := &c.banks[b]
 	s.start = now
 	until := cenOpen
-	var r *Request
-	if bq.pending > 0 {
-		r = bq.head()
-	}
+	r := bq.head()
 	s.head = r
 	if r != nil {
 		var sens uint8
@@ -256,15 +253,11 @@ func (c *Controller) CensusFinish(end uint64) {
 // under the cenRef test hook.
 func (c *Controller) censusTickRef(now, delay uint64, refreshing bool) {
 	for b := range c.banks {
-		bq := &c.banks[b]
-		var r *Request
-		if bq.pending > 0 {
-			// The same head view issue() schedules from: rows being drained
-			// by an AMS row drop are skipped; their requests get their whole
-			// wait attributed as queued at drop time. head() reuses last
-			// cycle's scan when the bank's queue hasn't mutated.
-			r = bq.head()
-		}
+		// The same head view issue() schedules from: rows being drained by
+		// an AMS row drop are skipped; their requests get their whole wait
+		// attributed as queued at drop time. head() reuses last cycle's scan
+		// when the bank's queue hasn't mutated.
+		r := c.banks[b].head()
 		var cause obs.StallCause
 		if r != nil {
 			cause, _, _ = c.classifyHead(r, b, now, delay, refreshing)
@@ -335,8 +328,7 @@ func (c *Controller) classifyHead(r *Request, b int, now, delay uint64, refreshi
 		// Conflict: under the open-row policy the row only closes once its
 		// pending hits drained — until then the head is queued behind them.
 		// Every drained hit retires on this bank, bumping version.
-		if rq := c.banks[b].row(or); c.cfg.Policy != FCFS &&
-			rq != nil && rq.pending > 0 && !rq.dropping {
+		if c.cfg.Policy != FCFS && c.banks[b].open != nil {
 			return obs.StallQueued, cenOpen, cenSensNone
 		}
 		if !c.ch.CanPrecharge(b, now) {

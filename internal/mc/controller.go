@@ -138,7 +138,9 @@ func DefaultConfig() Config {
 
 // CompletionFunc receives finished requests. approx reports that the request
 // was dropped by AMS and must be value-predicted; readyAt is the memory cycle
-// the reply data is available at the controller.
+// the reply data is available at the controller. The request has left every
+// controller queue by then; the receiver owns it until it hands it back with
+// Controller.Release, after which it must not touch it again.
 type CompletionFunc func(req *Request, approx bool, readyAt uint64)
 
 // VPReadyFunc reports whether the value-prediction unit is warmed up (the
@@ -213,6 +215,23 @@ type Controller struct {
 	// unconditionally — a counter bump costs nothing and keeps the hot path
 	// branch-free.
 	activity uint64
+
+	// issueAt is the next-issue horizon: a scan that found no command sets it
+	// to the earliest cycle a blocked candidate could become legal, and Tick
+	// skips issue until then. touch, a Dyn-DMS delay change and refresh reset
+	// it to 0. held lists the banks that scan held for the DMS delay; a
+	// skipped cycle charges them exactly as the scan would have.
+	issueAt uint64
+	held    []int
+	// scanRef makes Tick scan every cycle, ignoring the horizon; only the
+	// horizon-equivalence test sets it.
+	scanRef bool
+	// version counts touch calls; oldestLive memoizes its answer on it.
+	version     uint64
+	liveHead    *Request
+	liveVersion uint64
+	// free holds released requests for Push to reuse.
+	free []*Request
 }
 
 // New creates a controller in front of ch. onComplete must be non-nil;
@@ -285,6 +304,18 @@ func (c *Controller) SetCensus(cen *obs.Census) {
 	}
 }
 
+// touch records a mutation of bank b's queue that can change what the
+// scheduler sees: a push that gives the bank a head or a hit to its open
+// row, a retirement, or an AMS row-drop start or finish. It invalidates the
+// bank's cached head and oldestLive's memo, marks the bank's census span
+// dirty, and ends the issue horizon.
+func (c *Controller) touch(b int) {
+	c.banks[b].version++
+	c.version++
+	c.cenDirty |= 1 << uint(b)
+	c.issueAt = 0
+}
+
 // markCmd records that a DRAM command issued to bank b this cycle: b becomes
 // the census's serving bank and is marked dirty so its open census span
 // re-classifies against the new timing state. The issue sites that move
@@ -312,8 +343,8 @@ func (c *Controller) coverage() float64 {
 
 // visibleRBL returns the number of pending same-row requests visible for r.
 func (c *Controller) visibleRBL(r *Request) int {
-	if rq := c.banks[r.Coord.Bank].row(r.Coord.Row); rq != nil {
-		return rq.pending
+	if r.rq != nil {
+		return len(r.rq.reqs)
 	}
 	return 0
 }
@@ -364,7 +395,14 @@ func (c *Controller) Push(addr uint64, write, approximable bool, coord dram.Coor
 		panic("mc: push to full pending queue")
 	}
 	c.nextID++
-	r := &Request{
+	var r *Request
+	if n := len(c.free); n > 0 {
+		r = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		r = new(Request)
+	}
+	*r = Request{
 		ID:           c.nextID,
 		Addr:         addr,
 		Write:        write,
@@ -372,20 +410,21 @@ func (c *Controller) Push(addr uint64, write, approximable bool, coord dram.Coor
 		Arrival:      c.now,
 		Coord:        coord,
 	}
-	c.banks[coord.Bank].push(r)
+	b := coord.Bank
+	bq := &c.banks[b]
+	open := c.ch.OpenRow(b)
+	// A push appends a younger request, so it can change what the scheduler
+	// or an open census span sees only by giving an empty (or fully-dropping)
+	// bank a head, or by adding a pending hit to the bank's open row (the
+	// hit pass and the conflict check read those). Younger arrivals behind a
+	// live head leave both the head and every timing input untouched. A bank
+	// with no open census span must still open one.
+	if bq.head() == nil || coord.Row == open || (c.cen != nil && c.cenUntil[b] == 0) {
+		c.touch(b)
+	}
+	bq.push(r, open)
 	c.live++
 	c.activity++
-	if c.cen != nil {
-		// A push appends a younger request, so it can change an open census
-		// span's classification only by giving an empty (or fully-dropping)
-		// bank a head, or by adding a pending hit to the bank's open row
-		// (the conflict branch counts those). Younger arrivals behind a live
-		// head leave both the head and every timing input untouched.
-		if s := &c.cenSpans[coord.Bank]; c.cenUntil[coord.Bank] == 0 || s.head == nil ||
-			coord.Row == c.ch.OpenRow(coord.Bank) {
-			c.cenDirty |= 1 << uint(coord.Bank)
-		}
-	}
 	if write {
 		c.st.WriteReqs++
 	} else {
@@ -410,6 +449,17 @@ func (c *Controller) ThRBL() int {
 	return c.ams.thRBL
 }
 
+// Release hands a completed request back for reuse by a later Push. The
+// caller must hold no reference to r afterwards. Callers that never release
+// simply leave every request to the garbage collector.
+func (c *Controller) Release(r *Request) {
+	if r.state != ReqServed && r.state != ReqDropped {
+		panic("mc: release of a request that is pending or already free")
+	}
+	r.state = ReqFree
+	c.free = append(c.free, r)
+}
+
 // Tick advances the controller by one memory cycle.
 func (c *Controller) Tick(now uint64) {
 	c.now = now
@@ -423,8 +473,9 @@ func (c *Controller) Tick(now uint64) {
 		amsHalted = c.dms.tick(now, c.st)
 		if c.dms.delay != before {
 			// A Dyn-DMS delay change moves every head's age gate: every open
-			// census span re-classifies.
+			// census span re-classifies and the issue horizon ends.
 			c.cenDirty = c.cenAllMask
+			c.issueAt = 0
 		}
 	}
 	if c.ams != nil {
@@ -433,11 +484,27 @@ func (c *Controller) Tick(now uint64) {
 			c.amsStep(now)
 		}
 	}
-	// An all-bank refresh blocks the whole channel for the cycle; the census
-	// pass still runs so refresh cycles are attributed, not lost.
+	// An all-bank refresh blocks the whole channel for the cycle and closes
+	// every row; the census pass still runs so refresh cycles are
+	// attributed, not lost.
 	c.cenBank = -1
 	refreshing := c.ch.Refreshing(now)
-	if !refreshing {
+	switch {
+	case refreshing:
+		for b := range c.banks {
+			c.banks[b].open = nil
+		}
+		c.issueAt = 0
+	case now < c.issueAt && !c.scanRef:
+		// Nothing can issue before the horizon; the scan would only have
+		// charged its held banks.
+		for _, b := range c.held {
+			c.st.Bank(b).DMSDelayCycles++
+			if c.aud != nil {
+				c.auditSampled(now, c.banks[b].head(), obs.ReasonDMSDelayHold)
+			}
+		}
+	default:
 		c.issue(now)
 	}
 	if c.cen != nil {
@@ -450,12 +517,31 @@ func (c *Controller) Drain() { c.ch.Drain() }
 
 // issue picks at most one DRAM command for this cycle, honouring the
 // configured policy (FR-FCFS by default: row hits first, then oldest) and
-// the DMS age gate on the row-miss path.
+// the DMS age gate on the row-miss path. A scan that issues nothing leaves
+// the next-issue horizon in issueAt: the earliest "ready at" cycle among the
+// timing checks that blocked its candidates. Every other reason a candidate
+// was passed over (no head or open-row queue, a conflict behind pending hits,
+// an FCFS head that is not the hit) changes only through touch.
 func (c *Controller) issue(now uint64) {
-	if c.cfg.Policy == FRFCFSClosedRow && c.closeIdleRow(now) {
-		return
+	c.held = c.held[:0]
+	next := ^uint64(0)
+	if c.cfg.Policy == FRFCFSClosedRow {
+		// Closed-row policy: precharge one open row with no pending requests.
+		for b := range c.banks {
+			if c.ch.OpenRow(b) == dram.NoRow || c.banks[b].open != nil {
+				continue
+			}
+			if !c.ch.CanPrecharge(b, now) {
+				next = min(next, c.ch.PreReadyAt(b))
+				continue
+			}
+			c.ch.PrechargeIdle(b, now)
+			c.markCmd(b)
+			return
+		}
 	}
 	if c.live == 0 {
+		c.issueAt = next
 		return
 	}
 	// First priority: the oldest issuable row-buffer hit. Under FCFS a
@@ -464,25 +550,12 @@ func (c *Controller) issue(now uint64) {
 	var hit *Request
 	for b := range c.banks {
 		bq := &c.banks[b]
-		if bq.pending == 0 {
+		if bq.open == nil {
 			continue
 		}
-		or := c.ch.OpenRow(b)
-		if or == dram.NoRow {
+		r := bq.open.oldest()
+		if c.cfg.Policy == FCFS && bq.head() != r {
 			continue
-		}
-		rq := bq.row(or)
-		if rq == nil || rq.pending == 0 || rq.dropping {
-			continue
-		}
-		r := rq.oldest()
-		if r == nil {
-			continue
-		}
-		if c.cfg.Policy == FCFS {
-			if head := bq.head(); head == nil || head != r {
-				continue
-			}
 		}
 		ok := false
 		if r.Write {
@@ -490,7 +563,9 @@ func (c *Controller) issue(now uint64) {
 		} else {
 			ok = c.ch.CanRead(b, now)
 		}
-		if ok && (hit == nil || r.Arrival < hit.Arrival) {
+		if !ok {
+			next = min(next, max(c.ch.ColReadyAt(b, r.Write), c.ch.BusReadyAt(b, r.Write)))
+		} else if hit == nil || r.Arrival < hit.Arrival {
 			hit = r
 		}
 	}
@@ -509,7 +584,7 @@ func (c *Controller) issue(now uint64) {
 	var best action
 	for b := range c.banks {
 		bq := &c.banks[b]
-		if bq.pending == 0 {
+		if len(bq.fifo) == 0 {
 			continue
 		}
 		r := bq.head()
@@ -530,6 +605,8 @@ func (c *Controller) issue(now uint64) {
 			if c.aud != nil {
 				c.auditSampled(now, r, obs.ReasonDMSDelayHold)
 			}
+			c.held = append(c.held, b)
+			next = min(next, r.Arrival+delay)
 			continue
 		}
 		var a action
@@ -537,16 +614,17 @@ func (c *Controller) issue(now uint64) {
 			// Open-row policy: only close the row once it has no pending
 			// hits left. Under FCFS the bank head alone decides, so a miss
 			// at the head precharges past younger would-be hits.
-			if rq := bq.row(or); c.cfg.Policy != FCFS &&
-				rq != nil && rq.pending > 0 && !rq.dropping {
+			if c.cfg.Policy != FCFS && bq.open != nil {
 				continue
 			}
 			if !c.ch.CanPrecharge(b, now) {
+				next = min(next, c.ch.PreReadyAt(b))
 				continue
 			}
 			a = action{req: r, pre: true}
 		} else {
 			if !c.ch.CanActivate(b, now) {
+				next = min(next, max(c.ch.ActReadyAt(b), c.ch.ActAnyReadyAt()))
 				continue
 			}
 			a = action{req: r}
@@ -557,12 +635,17 @@ func (c *Controller) issue(now uint64) {
 	}
 	switch {
 	case best.req == nil:
+		c.issueAt = next
 	case best.pre:
-		c.ch.Precharge(best.req.Coord.Bank, now)
-		c.markCmd(best.req.Coord.Bank)
+		b := best.req.Coord.Bank
+		c.ch.Precharge(b, now)
+		c.banks[b].open = nil
+		c.markCmd(b)
 	default:
-		c.ch.Activate(best.req.Coord.Bank, best.req.Coord.Row, now)
-		c.markCmd(best.req.Coord.Bank)
+		b := best.req.Coord.Bank
+		c.ch.Activate(b, best.req.Coord.Row, now)
+		c.banks[b].open = best.req.rq
+		c.markCmd(b)
 		c.cenDirty |= c.cenActMask
 		// Delay-budget expiry: the request aged past a non-zero in-force
 		// delay and its row is now being opened (recorded once per
@@ -571,27 +654,6 @@ func (c *Controller) issue(now uint64) {
 			c.audit(now, best.req, obs.ReasonDMSDelayExpired)
 		}
 	}
-}
-
-// closeIdleRow precharges one open row that has no pending requests (the
-// closed-row policy); it reports whether a command was issued.
-func (c *Controller) closeIdleRow(now uint64) bool {
-	for b := range c.banks {
-		or := c.ch.OpenRow(b)
-		if or == dram.NoRow {
-			continue
-		}
-		rq := c.banks[b].row(or)
-		if rq != nil && (rq.pending > 0 || rq.dropping) {
-			continue
-		}
-		if c.ch.CanPrecharge(b, now) {
-			c.ch.PrechargeIdle(b, now)
-			c.markCmd(b)
-			return true
-		}
-	}
-	return false
 }
 
 func (c *Controller) issueColumn(r *Request, now uint64) {
@@ -624,5 +686,5 @@ func (c *Controller) retire(r *Request, s ReqState) {
 	r.state = s
 	c.banks[r.Coord.Bank].retire(r)
 	c.live--
-	c.cenDirty |= 1 << uint(r.Coord.Bank)
+	c.touch(r.Coord.Bank)
 }

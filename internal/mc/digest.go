@@ -9,20 +9,15 @@ import (
 
 // DigestInto folds the controller's live scheduling state into h: the
 // queue counters, every bank's pending requests in arrival order, and the
-// DMS/AMS unit state. Served and dropped entries still sitting in the lazily
-// trimmed FIFOs are skipped, so the digest depends only on what the
-// scheduler can still act on.
+// DMS/AMS unit state.
 func (c *Controller) DigestInto(h *obs.Hasher) {
 	h.Int(c.live)
 	h.U64(c.nextID)
 	h.U64(c.now)
 	for b := range c.banks {
 		bq := &c.banks[b]
-		h.Int(bq.pending)
+		h.Int(len(bq.fifo))
 		for _, r := range bq.fifo {
-			if r.state != ReqPending {
-				continue
-			}
 			h.U64(r.ID)
 			h.U64(r.Addr)
 			h.Bool(r.Write)
@@ -78,15 +73,11 @@ func (c *Controller) DumpState() string {
 		c.live, c.nextID, c.now, c.Delay(), c.ThRBL())
 	for b := range c.banks {
 		bq := &c.banks[b]
-		if bq.pending == 0 {
+		if len(bq.fifo) == 0 {
 			continue
 		}
-		fmt.Fprintf(&sb, "bank[%d]: pending=%d heads=", b, bq.pending)
-		shown := 0
-		for _, r := range bq.fifo {
-			if r.state != ReqPending {
-				continue
-			}
+		fmt.Fprintf(&sb, "bank[%d]: pending=%d heads=", b, len(bq.fifo))
+		for shown, r := range bq.fifo {
 			if shown > 0 {
 				sb.WriteByte(' ')
 			}
@@ -97,7 +88,7 @@ func (c *Controller) DumpState() string {
 				kind = "RA"
 			}
 			fmt.Fprintf(&sb, "#%d@%#x/%s/arr=%d", r.ID, r.Addr, kind, r.Arrival)
-			if shown++; shown >= 4 {
+			if shown == 3 {
 				break
 			}
 		}

@@ -32,6 +32,7 @@ const (
 	ReqPending ReqState = iota
 	ReqServed           // issued to a DRAM bank
 	ReqDropped          // dropped by AMS, value-predicted
+	ReqFree             // handed back by Controller.Release, awaiting reuse
 )
 
 // Request is one 128-byte line request in the memory controller.
@@ -70,11 +71,13 @@ type Request struct {
 func (r *Request) State() ReqState { return r.state }
 
 // rowQ collects the pending requests destined to one (bank, row) pair, in
-// arrival order. Served/dropped entries are removed lazily.
+// arrival order. A row's requests retire in arrival order — a row hit serves
+// the row's oldest request, and an AMS row drop starts at the row's oldest
+// and drains the rest in order — so retirement pops the front and reqs holds
+// exactly the row's pending requests.
 type rowQ struct {
 	row              int64
 	reqs             []*Request
-	pending          int
 	pendingWrites    int
 	pendingNonApprox int
 	dropping         bool
@@ -82,7 +85,6 @@ type rowQ struct {
 
 func (q *rowQ) push(r *Request) {
 	q.reqs = append(q.reqs, r)
-	q.pending++
 	if r.Write {
 		q.pendingWrites++
 	}
@@ -91,9 +93,8 @@ func (q *rowQ) push(r *Request) {
 	}
 }
 
-// oldest returns the oldest still-pending request, trimming dead entries.
+// oldest returns the row's oldest pending request, or nil.
 func (q *rowQ) oldest() *Request {
-	q.reqs = trimRetired(q.reqs)
 	if len(q.reqs) == 0 {
 		return nil
 	}
@@ -101,25 +102,16 @@ func (q *rowQ) oldest() *Request {
 }
 
 func (q *rowQ) retire(r *Request) {
-	q.pending--
+	if q.reqs[0] != r {
+		panic("mc: row queue retired out of arrival order")
+	}
+	q.reqs = slices.Delete(q.reqs, 0, 1)
 	if r.Write {
 		q.pendingWrites--
 	}
 	if !r.Approximable {
 		q.pendingNonApprox--
 	}
-}
-
-// trimRetired removes q's prefix of served/dropped requests in place: the
-// survivors move to the front of the same backing array (slices.Delete also
-// clears the vacated tail), so the next append reuses its capacity instead
-// of reallocating as a front-resliced slice would.
-func trimRetired(q []*Request) []*Request {
-	k := 0
-	for k < len(q) && q[k].state != ReqPending {
-		k++
-	}
-	return slices.Delete(q, 0, k)
 }
 
 // bankQ is the per-bank view of the pending queue.
@@ -129,22 +121,25 @@ func trimRetired(q []*Request) []*Request {
 // controller's queue holds at most QueueSize requests spread over all banks,
 // so a bank has only a handful of live rows (under 4 on average for SCP
 // under Dyn-Both), and a short scan beats hashing. Every pending request
-// also points straight at its row queue (Request.rq), so the per-request
-// paths need no search at all. Retired row queues go to spare and are
-// reused by the next new row.
+// also points straight at its row queue (Request.rq), and open indexes the
+// queue of the bank's open DRAM row, so the scheduler's paths need no search
+// at all. Retired row queues go to spare and are reused by the next new row.
 type bankQ struct {
-	fifo    []*Request // arrival order, lazily trimmed
-	rows    []*rowQ
-	spare   []*rowQ
-	pending int
+	fifo  []*Request // the bank's pending requests, in arrival order
+	rows  []*rowQ
+	spare []*rowQ
+	// open is rows' queue for the bank's open DRAM row (nil when the bank is
+	// closed or its open row has no live queue): set at ACT and by a push
+	// that creates the open row's queue, cleared at PRE, refresh and release.
+	// It is never being dropped: AMS does not drop an open row, and a row
+	// being dropped has no request that can become a bank head to activate.
+	open *rowQ
 
 	// version counts the mutations that can change oldest()'s answer:
-	// pushes, retirements, and AMS row-drop transitions. Every site that
-	// moves one of those inputs must bump it, because head() — which the
-	// scheduler, the AMS unit and the cycle census all read — trusts an
-	// unchanged version to mean an unchanged answer. (The census span cache
-	// invalidates eagerly via the controller's dirty-bank mask instead of
-	// comparing stamps; every version-bump site also marks the bank dirty.)
+	// pushes that give the bank a head, retirements, and AMS row-drop
+	// transitions. Every such site goes through Controller.touch, because
+	// head() — which the scheduler, the AMS unit and the cycle census all
+	// read — trusts an unchanged version to mean an unchanged answer.
 	version    uint32
 	cenHead    *Request
 	cenVersion uint32
@@ -160,7 +155,9 @@ func (b *bankQ) row(row int64) *rowQ {
 	return nil
 }
 
-func (b *bankQ) push(r *Request) {
+// push appends r; openRow is the bank's open DRAM row, so a queue created
+// for it becomes the open index.
+func (b *bankQ) push(r *Request, openRow int64) {
 	b.fifo = append(b.fifo, r)
 	rq := b.row(r.Coord.Row)
 	if rq == nil {
@@ -172,11 +169,12 @@ func (b *bankQ) push(r *Request) {
 		}
 		rq.row = r.Coord.Row
 		b.rows = append(b.rows, rq)
+		if rq.row == openRow {
+			b.open = rq
+		}
 	}
 	r.rq = rq
 	rq.push(r)
-	b.pending++
-	b.version++
 }
 
 // release retires row queue rq, which has no pending requests and no drop in
@@ -192,7 +190,9 @@ func (b *bankQ) release(rq *rowQ) {
 			break
 		}
 	}
-	clear(rq.reqs)
+	if b.open == rq {
+		b.open = nil
+	}
 	*rq = rowQ{reqs: rq.reqs[:0]}
 	b.spare = append(b.spare, rq)
 }
@@ -200,9 +200,8 @@ func (b *bankQ) release(rq *rowQ) {
 // oldest returns the oldest pending request in the bank whose row is not
 // currently being drained by an AMS row drop.
 func (b *bankQ) oldest() *Request {
-	b.fifo = trimRetired(b.fifo)
 	for _, r := range b.fifo {
-		if r.state == ReqPending && !r.rq.dropping {
+		if !r.rq.dropping {
 			return r
 		}
 	}
@@ -219,13 +218,15 @@ func (b *bankQ) head() *Request {
 	return b.cenHead
 }
 
+// retire removes r from the bank's FIFO and its row queue, releasing the row
+// queue once it is empty and not being dropped.
 func (b *bankQ) retire(r *Request) {
-	b.pending--
-	b.version++
+	i := slices.Index(b.fifo, r)
+	b.fifo = slices.Delete(b.fifo, i, i+1)
 	rq := r.rq
 	r.rq = nil
 	rq.retire(r)
-	if rq.pending == 0 && !rq.dropping {
+	if len(rq.reqs) == 0 && !rq.dropping {
 		b.release(rq)
 	}
 }

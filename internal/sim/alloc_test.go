@@ -15,21 +15,26 @@ import (
 // noise; a regression back toward per-request, per-warp or per-phase
 // allocation fails here instead of only showing up as a slower benchmark.
 //
-//   - jmein under Dyn-Both, single-phase: 3.7k mallocs per 1000 core cycles
+//   - jmein under Dyn-Both, single-phase: 2.2k mallocs per 1000 core cycles
 //     (30.2k before the memory request path stopped allocating queue
 //     storage, MSHR entries and heap boxes; 10.5k before warp programs ran
 //     in one recycled coroutine per slot and SMs recycled their memory
-//     transactions).
-//   - FWT under Dyn-DMS, 17 dependent phases: 2.9k (12.3k while every
-//     phase rebuilt its SMs, their slot coroutines, L1s and MSHRs).
+//     transactions; 3.7k before the memory controller recycled its
+//     requests).
+//   - SCP under Dyn-Both, the AMS-heavy read path: 0.68k (1.6k before the
+//     memory controller recycled its requests).
+//   - FWT under Dyn-DMS, 17 dependent phases: 1.3k (12.3k while every
+//     phase rebuilt its SMs, their slot coroutines, L1s and MSHRs; 2.9k
+//     before the memory controller recycled its requests).
 func TestStepLoopAllocationCeiling(t *testing.T) {
 	for _, c := range []struct {
 		app     string
 		scheme  mc.Scheme
 		ceiling float64 // mallocs per 1000 core cycles
 	}{
-		{"jmein", mc.DynBoth, 5500},
-		{"FWT", mc.DynDMS, 4300},
+		{"jmein", mc.DynBoth, 3300},
+		{"SCP", mc.DynBoth, 1000},
+		{"FWT", mc.DynDMS, 2000},
 	} {
 		k, err := workloads.New(c.app)
 		if err != nil {

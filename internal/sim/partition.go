@@ -195,6 +195,7 @@ func (p *partition) onMCComplete(req *mc.Request, approxDrop bool, readyAt uint6
 		// The write-back's data was already committed to the image when the
 		// line left the L2 (see queueWB); the WR command only models timing
 		// and energy.
+		p.ctrl.Release(req)
 		return
 	}
 	p.done.push(readyAt, doneItem{req: req, approx: approxDrop})
@@ -297,6 +298,7 @@ func (p *partition) finishFill(readyAt uint64, it doneItem) {
 		}
 		p.vp.Observe(line, data)
 	}
+	p.ctrl.Release(it.req)
 	if p.digestOn {
 		// The delivered bytes — post-fault-corruption, post-prediction — are
 		// the partition's externally visible data. Fold them with the delivery
