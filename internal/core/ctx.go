@@ -4,25 +4,43 @@ import "math"
 
 // Ctx is a warp's architectural state visible to its program: vector
 // registers written by loads and a reusable lane-set buffer for building
-// memory instructions. A program may only inspect registers after the
-// blocking load that writes them, or the Join after an async one, has been
-// yielded: the simulator resumes the program only once that instruction
-// completed, so the values are always present (see Program).
+// memory instructions. Under an SM the program runs ahead of its warp, and
+// each yielded op the SM has not finished owns a slot; the register readers
+// and the Load/Store methods wait for an owned slot, so they see a blocking
+// load's values once it completed (see Program).
 type Ctx struct {
-	Regs [MaxRegs][WarpSize]uint32
+	// w is the warp running this Ctx, nil outside an SM, where nothing is
+	// ever pending; pending marks the slots owned by w's buffered ops. They
+	// come first: the garbage collector scans an object only up to its last
+	// pointer, so it skips the registers and lane sets.
+	w       *warp
+	pending [MaxRegs]bool
+	Regs    [MaxRegs][WarpSize]uint32
 	// lanes[r] is the lane-set buffer of register slot r; loads targeting r
 	// build their addresses here. Stores use the slot chosen by the caller
 	// via the store builders (slot MaxRegs-1 by default).
 	lanes [MaxRegs]LaneSet
 }
 
+// need hands the buffered batch to the SM if one of its ops owns slot r,
+// and returns once the SM has finished it.
+func (c *Ctx) need(r int) {
+	if c.pending[r] {
+		c.w.sync()
+	}
+}
+
 // F32 returns register reg, lane lane as float32.
 func (c *Ctx) F32(reg, lane int) float32 {
+	c.need(reg)
 	return math.Float32frombits(c.Regs[reg][lane])
 }
 
 // U32 returns register reg, lane lane as uint32.
-func (c *Ctx) U32(reg, lane int) uint32 { return c.Regs[reg][lane] }
+func (c *Ctx) U32(reg, lane int) uint32 {
+	c.need(reg)
+	return c.Regs[reg][lane]
+}
 
 // Compute returns a compute instruction occupying the warp for the given
 // number of core cycles.
@@ -45,6 +63,7 @@ func fullMask(n int) uint32 {
 // base + 4*(elem + l), for l in [0, n). The lane set stays in its contiguous
 // form: it records lane 0's address, not 32 of them.
 func (c *Ctx) LoadSeq32(dst int, base uint64, elem int, n int) Op {
+	c.need(dst)
 	ls := &c.lanes[dst]
 	ls.Active = fullMask(n)
 	ls.Base, ls.Seq = base+4*uint64(elem), true
@@ -56,6 +75,7 @@ func (c *Ctx) LoadSeq32(dst int, base uint64, elem int, n int) Op {
 // coalescing and produce up to n distinct line transactions — the classic
 // row-thrashing access shape.
 func (c *Ctx) LoadStride32(dst int, base uint64, elem, strideElems, n int) Op {
+	c.need(dst)
 	ls := &c.lanes[dst]
 	ls.Active, ls.Seq = fullMask(n), false
 	for l := 0; l < n && l < WarpSize; l++ {
@@ -67,6 +87,7 @@ func (c *Ctx) LoadStride32(dst int, base uint64, elem, strideElems, n int) Op {
 // LoadGather32 builds an arbitrary gather: lane l reads base + 4*idx[l] for
 // l in [0, n).
 func (c *Ctx) LoadGather32(dst int, base uint64, idx []int, n int) Op {
+	c.need(dst)
 	ls := &c.lanes[dst]
 	ls.Active, ls.Seq = fullMask(n), false
 	for l := 0; l < n && l < WarpSize; l++ {
@@ -78,6 +99,7 @@ func (c *Ctx) LoadGather32(dst int, base uint64, idx []int, n int) Op {
 // StoreSeqF32 builds a fully coalesced store: lane l writes vals[l] to
 // base + 4*(elem + l), for l in [0, n), in the contiguous lane-set form.
 func (c *Ctx) StoreSeqF32(base uint64, elem int, vals []float32, n int) Op {
+	c.need(MaxRegs - 1)
 	ls := &c.lanes[MaxRegs-1]
 	ls.Active = fullMask(n)
 	ls.Base, ls.Seq = base+4*uint64(elem), true
@@ -90,6 +112,7 @@ func (c *Ctx) StoreSeqF32(base uint64, elem int, vals []float32, n int) Op {
 // StoreStrideF32 builds a strided store: lane l writes vals[l] to
 // base + 4*(elem + l*strideElems), for l in [0, n).
 func (c *Ctx) StoreStrideF32(base uint64, elem, strideElems int, vals []float32, n int) Op {
+	c.need(MaxRegs - 1)
 	ls := &c.lanes[MaxRegs-1]
 	ls.Active, ls.Seq = fullMask(n), false
 	for l := 0; l < n && l < WarpSize; l++ {
@@ -102,6 +125,7 @@ func (c *Ctx) StoreStrideF32(base uint64, elem, strideElems int, vals []float32,
 // StoreScatterF32 builds an arbitrary scatter: lane l writes vals[l] to
 // base + 4*idx[l], for l in [0, n).
 func (c *Ctx) StoreScatterF32(base uint64, idx []int, vals []float32, n int) Op {
+	c.need(MaxRegs - 1)
 	ls := &c.lanes[MaxRegs-1]
 	ls.Active, ls.Seq = fullMask(n), false
 	for l := 0; l < n && l < WarpSize; l++ {
@@ -124,6 +148,7 @@ func (c *Ctx) Join() Op { return Op{Kind: OpJoin} }
 
 // RegF32 copies register reg into dst as float32 values and returns dst[:n].
 func (c *Ctx) RegF32(reg int, dst *[WarpSize]float32, n int) []float32 {
+	c.need(reg)
 	for l := 0; l < n && l < WarpSize; l++ {
 		dst[l] = math.Float32frombits(c.Regs[reg][l])
 	}

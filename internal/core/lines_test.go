@@ -24,7 +24,9 @@ func TestStraddlingSeqLoadSplitsIntoTwoLines(t *testing.T) {
 				if !yield(build(ctx)) {
 					return
 				}
-				*regs = ctx.Regs[0]
+				for l := range regs {
+					regs[l] = ctx.U32(0, l)
+				}
 			}
 		}
 		mem := newFakeMem(20)

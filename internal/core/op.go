@@ -50,25 +50,22 @@ func (ls *LaneSet) Addr(l int) uint64 {
 // Op is one warp instruction. Compute ops carry a latency in core cycles;
 // memory ops reference the issuing warp's lane set (valid until the op
 // completes, which is guaranteed because a warp blocks on its memory ops).
+// The fields are ordered to keep an Op at 16 bytes.
 type Op struct {
-	Kind   OpKind
-	Cycles uint32
-	Dst    uint8 // destination vector register for loads
+	Kind OpKind
+	Dst  uint8 // destination vector register for loads
 	// Async marks a non-blocking load: the warp continues once the load's
 	// transactions are issued and only waits at the next OpJoin. The
 	// destination register (and its lane set) must not be reused before
 	// that join.
-	Async bool
-	Lanes *LaneSet
+	Async  bool
+	Cycles uint32
+	Lanes  *LaneSet
 }
 
-// endsBatch reports whether the program may observe simulated state once op
-// completes, so it must not run ahead of it: a blocking load writes
-// registers the program reads next, a join releases async loads' registers,
-// and a store's lane set (slot MaxRegs-1) is shared by every store builder.
-func (op Op) endsBatch() bool {
-	return op.Kind == OpJoin || op.Kind == OpStore || (op.Kind == OpLoad && !op.Async)
-}
+// endsBatch reports whether the program must stop running ahead after op:
+// a join releases async loads' registers, which no slot ownership tracks.
+func (op Op) endsBatch() bool { return op.Kind == OpJoin }
 
 // lineOf returns the 128-byte line address containing addr.
 func lineOf(addr uint64) uint64 { return addr &^ 127 }

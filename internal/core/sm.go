@@ -11,17 +11,18 @@ import (
 )
 
 // Program generates the instruction stream of one warp. The SM does not pull
-// it one op at a time: it resumes the program once per sync point, and the
-// program runs ahead, buffering ops until one after which it may observe
-// simulated state — a blocking load, a Join or a store — or until maxBatch
-// ops are buffered. The SM still issues the buffered ops one per issue slot,
-// so the timing is that of a per-op pull. Two rules make that equivalence
-// hold:
+// it one op at a time: the program runs ahead, buffering ops, until it
+// touches a Ctx slot a buffered op owns (it reads a blocking load's register
+// or rebuilds a lane set in use, see runSlot), yields a Join, or buffers
+// maxBatch ops. The SM then takes the batch and resumes the program once it
+// wants the op after the last one; the warp blocks on each blocking load and
+// store until it completes, so by then no slot is owned. The SM issues the
+// ops one per issue slot, so the timing is that of a per-op pull. Two rules
+// make that equivalence hold:
 //
-//   - A program must not read an async load's destination register before
-//     the Join that follows it (see Ctx.Async). Every other register it
-//     reads was written by a blocking load that completed before the
-//     program was resumed.
+//   - A program must read registers only through the Ctx readers, and not
+//     read an async load's destination register before the Join that
+//     follows it (see Ctx.Async).
 //   - A program must never observe time, or any other simulated state than
 //     its registers: between sync points it runs ahead of the simulated
 //     clock.
@@ -97,13 +98,15 @@ func DefaultConfig() Config {
 type warp struct {
 	id   int
 	slot int32
-	ctx  *Ctx
 	// resume runs the slot's coroutine to the program's next sync point,
 	// filling batch; ended reports that the program returned, so batch
 	// holds its last ops. stop releases the coroutine; both are nil once it
-	// has been released (halt).
-	resume func() (ended, ok bool)
-	stop   func()
+	// has been released (halt). Inside the coroutine, yield hands the batch
+	// back (see sync); stopped records that it returned false.
+	resume  func() (ended, ok bool)
+	stop    func()
+	yield   func(ended bool) bool
+	stopped bool
 	// batch[head:] are the buffered ops the SM has not consumed yet.
 	batch    []Op
 	head     int
@@ -120,6 +123,9 @@ type warp struct {
 	// wheelNext links the warps sleeping in the same wake-wheel bucket:
 	// the next one's slot+1, 0 at the tail.
 	wheelNext int32
+	// ctx is the program's Ctx, last so that its pointer-free registers
+	// end the record (see Ctx).
+	ctx Ctx
 }
 
 // memOp is a memory instruction being processed by the load/store unit.
@@ -253,6 +259,9 @@ func (s *SM) sleep(w *warp, now uint64) {
 // the order they went to sleep.
 func (s *SM) wake(now uint64) {
 	b := now % wheelSize
+	if s.wheelHead[b] == 0 {
+		return
+	}
 	for l := s.wheelHead[b]; l != 0; l = s.warps[l-1].wheelNext {
 		s.runnable = append(s.runnable, l-1)
 	}
@@ -262,9 +271,8 @@ func (s *SM) wake(now uint64) {
 // launch starts the next warp ID in a fresh warp record with its own slot
 // coroutine.
 func (s *SM) launch(slot int32) *warp {
-	// The batch starts with room for the common case, a few async loads
-	// and their join; a longer one grows it once for the slot's lifetime.
-	w := &warp{id: s.warpIDs[s.nextSeed], slot: slot, ctx: &Ctx{}, batch: make([]Op, 0, 4)}
+	w := &warp{id: s.warpIDs[s.nextSeed], slot: slot, batch: make([]Op, 0, maxBatch)}
+	w.ctx.w = w
 	s.nextSeed++
 	w.resume, w.stop = iter.Pull(s.runSlot(w))
 	return w
@@ -273,37 +281,60 @@ func (s *SM) launch(slot int32) *warp {
 // relaunch starts the next warp ID in w's record and coroutine; w's program
 // has ended with no load in flight, and its coroutine is parked between
 // programs. The record is reset to exactly what launch would build, zeroed
-// registers included.
+// registers included. It is cleared in place: a composite literal would
+// build the whole record, registers included, on the stack and copy it.
 func (s *SM) relaunch(w *warp) {
-	*w.ctx = Ctx{}
-	*w = warp{id: s.warpIDs[s.nextSeed], slot: w.slot, ctx: w.ctx,
-		resume: w.resume, stop: w.stop, batch: w.batch[:0]}
+	slot, resume, stop, yield, batch := w.slot, w.resume, w.stop, w.yield, w.batch[:0]
+	*w = warp{}
+	w.id, w.slot, w.resume, w.stop = s.warpIDs[s.nextSeed], slot, resume, stop
+	w.yield, w.batch = yield, batch
+	w.ctx.w = w
 	s.nextSeed++
 }
 
 // runSlot is the body of a slot coroutine: it runs the programs of the
 // warps that successively occupy w's record. Each resume runs the current
-// program to its next sync point (a full batch, or an op that ends one) and
-// yields ended=false; when the program returns it yields ended=true, and
-// the next resume starts the program of whatever warp ID w holds by then.
+// program to its next sync point and yields ended=false (see sync); when
+// the program returns it yields ended=true, and the next resume starts the
+// program of whatever warp ID w holds by then.
 func (s *SM) runSlot(w *warp) iter.Seq[bool] {
 	return func(yield func(bool) bool) {
-		live := true
+		w.yield = yield
 		push := func(op Op) bool {
-			if !live {
+			if w.stopped {
 				return false
 			}
 			w.batch = append(w.batch, op)
-			if len(w.batch) == maxBatch || op.endsBatch() {
-				live = yield(false)
+			// Until the SM finishes it, a blocking load owns its register
+			// and lane set, a store the store lane set.
+			switch {
+			case op.Kind == OpStore:
+				w.ctx.pending[MaxRegs-1] = true
+			case op.Kind == OpLoad && !op.Async:
+				w.ctx.pending[op.Dst] = true
 			}
-			return live
+			if len(w.batch) == maxBatch || op.endsBatch() {
+				w.sync()
+			}
+			return !w.stopped
 		}
-		for live {
-			s.prog(w.id, w.ctx)(push)
-			live = live && yield(true)
+		for !w.stopped {
+			s.prog(w.id, &w.ctx)(push)
+			w.stopped = w.stopped || !yield(true)
 		}
 	}
+}
+
+// sync hands w's batch to the SM from inside the slot coroutine and returns
+// once the SM wants the op after it, when no slot is owned any more (see
+// Program). Kept out of line so that Ctx.need inlines into the readers.
+//
+//go:noinline
+func (w *warp) sync() {
+	if !w.stopped {
+		w.stopped = !w.yield(false)
+	}
+	w.ctx.pending = [MaxRegs]bool{}
 }
 
 // nextOp returns w's next op, resuming its program when the buffered batch

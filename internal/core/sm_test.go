@@ -3,10 +3,14 @@ package core_test
 import (
 	"encoding/binary"
 	"iter"
+	"math"
+	"slices"
 	"testing"
 
 	"lazydram/internal/cache"
 	"lazydram/internal/core"
+	"lazydram/internal/sim"
+	"lazydram/internal/workloads"
 )
 
 // fakeMem services SM transactions instantly-ish: requests accepted by send
@@ -27,8 +31,18 @@ func newFakeMem(latency uint64) *fakeMem {
 	return &fakeMem{latency: latency, stores: map[uint64]uint32{}}
 }
 
-// wordAt defines the fake memory contents: word value = low 32 bits of addr.
+// wordAt defines the fake memory's initial contents: word value = low 32
+// bits of addr.
 func wordAt(addr uint64) uint32 { return uint32(addr) }
+
+// word returns the fake memory's word at addr: the last value stored there,
+// else its initial contents.
+func (f *fakeMem) word(addr uint64) uint32 {
+	if v, ok := f.stores[addr]; ok {
+		return v
+	}
+	return wordAt(addr)
+}
 
 func (f *fakeMem) send(now uint64) func(*core.MemReq) bool {
 	return func(r *core.MemReq) bool {
@@ -55,7 +69,7 @@ func (f *fakeMem) deliver(sm *core.SM, now uint64) {
 			continue
 		}
 		for off := uint64(0); off < cache.LineSize; off += 4 {
-			binary.LittleEndian.PutUint32(p.req.Data[off:], wordAt(p.req.LineAddr+off))
+			binary.LittleEndian.PutUint32(p.req.Data[off:], f.word(p.req.LineAddr+off))
 		}
 		sm.HandleReply(p.req, now)
 		sm.Release(p.req)
@@ -360,46 +374,74 @@ func TestPartialWarpMasksInactiveLanes(t *testing.T) {
 	}
 }
 
-// TestProgramResumesOncePerBlockingLoad checks a program is resumed once per
-// sync point, not once per op: yielding compute, compute, load repeatedly,
-// it is suspended only at each blocking load. The program detects a
-// resumption by the driver's clock moving across a yield; the SM still
-// issues one op per slot, so the instruction count and the cycle count are
-// those the op sequence implies.
-func TestProgramResumesOncePerBlockingLoad(t *testing.T) {
+// clock is a test's core-cycle counter. A program detects that it
+// was suspended and resumed by the clock moving across a call: the SM
+// resumes it only from Tick.
+type clock struct{ now uint64 }
+
+// resumed runs f and reports whether the program was resumed inside it.
+func (c *clock) resumed(f func()) bool {
+	at := c.now
+	f()
+	return c.now != at
+}
+
+// run drives sm to completion against mem, advancing c.
+func (c *clock) run(t *testing.T, sm *core.SM, mem *fakeMem) {
+	t.Helper()
+	for ; !sm.Done(); c.now++ {
+		if c.now == 10000 {
+			t.Fatal("SM did not finish")
+		}
+		mem.deliver(sm, c.now)
+		sm.Tick(c.now, mem.send(c.now))
+	}
+}
+
+// TestProgramResumesOncePerPendingRead checks a program is resumed once
+// per read of a register slot a buffered op owns, not once per op or per
+// blocking load: yielding compute, compute, load repeatedly and reading the
+// loaded register after each load, it is suspended only at those reads, and
+// they see the delivered values. The SM still issues one op per slot, so
+// the instruction count and the cycle count are those the op sequence
+// implies.
+func TestProgramResumesOncePerPendingRead(t *testing.T) {
 	const iters, latency = 10, 5
-	var now uint64
-	resumes := 0
+	var clk clock
+	readResumes, yieldResumes, wrong := 0, 0, 0
 	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
 		return func(yield func(core.Op) bool) {
-			step := func(op core.Op) bool {
-				at := now
-				ok := yield(op)
-				if now != at {
-					resumes++
+			step := func(op core.Op) (ok bool) {
+				if clk.resumed(func() { ok = yield(op) }) {
+					yieldResumes++
 				}
 				return ok
 			}
 			for i := 0; i < iters; i++ {
+				addr := 4096 + uint64(i)*cache.LineSize
 				if !step(ctx.Compute(2)) || !step(ctx.Compute(3)) ||
-					!step(ctx.LoadSeq32(0, 4096+uint64(i)*cache.LineSize, 0, core.WarpSize)) {
+					!step(ctx.LoadSeq32(0, addr, 0, core.WarpSize)) {
 					return
+				}
+				var v uint32
+				if clk.resumed(func() { v = ctx.U32(0, 1) }) {
+					readResumes++
+				}
+				if v != wordAt(addr+4) {
+					wrong++
 				}
 			}
 		}
 	}
 	cfg := smConfig()
 	sm := core.NewSM(0, cfg, prog, []int{0})
-	mem := newFakeMem(latency)
-	for ; !sm.Done(); now++ {
-		if now == 10000 {
-			t.Fatal("SM did not finish")
-		}
-		mem.deliver(sm, now)
-		sm.Tick(now, mem.send(now))
+	clk.run(t, sm, newFakeMem(latency))
+	if readResumes != iters || yieldResumes != 0 {
+		t.Fatalf("program resumed %d times at reads and %d at yields, want %d and 0 (once per pending read)",
+			readResumes, yieldResumes, iters)
 	}
-	if resumes != iters {
-		t.Fatalf("program resumed %d times, want %d (once per blocking load)", resumes, iters)
+	if wrong != 0 {
+		t.Fatalf("%d reads saw a value other than the loaded one", wrong)
 	}
 	if got := sm.Insts(); got != 3*iters {
 		t.Fatalf("Insts = %d, want %d", got, 3*iters)
@@ -409,8 +451,136 @@ func TestProgramResumesOncePerBlockingLoad(t *testing.T) {
 	// and the L1 return latency. The program's end is seen at the issue
 	// slot after the last load returned; now is one past that cycle.
 	perIter := uint64(2+3+1+1+latency) + cfg.L1HitLatency
-	if want := iters*perIter + 1; now != want {
-		t.Fatalf("took %d cycles, want %d", now, want)
+	if want := iters*perIter + 1; clk.now != want {
+		t.Fatalf("took %d cycles, want %d", clk.now, want)
+	}
+}
+
+// TestProgramRunsAheadOverDistinctLoads checks a program runs ahead over
+// blocking loads into distinct registers: yielding four of them and then
+// reading all four, it is resumed once per group, at the first read, and
+// every read sees the delivered values.
+func TestProgramRunsAheadOverDistinctLoads(t *testing.T) {
+	const groups, regs = 3, 4
+	var clk clock
+	resumes, yieldResumes, wrong := 0, 0, 0
+	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
+		return func(yield func(core.Op) bool) {
+			addr := func(g, r int) uint64 { return uint64(4096 + (g*regs+r)*cache.LineSize) }
+			for g := 0; g < groups; g++ {
+				for r := 0; r < regs; r++ {
+					var ok bool
+					if clk.resumed(func() { ok = yield(ctx.LoadSeq32(r, addr(g, r), 0, core.WarpSize)) }) {
+						yieldResumes++
+					}
+					if !ok {
+						return
+					}
+				}
+				for r := 0; r < regs; r++ {
+					for l := 0; l < core.WarpSize; l++ {
+						var v uint32
+						if clk.resumed(func() { v = ctx.U32(r, l) }) {
+							resumes++
+						}
+						if v != wordAt(addr(g, r)+4*uint64(l)) {
+							wrong++
+						}
+					}
+				}
+			}
+		}
+	}
+	sm := core.NewSM(0, smConfig(), prog, []int{0})
+	clk.run(t, sm, newFakeMem(20))
+	if resumes != groups || yieldResumes != 0 {
+		t.Fatalf("program resumed %d times at reads and %d at yields, want %d and 0 (once per group)",
+			resumes, yieldResumes, groups)
+	}
+	if wrong != 0 {
+		t.Fatalf("%d register reads saw a value other than the loaded one", wrong)
+	}
+}
+
+// TestBackToBackStoresSync checks that building a store while an earlier
+// one is still buffered waits for it, since both use the store lane set:
+// building the second resumes the program, building the first does not,
+// and each store reaches memory with its own addresses and values.
+func TestBackToBackStoresSync(t *testing.T) {
+	var clk clock
+	var firstSynced, secondSynced bool
+	vals := func(k float32) []float32 {
+		v := make([]float32, core.WarpSize)
+		for l := range v {
+			v[l] = k + float32(l)
+		}
+		return v
+	}
+	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
+		return func(yield func(core.Op) bool) {
+			var op core.Op
+			firstSynced = clk.resumed(func() { op = ctx.StoreSeqF32(4096, 0, vals(100), core.WarpSize) })
+			if !yield(op) {
+				return
+			}
+			secondSynced = clk.resumed(func() { op = ctx.StoreSeqF32(8192, 0, vals(200), core.WarpSize) })
+			yield(op)
+		}
+	}
+	mem := newFakeMem(5)
+	sm := core.NewSM(0, smConfig(), prog, []int{0})
+	clk.run(t, sm, mem)
+	if firstSynced || !secondSynced {
+		t.Fatalf("building the stores resumed the program: first %v, second %v; want false, true", firstSynced, secondSynced)
+	}
+	for l := 0; l < core.WarpSize; l++ {
+		for _, s := range []struct {
+			base uint64
+			k    float32
+		}{{4096, 100}, {8192, 200}} {
+			if got, want := mem.stores[s.base+4*uint64(l)], math.Float32bits(s.k+float32(l)); got != want {
+				t.Fatalf("word %d of the store at %d = %#x, want %#x", l, s.base, got, want)
+			}
+		}
+	}
+}
+
+// syncProbe wraps a kernel and counts the ops after which a program's Ctx
+// had a slot pending.
+type syncProbe struct {
+	sim.Kernel
+	pending *int
+}
+
+func (k syncProbe) Program(phase, warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
+	return func(yield func(core.Op) bool) {
+		for op := range k.Kernel.Program(phase, warpID, ctx) {
+			if !yield(op) {
+				return
+			}
+			if core.Pending(ctx) {
+				*k.pending++
+			}
+		}
+	}
+}
+
+// TestFunctionalCtxNeverSyncs checks a Ctx driven outside an SM, by
+// sim.RunFunctional, never has a slot pending, so its readers never reach
+// the sync hook (its warp is nil), and the run's output is that of the
+// unwrapped kernel.
+func TestFunctionalCtxNeverSyncs(t *testing.T) {
+	k, err := workloads.New("GEMM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := 0
+	got := sim.RunFunctional(syncProbe{k, &pending}, 1)
+	if pending != 0 {
+		t.Fatalf("%d ops left a slot pending outside an SM", pending)
+	}
+	if want := sim.RunFunctional(k, 1); !slices.Equal(got, want) {
+		t.Fatal("wrapped kernel's output differs from the kernel's")
 	}
 }
 
@@ -456,12 +626,15 @@ func TestSlotWithAsyncInFlightNotReused(t *testing.T) {
 				yield(ctx.Async(ctx.LoadSeq32(0, 4096, 0, core.WarpSize)))
 				return // ends without a join
 			}
-			// Outlast warp 0's load, then read register 0 after a blocking
-			// load has resumed this program.
+			// Outlast warp 0's load, then read register 0 once reading a
+			// blocking load's register has resumed this program.
 			if !yield(ctx.Compute(2*latency)) || !yield(ctx.LoadSeq32(1, 8192, 0, core.WarpSize)) {
 				return
 			}
-			after = ctx.Regs[0]
+			ctx.U32(1, 0)
+			for l := range after {
+				after[l] = ctx.U32(0, l)
+			}
 		}
 	}
 	cfg := smConfig()

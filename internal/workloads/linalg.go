@@ -19,10 +19,14 @@ func init() {
 	register("BICG", func() sim.Kernel { return &bicg{n: 384} })
 }
 
+// matmulRows is how many B row segments matmulProgram loads, into registers
+// 1..matmulRows, before it reads them: it runs ahead over those loads.
+const matmulRows = 4
+
 // matmulProgram emits the instruction stream of warp w of an n x n
 // row-major matrix multiply C = alpha*A*B + beta*C: each warp produces 32
 // consecutive elements of one C row, loading the A row in line-sized chunks
-// and streaming the matching B row segments.
+// and streaming the matching B row segments, each followed by its compute.
 func matmulProgram(ctx *core.Ctx, n, w int, a, b, c uint64, alpha, beta float32) iter.Seq[core.Op] {
 	return func(yield func(core.Op) bool) {
 		stripes := n / core.WarpSize
@@ -33,16 +37,18 @@ func matmulProgram(ctx *core.Ctx, n, w int, a, b, c uint64, alpha, beta float32)
 			if !yield(ctx.LoadSeq32(0, a, i*n+k0, core.WarpSize)) {
 				return
 			}
-			for kk := 0; kk < core.WarpSize; kk++ {
-				if !yield(ctx.LoadSeq32(1, b, (k0+kk)*n+j, core.WarpSize)) {
-					return
+			for kk := 0; kk < core.WarpSize; kk += matmulRows {
+				for r := 1; r <= matmulRows; r++ {
+					if !yield(ctx.LoadSeq32(r, b, (k0+kk+r-1)*n+j, core.WarpSize)) ||
+						!yield(ctx.Compute(2)) {
+						return
+					}
 				}
-				av := ctx.F32(0, kk)
-				for l := 0; l < core.WarpSize; l++ {
-					acc[l] += av * ctx.F32(1, l)
-				}
-				if !yield(ctx.Compute(2)) {
-					return
+				for r := 1; r <= matmulRows; r++ {
+					av := ctx.F32(0, kk+r-1)
+					for l := 0; l < core.WarpSize; l++ {
+						acc[l] += av * ctx.F32(r, l)
+					}
 				}
 			}
 		}
