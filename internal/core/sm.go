@@ -148,8 +148,30 @@ type memOp struct {
 // warp longer than this.
 const wheelSize = 1024
 
+// never is the horizon of an SM that has nothing to do until an outside
+// event.
+const never = ^uint64(0)
+
 // SM is one streaming multiprocessor.
 type SM struct {
+	// next is the first cycle on which Tick can act without an outside
+	// event (see horizon). It shares a cache line with the fields Tick and
+	// the GPU's tick gate read first; it is bookkeeping, not state, and
+	// stays out of DigestInto.
+	next   uint64
+	outbox []*MemReq
+	// runnable is the FIFO of warp slots eligible to issue (loose round
+	// robin).
+	runnable []int32
+	lsu      *memOp
+	lsuQueue []int32 // warps parked with a decoded memory instruction
+	// lsuStalled parks the LSU after its current line failed on a full
+	// outbox or MSHR: until a reply or an outbox pop the retry would fail
+	// again, so lsuTick returns at once.
+	lsuStalled bool
+	// sleepers counts the warps in the wake wheel.
+	sleepers int
+
 	id   int
 	cfg  Config
 	l1   *cache.Cache
@@ -160,19 +182,14 @@ type SM struct {
 	nextSeed int
 	warps    []*warp
 
-	// runnable is the FIFO of warp slots eligible to issue (loose round
-	// robin). The wake wheel holds sleeping warps until their readyAt
-	// cycle: bucket c%wheelSize is an intrusive FIFO through
-	// warp.wheelNext, with wheelHead/wheelTail holding slot+1 (0 = empty).
-	runnable  []int32
+	// The wake wheel holds sleeping warps until their readyAt cycle: bucket
+	// c%wheelSize is an intrusive FIFO through warp.wheelNext, with
+	// wheelHead/wheelTail holding slot+1 (0 = empty).
 	wheelHead [wheelSize]int32
 	wheelTail [wheelSize]int32
 
-	lsu      *memOp
-	lsuQueue []int32 // warps parked with a decoded memory instruction
-	opPool   []*memOp
-	outbox   []*MemReq
-	reqPool  []*MemReq // released transactions, for newReq
+	opPool  []*memOp
+	reqPool []*MemReq // released transactions, for newReq
 
 	outstanding int // load transactions in flight past the L1
 
@@ -205,6 +222,7 @@ func (s *SM) Reseed(prog Program, warpIDs []int) {
 	}
 	s.l1.Reset()
 	s.prog, s.warpIDs, s.nextSeed, s.insts = prog, warpIDs, 0, 0
+	s.next, s.sleepers = 0, 0
 	s.runnable = s.runnable[:0]
 	clear(s.wheelHead[:])
 	clear(s.wheelTail[:])
@@ -247,6 +265,7 @@ func (s *SM) sleep(w *warp, now uint64) {
 	}
 	b := w.readyAt % wheelSize
 	w.wheelNext = 0
+	s.sleepers++
 	if t := s.wheelTail[b]; t == 0 {
 		s.wheelHead[b] = w.slot + 1
 	} else {
@@ -264,6 +283,7 @@ func (s *SM) wake(now uint64) {
 	}
 	for l := s.wheelHead[b]; l != 0; l = s.warps[l-1].wheelNext {
 		s.runnable = append(s.runnable, l-1)
+		s.sleepers--
 	}
 	s.wheelHead[b], s.wheelTail[b] = 0, 0
 }
@@ -396,15 +416,53 @@ func (s *SM) Shutdown() {
 	}
 }
 
+// Next returns the first cycle on which Tick can act, unless a reply
+// arrives or the outbox head can be sent first; until then a Tick is a
+// no-op apart from that send.
+func (s *SM) Next() uint64 { return s.next }
+
+// OutboxHead returns the transaction Tick will try to send first, or nil.
+func (s *SM) OutboxHead() *MemReq {
+	if len(s.outbox) == 0 {
+		return nil
+	}
+	return s.outbox[0]
+}
+
 // Tick advances the SM by one core cycle. send pushes a transaction into the
-// request network and reports acceptance.
+// request network and reports acceptance. It may be called on every cycle,
+// but need not be: see Next.
 func (s *SM) Tick(now uint64, send func(*MemReq) bool) {
 	if len(s.outbox) > 0 && send(s.outbox[0]) {
 		s.outbox = slices.Delete(s.outbox, 0, 1)
+		s.lsuStalled = false
 	}
 	s.wake(now)
 	s.lsuTick(now)
 	s.issue(now)
+	s.next = s.horizon(now)
+}
+
+// horizon returns the first cycle after now on which Tick can act without a
+// reply or an outbox pop: the next one while a warp is runnable or the LSU
+// can progress, else that of the earliest wake-wheel bucket holding a warp,
+// else never. Nothing else changes between ticks what a Tick would do: a
+// parked LSU retries only after a reply (MSHR entry freed, L1 filled) or a
+// pop (outbox slot freed), and HandleReply resets the horizon itself.
+func (s *SM) horizon(now uint64) uint64 {
+	if len(s.runnable) > 0 || !s.lsuStalled && (s.lsu != nil || len(s.lsuQueue) > 0) {
+		return now + 1
+	}
+	if s.sleepers == 0 {
+		return never
+	}
+	// A warp sleeps less than wheelSize cycles, so the scan ends within one
+	// turn of the wheel.
+	t := now + 1
+	for s.wheelHead[t%wheelSize] == 0 {
+		t++
+	}
+	return t
 }
 
 func (s *SM) issue(now uint64) {
@@ -559,6 +617,9 @@ func (s *SM) releaseOp(op *memOp) {
 // lsuTick processes at most one line transaction of the current memory op,
 // installing the next parked memory instruction when the unit frees up.
 func (s *SM) lsuTick(now uint64) {
+	if s.lsuStalled {
+		return
+	}
 	if s.lsu == nil && len(s.lsuQueue) > 0 {
 		slot := s.lsuQueue[0]
 		s.lsuQueue = slices.Delete(s.lsuQueue, 0, 1)
@@ -571,9 +632,11 @@ func (s *SM) lsuTick(now uint64) {
 	if op.nextLine < op.numLines {
 		if op.kind == OpLoad {
 			if !s.lsuLoadLine(op, op.nextLine, now) {
-				return // structural stall; retry next cycle
+				s.lsuStalled = true // structural stall; park until a reply or a pop
+				return
 			}
 		} else if !s.lsuStoreLine(op, op.nextLine, now) {
+			s.lsuStalled = true
 			return
 		}
 		op.nextLine++
@@ -619,7 +682,9 @@ func (s *SM) finishAsync(op *memOp, now uint64) {
 func (s *SM) lsuLoadLine(op *memOp, i int, now uint64) bool {
 	line := op.line(i)
 	// Probe hazards before recording the access so a structurally stalled
-	// transaction does not inflate the L1 statistics on every retry.
+	// transaction does not inflate the L1 statistics on every retry. A
+	// failed attempt thus changes nothing, and the retries a parked LSU
+	// skips (lsuStalled) need no charge.
 	if e := s.mshr.Lookup(line); e != nil {
 		if !s.mshr.CanMerge(e) {
 			return false
@@ -701,6 +766,9 @@ func (s *SM) completeOp(op *memOp, now uint64) {
 // the L1, delivers lane values to every merged waiter, and unblocks warps
 // whose memory instruction is now complete.
 func (s *SM) HandleReply(rep *MemReq, now uint64) {
+	// The freed MSHR entry and the filled line may let a parked LSU retry
+	// succeed, and woken warps may issue: tick on this cycle.
+	s.next, s.lsuStalled = now, false
 	line := rep.LineAddr
 	e := s.mshr.Lookup(line)
 	if e == nil {

@@ -20,6 +20,9 @@ type fakeMem struct {
 	inFlight []pendingReq
 	accepted int
 	stores   map[uint64]uint32 // word addr -> value
+	// every, when above 1, makes f accept transactions only on the cycles
+	// it divides: backpressure, as a busy request-network port.
+	every uint64
 }
 
 type pendingReq struct {
@@ -44,8 +47,14 @@ func (f *fakeMem) word(addr uint64) uint32 {
 	return wordAt(addr)
 }
 
+// full reports whether f refuses transactions at cycle now (see every).
+func (f *fakeMem) full(now uint64) bool { return f.every > 1 && now%f.every != 0 }
+
 func (f *fakeMem) send(now uint64) func(*core.MemReq) bool {
 	return func(r *core.MemReq) bool {
+		if f.full(now) {
+			return false
+		}
 		f.accepted++
 		if r.Load {
 			f.inFlight = append(f.inFlight, pendingReq{req: r, at: now + f.latency})
@@ -83,6 +92,24 @@ func runSM(t *testing.T, sm *core.SM, mem *fakeMem, limit uint64) uint64 {
 	for now := uint64(0); now < limit; now++ {
 		mem.deliver(sm, now)
 		sm.Tick(now, mem.send(now))
+		if sm.Done() {
+			return now
+		}
+	}
+	t.Fatal("SM did not finish")
+	return 0
+}
+
+// runSMGated drives the SM to completion as GPU.coreTick does, ticking it
+// only on its horizon (which a reply resets) or when mem accepts its
+// outbox head, and returns the cycles taken.
+func runSMGated(t *testing.T, sm *core.SM, mem *fakeMem, limit uint64) uint64 {
+	t.Helper()
+	for now := uint64(0); now < limit; now++ {
+		mem.deliver(sm, now)
+		if sm.Next() <= now || sm.OutboxHead() != nil && !mem.full(now) {
+			sm.Tick(now, mem.send(now))
+		}
 		if sm.Done() {
 			return now
 		}
@@ -687,5 +714,74 @@ func TestComputeLoopCutAtBatchBound(t *testing.T) {
 	sm.Shutdown()
 	if !returned || !sm.Done() {
 		t.Fatalf("after Shutdown: program returned=%v, SM done=%v", returned, sm.Done())
+	}
+}
+
+// TestStalledLSUParksUntilReplyOrPop checks the parked LSU behind the SM's
+// horizon. A load's second line fails, on a full MSHR or a full outbox;
+// from then on the SM has nothing to do (Next() > now) and a Tick changes
+// nothing, until a reply frees the MSHR entry or the outbox head leaves.
+// The retry then succeeds on that same cycle.
+func TestStalledLSUParksUntilReplyOrPop(t *testing.T) {
+	const base = 4096
+	for _, tc := range []struct {
+		name   string
+		mutate func(*core.Config)
+		open   uint64 // the first cycle the network accepts a transaction
+	}{
+		{"mshr-full", func(c *core.Config) { c.L1MSHREntries = 1 }, 0},
+		{"outbox-full", func(c *core.Config) { c.OutboxDepth = 1 }, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
+				return func(yield func(core.Op) bool) {
+					// Lanes 0-15 read the second half of one line, lanes
+					// 16-31 the first half of the next.
+					yield(ctx.LoadSeq32(0, base, 16, core.WarpSize))
+				}
+			}
+			cfg := smConfig()
+			tc.mutate(&cfg)
+			mem := newFakeMem(30)
+			sm := core.NewSM(0, cfg, prog, []int{0})
+			defer sm.Shutdown()
+			const second = base + cache.LineSize
+			var parked bool
+			var before uint64
+			for now := uint64(0); now < 1000; now++ {
+				replies := len(mem.inFlight) > 0 && mem.inFlight[0].at <= now
+				mem.deliver(sm, now)
+				if replies && sm.Next() > now {
+					t.Fatalf("cycle %d: a reply left the horizon at %d", now, sm.Next())
+				}
+				send := func(r *core.MemReq) bool { return now >= tc.open && mem.send(now)(r) }
+				pops := sm.OutboxHead() != nil && now >= tc.open
+				sm.Tick(now, send)
+				if h := sm.OutboxHead(); h != nil && h.LineAddr == second {
+					switch {
+					case !parked:
+						t.Fatalf("second line issued at cycle %d without parking", now)
+					case !replies && !pops:
+						t.Fatalf("parked retry succeeded at cycle %d with no reply or pop", now)
+					case h.IssuedAt != now:
+						t.Fatalf("second line issued at %d, want the wake cycle %d", h.IssuedAt, now)
+					}
+					return
+				}
+				if now < 2 {
+					continue // install the load, issue its first line
+				}
+				if next := sm.Next(); next <= now {
+					t.Fatalf("cycle %d: stalled SM has horizon %d", now, next)
+				}
+				if d := smDigest(sm); parked && d != before {
+					t.Fatalf("cycle %d: a parked Tick changed the SM", now)
+				} else {
+					before = d
+				}
+				parked = true
+			}
+			t.Fatal("the parked retry never succeeded")
+		})
 	}
 }

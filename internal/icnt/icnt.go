@@ -7,6 +7,8 @@
 // (see DESIGN.md, "Known deviations").
 package icnt
 
+import "math/bits"
+
 // Packet is one message in flight.
 type Packet struct {
 	Src     int
@@ -54,7 +56,10 @@ type Network struct {
 	// lastPop tracks the last cycle a packet was delivered per port, to
 	// enforce one delivery per port per cycle.
 	lastPop []uint64
-	sent    uint64
+	// busy has bit d set while port d holds a packet, so a consumer can
+	// visit the non-empty ports only (NextBusy).
+	busy []uint64
+	sent uint64
 }
 
 // New creates a network.
@@ -63,6 +68,7 @@ func New(cfg Config) *Network {
 		cfg:     cfg,
 		queues:  make([]port, cfg.Ports),
 		lastPop: make([]uint64, cfg.Ports),
+		busy:    make([]uint64, (cfg.Ports+63)/64),
 	}
 	for i := range n.lastPop {
 		n.queues[i].buf = make([]Packet, max(cfg.QueueDepth, 0))
@@ -85,6 +91,7 @@ func (n *Network) Send(src, dst int, payload any, now uint64) bool {
 	q := &n.queues[dst]
 	*q.at(q.n) = Packet{Src: src, Dst: dst, Payload: payload, readyAt: now + n.cfg.LatencyCycles}
 	q.n++
+	n.busy[dst/64] |= 1 << (dst % 64)
 	n.sent++
 	return true
 }
@@ -101,9 +108,26 @@ func (n *Network) Recv(dst int, now uint64) (Packet, bool) {
 	if q.head++; q.head == len(q.buf) {
 		q.head = 0
 	}
-	q.n--
+	if q.n--; q.n == 0 {
+		n.busy[dst/64] &^= 1 << (dst % 64)
+	}
 	n.lastPop[dst] = now
 	return p, true
+}
+
+// NextBusy returns the lowest port at or above from that holds a packet,
+// delivered yet or not, or -1 if there is none.
+func (n *Network) NextBusy(from int) int {
+	for i := from / 64; i < len(n.busy); i++ {
+		w := n.busy[i]
+		if i == from/64 {
+			w &^= 1<<(from%64) - 1
+		}
+		if w != 0 {
+			return 64*i + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // Peek returns the head packet for dst without removing it, if deliverable.

@@ -1,6 +1,7 @@
 package icnt_test
 
 import (
+	"fmt"
 	"testing"
 
 	"lazydram/internal/icnt"
@@ -87,5 +88,38 @@ func TestPendingAndSentCounters(t *testing.T) {
 	n.Send(0, 1, nil, 0)
 	if n.Pending() != 2 || n.Sent() != 2 {
 		t.Fatalf("pending=%d sent=%d, want 2/2", n.Pending(), n.Sent())
+	}
+}
+
+// TestNextBusyVisitsNonEmptyPorts checks the busy-port set across several
+// words of ports: NextBusy lists exactly the ports holding a packet,
+// delivered yet or not, in ascending order, and a port leaves the set with
+// its last packet.
+func TestNextBusyVisitsNonEmptyPorts(t *testing.T) {
+	n := icnt.New(icnt.Config{Ports: 150, LatencyCycles: 8, QueueDepth: 2})
+	busy := func() []int {
+		var ps []int
+		for p := n.NextBusy(0); p >= 0; p = n.NextBusy(p + 1) {
+			ps = append(ps, p)
+		}
+		return ps
+	}
+	if ps := busy(); ps != nil {
+		t.Fatalf("empty network lists busy ports %v", ps)
+	}
+	for _, p := range []int{149, 0, 64, 63, 127, 64} {
+		n.Send(0, p, nil, 0)
+	}
+	if got, want := fmt.Sprint(busy()), "[0 63 64 127 149]"; got != want {
+		t.Fatalf("busy ports %s, want %s", got, want)
+	}
+	if n.NextBusy(150) != -1 || n.NextBusy(65) != 127 {
+		t.Fatalf("NextBusy(150)=%d NextBusy(65)=%d, want -1 and 127", n.NextBusy(150), n.NextBusy(65))
+	}
+	n.Recv(63, 100)
+	n.Recv(64, 100) // one of port 64's two packets
+	n.Recv(149, 3)  // not deliverable yet: the port stays busy
+	if got, want := fmt.Sprint(busy()), "[0 64 127 149]"; got != want {
+		t.Fatalf("after receives, busy ports %s, want %s", got, want)
 	}
 }

@@ -101,6 +101,10 @@ type GPU struct {
 	// sampled wall-clock per Step phase, reported under telemetry
 	// census.host.
 	host *hostProf
+
+	// tickEvery ticks every SM and polls every reply port on every cycle,
+	// ignoring the SMs' horizons; only the equivalence test sets it.
+	tickEvery bool
 }
 
 // sampleState remembers the cumulative counters at the previous time-series
@@ -338,20 +342,27 @@ func (g *GPU) coreTick() {
 			p.sendReply(g.replyNet, now)
 		}
 	}
-	// 2. Reply network delivers to SMs. The load transaction ends here, so
-	// its SM takes the request back.
-	for s, sm := range g.sms {
+	// 2. Reply network delivers to SMs, visiting the ports that hold a
+	// packet in SM order. The load transaction ends here, so its SM takes
+	// the request back.
+	for s := g.nextReplyPort(0); s >= 0; s = g.nextReplyPort(s + 1) {
 		if pkt, ok := g.replyNet.Recv(s, now); ok {
 			rep := pkt.Payload.(*core.MemReq)
 			g.tr.Observe(obs.StageIcntReply, now-rep.SentAt)
 			g.tr.Observe(obs.StageTotal, now-rep.IssuedAt)
+			sm := g.sms[s]
 			sm.HandleReply(rep, now)
 			sm.Release(rep)
 		}
 	}
-	// 3. SMs execute; their sends are routed by address.
+	// 3. SMs execute; their sends are routed by address. An SM is ticked
+	// only when it can act: on its horizon (which a reply resets to now),
+	// or to send its outbox head. Any other Tick would be a no-op.
+	send := g.sendReq(now)
 	for _, sm := range g.sms {
-		sm.Tick(now, g.sendReq(now))
+		if g.tickEvery || sm.Next() <= now || g.sendable(sm.OutboxHead()) {
+			sm.Tick(now, send)
+		}
 	}
 	// 4. Request network delivers to partitions, honouring backpressure. An
 	// accepted store is complete once the L2 or its MSHR copied its words,
@@ -370,6 +381,24 @@ func (g *GPU) coreTick() {
 			}
 		}
 	}
+}
+
+// nextReplyPort returns the first reply port at or above s holding a
+// packet, or -1; under tickEvery, every port in turn.
+func (g *GPU) nextReplyPort(s int) int {
+	if !g.tickEvery {
+		return g.replyNet.NextBusy(s)
+	}
+	if s < len(g.sms) {
+		return s
+	}
+	return -1
+}
+
+// sendable reports whether an SM's send of r would act: route it on its
+// first attempt, or enter the request network.
+func (g *GPU) sendable(r *core.MemReq) bool {
+	return r != nil && (!r.Routed || g.reqNet.CanSend(r.Coord.Channel))
 }
 
 // sendReq returns the SMs' send function for cycle now. A transaction's
