@@ -352,30 +352,34 @@ func (p *partition) sendReply(net *icnt.Network, now uint64) {
 
 // acceptReq attempts to consume one SM transaction, routed by GPU.sendReq
 // (req.Coord is set). It returns false when a structural hazard (MSHR or
-// pending queue full) forces the request to wait in the network.
+// pending queue full) forces the request to wait in the network. The
+// hazards are probed before the L2 access is recorded, so a request that
+// waits counts one access when it enters, not one per retry.
 func (p *partition) acceptReq(req *core.MemReq, now uint64) bool {
 	line := req.LineAddr
+	var e *cache.MSHREntry
+	if !p.l2.Contains(line) {
+		e = p.mshr.Lookup(line)
+		switch {
+		case e != nil && req.Load && !p.mshr.CanMerge(e):
+			p.noteIngressStall(true)
+			return false
+		case e == nil && (p.mshr.Full() || p.ctrl.Full()):
+			p.noteIngressStall(false)
+			return false
+		}
+	}
 	if req.Load {
 		if p.l2.Read(line, req.Data[:]) {
 			p.tr.Observe(obs.StageL2Hit, p.cfg.L2HitLatency)
 			p.hits.push(now+p.cfg.L2HitLatency, req)
 			return true
 		}
-		if e := p.mshr.Lookup(line); e != nil {
-			if !p.mshr.CanMerge(e) {
-				p.noteIngressStall(true)
-				return false
-			}
-			e.Targets = append(e.Targets, req)
-			return true
+		if e == nil {
+			e = p.mshr.Allocate(line)
+			p.ctrl.Push(line, false, p.annot.Approximable(line), req.Coord)
 		}
-		if p.mshr.Full() || p.ctrl.Full() {
-			p.noteIngressStall(false)
-			return false
-		}
-		e := p.mshr.Allocate(line)
 		e.Targets = append(e.Targets, req)
-		p.ctrl.Push(line, false, p.annot.Approximable(line), req.Coord)
 		return true
 	}
 	// Store transaction: write-back L2 with write-allocate.
@@ -383,21 +387,14 @@ func (p *partition) acceptReq(req *core.MemReq, now uint64) bool {
 		p.l2.MergeLine(line, req.Mask, &req.Data, true)
 		return true
 	}
-	if e := p.mshr.Lookup(line); e != nil {
-		e.Stores = append(e.Stores, cache.LineStore{Mask: req.Mask, Data: req.Data})
-		e.HasStore = true
-		return true
+	if e == nil {
+		e = p.mshr.Allocate(line)
+		// The fill-for-write is a DRAM read, but never approximable:
+		// dropping it would lose the exactness guarantee for stores.
+		p.ctrl.Push(line, false, false, req.Coord)
 	}
-	if p.mshr.Full() || p.ctrl.Full() {
-		p.noteIngressStall(false)
-		return false
-	}
-	e := p.mshr.Allocate(line)
 	e.Stores = append(e.Stores, cache.LineStore{Mask: req.Mask, Data: req.Data})
 	e.HasStore = true
-	// The fill-for-write is a DRAM read, but never approximable: dropping it
-	// would lose the exactness guarantee for stores.
-	p.ctrl.Push(line, false, false, req.Coord)
 	return true
 }
 

@@ -265,3 +265,21 @@ func TestPredictorKindsProduceDifferentErrors(t *testing.T) {
 		t.Fatal("all predictors produced identical error; selection is not wired through")
 	}
 }
+
+// TestL2CountsEachRequestOnce checks that a request held in the request
+// network by a full MSHR or pending queue counts one L2 access when it
+// enters, not one per retry: the L2 sees exactly the SMs' transactions.
+func TestL2CountsEachRequestOnce(t *testing.T) {
+	for _, run := range []struct {
+		app    string
+		scheme mc.Scheme
+	}{{"SCP", mc.DynBoth}, {"FWT", mc.DynDMS}} {
+		t.Run(run.app+"/"+run.scheme.Name(), func(t *testing.T) {
+			g := prepare(t, run.app, run.scheme)
+			res := runGPU(t, g)
+			if got, want := res.Run.L2Accesses, sim.ReqPackets(g); got != want {
+				t.Errorf("%d L2 accesses for %d request packets", got, want)
+			}
+		})
+	}
+}
