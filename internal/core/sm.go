@@ -429,14 +429,28 @@ func (s *SM) OutboxHead() *MemReq {
 	return s.outbox[0]
 }
 
-// Tick advances the SM by one core cycle. send pushes a transaction into the
-// request network and reports acceptance. It may be called on every cycle,
-// but need not be: see Next.
+// Tick advances the SM by one core cycle: Send, then Advance. send pushes a
+// transaction into the request network and reports acceptance. It may be
+// called on every cycle, but need not be: see Next.
 func (s *SM) Tick(now uint64, send func(*MemReq) bool) {
+	s.Send(send)
+	s.Advance(now)
+}
+
+// Send offers the outbox head to send, the one part of a Tick that touches
+// state outside the SM. A caller that ticks many SMs sends for them in a
+// fixed order and may then run their Advance (and HandleReply) in any order,
+// or concurrently.
+func (s *SM) Send(send func(*MemReq) bool) {
 	if len(s.outbox) > 0 && send(s.outbox[0]) {
 		s.outbox = slices.Delete(s.outbox, 0, 1)
 		s.lsuStalled = false
 	}
+}
+
+// Advance runs the rest of a Tick after its Send: it wakes sleeping warps,
+// steps the LSU, issues and sets the horizon, touching only the SM itself.
+func (s *SM) Advance(now uint64) {
 	s.wake(now)
 	s.lsuTick(now)
 	s.issue(now)

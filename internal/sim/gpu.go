@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"lazydram/internal/approx"
@@ -93,9 +95,34 @@ type GPU struct {
 	prev    sampleState
 	dig     *obs.DigestLog // flight recorder; nil unless Obs.DigestEvery > 0
 
-	// pool, when non-nil (Config.ShardPartitions), ticks partitions on
-	// worker goroutines with a bulk-synchronous barrier per cycle.
-	pool *shardPool
+	// pool runs partition ticks (shard: Config.ShardPartitions with more
+	// than one worker) and, while smPar is set, the SM phase: each due SM's
+	// reply and Advance. It starts on the first Step that needs it and
+	// stops with the run.
+	pool  *shardPool
+	shard bool
+	// state is 0 before the first Step, 1 while the run counts in
+	// liveRuns, 2 once it has shut down.
+	state uint8
+
+	// replies[s] is the reply SM s received this cycle, due the SMs of a
+	// parallel window that act this cycle, in SM order (see tickSMs).
+	replies []*core.MemReq
+	due     []int32
+	// smPar selects the pool for the SM phase, smTrial runs the current
+	// window of smWindow cycles in the other mode, smNS and smMaxNS sum and
+	// bound the window's timed samples, smActing counts its acting SMs,
+	// smBase is the last non-trial window's cost, and a trial comes after
+	// smWait more windows, smBackoff after the last one (see
+	// decideSMPhase). forcePar runs every SM phase
+	// on a two-worker pool; only the equivalence tests set it.
+	smPar, smTrial    bool
+	smNS, smMaxNS     uint64
+	smActing          int
+	smBase            float64
+	smWait, smBackoff int
+	forcePar          bool
+	parPhases         uint64 // SM phases run on the pool
 
 	// host is the host-side phase profiler (non-nil only with Obs.Census):
 	// sampled wall-clock per Step phase, reported under telemetry
@@ -150,9 +177,9 @@ func NewGPU(cfg Config, scheme mc.Scheme, kern Kernel, im *memimage.Image) *GPU 
 	}
 	g.reqNet = icnt.New(g.cfg.icntConfig(nParts))
 	g.replyNet = icnt.New(g.cfg.icntConfig(cfg.NumSMs))
-	if cfg.ShardPartitions && nParts > 1 {
-		g.pool = newShardPool(g.partitions, cfg.ShardWorkers)
-	}
+	g.replies = make([]*core.MemReq, cfg.NumSMs)
+	g.due = make([]int32, 0, cfg.NumSMs)
+	g.shard = cfg.ShardPartitions && g.shardWorkers() > 1
 	if g.cfg.Obs.Census {
 		g.host = &hostProf{}
 	}
@@ -163,7 +190,7 @@ func NewGPU(cfg Config, scheme mc.Scheme, kern Kernel, im *memimage.Image) *GPU 
 // aggregated statistics. It is Step in a loop: callers that need lockstep
 // control (cmd/lazydiverge) drive Step directly and then call Finish.
 func (g *GPU) Run() (*Result, error) {
-	defer g.Close() // stop the shard workers and warps on every exit path
+	defer g.Close() // stop the pool's helpers and the warps on every exit path
 	for {
 		done, err := g.Step()
 		if err != nil {
@@ -193,9 +220,17 @@ func (g *GPU) Step() (done bool, err error) {
 		g.seedPhase(g.phase)
 		g.seeded = true
 	}
+	if g.state == 0 {
+		g.start()
+	}
 	if g.coreCycle >= g.cfg.MaxCoreCycles {
 		g.shutdown()
 		return false, fmt.Errorf("sim: %s exceeded %d core cycles", g.kern.Name(), g.cfg.MaxCoreCycles)
+	}
+	sample := !g.forcePar && g.coreCycle%smSampleEvery == 0
+	var ts time.Time
+	if sample {
+		ts = time.Now()
 	}
 	if g.host.sampleCore(g.coreCycle) {
 		t0 := time.Now()
@@ -212,8 +247,9 @@ func (g *GPU) Step() (done bool, err error) {
 		if timed {
 			t0 = time.Now()
 		}
-		if g.pool != nil {
-			g.pool.memTick(g.memCycle, timed)
+		if g.shard {
+			g.pool.addRange(len(g.partitions))
+			g.pool.dispatch(phaseMem, g.memCycle, timed)
 		} else {
 			for _, p := range g.partitions {
 				p.memTick(g.memCycle)
@@ -241,6 +277,11 @@ func (g *GPU) Step() (done bool, err error) {
 			g.host.addProbe(time.Since(t0))
 		}
 	}
+	if sample {
+		d := uint64(time.Since(ts))
+		g.smNS += d
+		g.smMaxNS = max(g.smMaxNS, d)
+	}
 	g.coreCycle++
 	if g.coreCycle%512 == 0 && g.done() {
 		g.retireSMs()
@@ -254,21 +295,18 @@ func (g *GPU) Step() (done bool, err error) {
 	return false, nil
 }
 
-// Finish ends a stepwise run: it stops the shard workers and aggregates the
-// results. Call it once, after Step has returned done=true.
+// Finish ends a stepwise run: it stops the pool's helpers and aggregates
+// the results. Call it once, after Step has returned done=true.
 func (g *GPU) Finish() *Result {
 	g.Close()
 	return g.collect()
 }
 
-// Close stops the shard workers and every SM's warp coroutines without
+// Close stops the pool's helpers and every SM's warp coroutines without
 // collecting results; for abandoning a stepwise run early (a Step error, or
 // a located divergence). Safe to call more than once; Run and Finish close
 // the GPU themselves.
-func (g *GPU) Close() {
-	g.pool.close()
-	g.shutdown()
-}
+func (g *GPU) Close() { g.shutdown() }
 
 // MemCycle returns the current memory-clock cycle.
 func (g *GPU) MemCycle() uint64 { return g.memCycle }
@@ -316,10 +354,53 @@ func (g *GPU) retireSMs() {
 	g.sms = nil
 }
 
-// shutdown releases every SM's warp coroutines, parked ones included.
+// liveRuns counts the simulations of the process between their first Step
+// and their shutdown; the SM phase goes parallel only while it is below
+// GOMAXPROCS, so concurrent runs (an exp.Runner sweep, lazydiverge's
+// lockstep pair) keep to one core each.
+var liveRuns atomic.Int32
+
+// start counts the run in liveRuns and starts the shard pool.
+func (g *GPU) start() {
+	g.state = 1
+	liveRuns.Add(1)
+	if g.shard {
+		g.pool = newShardPool(g.shardWorkers(), g.runItem)
+	}
+}
+
+// shardWorkers is the partition pool size: Config.ShardWorkers, 0 picking
+// GOMAXPROCS, capped at the partition count.
+func (g *GPU) shardWorkers() int {
+	w := g.cfg.ShardWorkers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(w, len(g.partitions)))
+}
+
+// shutdown stops the pool's helpers and releases every SM's warp
+// coroutines, parked ones included. Safe to call more than once.
 func (g *GPU) shutdown() {
+	if g.state == 1 {
+		g.state = 2
+		liveRuns.Add(-1)
+	}
+	g.pool.close()
 	for _, s := range g.cores {
 		s.Shutdown()
+	}
+}
+
+// runItem runs one pool item: SM i's local work, or partition i's tick.
+func (g *GPU) runItem(kind phaseKind, i int, now uint64) {
+	switch kind {
+	case phaseSM:
+		g.advanceSM(i, now)
+	case phaseMem:
+		g.partitions[i].memTick(now)
+	case phaseCore:
+		g.partitions[i].coreTick(now)
 	}
 }
 
@@ -331,8 +412,9 @@ func (g *GPU) coreTick() {
 	// sends touch the shared reply network and stay serial, in partition
 	// order — the same order the sequential loop sends in, since a
 	// partition's coreTick never reads another partition's state.
-	if g.pool != nil {
-		g.pool.coreTick(now)
+	if g.shard {
+		g.pool.addRange(len(g.partitions))
+		g.pool.dispatch(phaseCore, now, false)
 		for _, p := range g.partitions {
 			p.sendReply(g.replyNet, now)
 		}
@@ -343,27 +425,17 @@ func (g *GPU) coreTick() {
 		}
 	}
 	// 2. Reply network delivers to SMs, visiting the ports that hold a
-	// packet in SM order. The load transaction ends here, so its SM takes
-	// the request back.
+	// packet in SM order; the SM handles the reply in step 3 (advanceSM).
 	for s := g.nextReplyPort(0); s >= 0; s = g.nextReplyPort(s + 1) {
 		if pkt, ok := g.replyNet.Recv(s, now); ok {
 			rep := pkt.Payload.(*core.MemReq)
 			g.tr.Observe(obs.StageIcntReply, now-rep.SentAt)
 			g.tr.Observe(obs.StageTotal, now-rep.IssuedAt)
-			sm := g.sms[s]
-			sm.HandleReply(rep, now)
-			sm.Release(rep)
+			g.replies[s] = rep
 		}
 	}
-	// 3. SMs execute; their sends are routed by address. An SM is ticked
-	// only when it can act: on its horizon (which a reply resets to now),
-	// or to send its outbox head. Any other Tick would be a no-op.
-	send := g.sendReq(now)
-	for _, sm := range g.sms {
-		if g.tickEvery || sm.Next() <= now || g.sendable(sm.OutboxHead()) {
-			sm.Tick(now, send)
-		}
-	}
+	// 3. SMs execute; their sends are routed by address.
+	g.tickSMs(now)
 	// 4. Request network delivers to partitions, honouring backpressure. An
 	// accepted store is complete once the L2 or its MSHR copied its words,
 	// so its SM takes the request back; a load travels on as the reply.
@@ -381,6 +453,124 @@ func (g *GPU) coreTick() {
 			}
 		}
 	}
+}
+
+// advanceSM runs SM s's part of the SM phase: it handles the reply it
+// received this cycle, if any, and takes the request back (the load
+// transaction ends here), then advances it.
+func (g *GPU) advanceSM(s int, now uint64) {
+	sm := g.sms[s]
+	if rep := g.replies[s]; rep != nil {
+		g.replies[s] = nil
+		sm.HandleReply(rep, now)
+		sm.Release(rep)
+	}
+	sm.Advance(now)
+}
+
+// The SM phase goes parallel window by window, on a measured gain. Every
+// smSampleEvery-th Step is timed whole, because the pool's cost does not
+// stay in the SM phase: the other sections then miss on the cache lines the
+// helpers wrote. A window's cost is the mean of its samples, the largest
+// dropped so that one long cycle (a kernel phase's first, a GC assist) does
+// not decide it. Now and then a window runs in the other mode as a trial,
+// and the run switches when the trial costs smMargin less than the window
+// before it. After a lost trial the next comes twice as many windows
+// later, up to smMaxBackoff, so a run that gains nothing from the pool pays
+// for few trials. The comparison is relative, so it holds on a quiet host
+// and a loaded one alike: a warp program's run gains from a second core,
+// while an LSU retry's cache lines cost more to move between cores than to
+// process.
+const (
+	smWindow      = 256
+	smSampleEvery = 8
+	smMaxBackoff  = 64
+)
+
+// smMargin is the share a trial window must save to switch modes.
+const smMargin = 0.05
+
+// smMinActing is the fewest SMs a window must average acting per cycle for
+// the pool to be tried. Below it a window's SM work is mostly LSU retries,
+// and trials only cost: MVT and ATAX average 12.7 acting SMs, SCP 3.4,
+// while GEMM averages 23 and RAY 17.
+const smMinActing = 16
+
+// tickSMs runs step 3 of coreTick. An SM acts only when it can: on its
+// horizon, on a reply, or to send its outbox head; any other Tick would be
+// a no-op. The sends are the only part of a Tick that touches shared state,
+// so they run serially and in SM order. In a serial window each acting SM
+// then advances at once, a whole Tick as before; in a parallel window it
+// joins the SM phase, which runs on the pool once every SM has sent.
+func (g *GPU) tickSMs(now uint64) {
+	if now%smWindow == 0 && now > 0 && !g.forcePar {
+		g.decideSMPhase()
+	}
+	par := g.smPar != g.smTrial || g.forcePar
+	send := g.sendReq(now)
+	g.due = g.due[:0]
+	for s, sm := range g.sms {
+		if g.tickEvery || g.replies[s] != nil || sm.Next() <= now || g.sendable(sm.OutboxHead()) {
+			g.smActing++
+			sm.Send(send)
+			if par {
+				g.due = append(g.due, int32(s))
+			} else {
+				g.advanceSM(s, now)
+			}
+		}
+	}
+	switch n := len(g.due); {
+	case n > 1 || n == 1 && g.forcePar:
+		if g.pool == nil {
+			g.pool = newShardPool(g.smWorkers(), g.runItem)
+		}
+		for _, s := range g.due {
+			g.pool.add(int(s))
+		}
+		g.pool.dispatch(phaseSM, now, false)
+		g.parPhases++
+	case n == 1:
+		g.advanceSM(int(g.due[0]), now)
+	}
+}
+
+// decideSMPhase ends a window: it settles a trial, or records the window's
+// cost as the reference for the next trial and schedules one when due.
+func (g *GPU) decideSMPhase() {
+	cost := float64(g.smNS-g.smMaxNS) / float64(smWindow/smSampleEvery-1)
+	acting := g.smActing
+	g.smNS, g.smMaxNS, g.smActing = 0, 0, 0
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 || int(liveRuns.Load()) >= procs {
+		g.smPar, g.smTrial = false, false
+		return
+	}
+	if g.smTrial {
+		g.smTrial = false
+		if cost < (1-smMargin)*g.smBase {
+			g.smPar = !g.smPar
+			g.smBackoff = 1
+		} else {
+			g.smBackoff = min(2*g.smBackoff+1, smMaxBackoff)
+		}
+		g.smWait = g.smBackoff
+		return
+	}
+	g.smBase = cost
+	if g.smWait--; g.smWait <= 0 && (g.smPar || acting >= smMinActing*smWindow) {
+		g.smTrial = true
+	}
+}
+
+// smWorkers sizes a pool the SM phase starts: this run's share of
+// GOMAXPROCS, at least two (two when forced), at most one per SM.
+func (g *GPU) smWorkers() int {
+	if g.forcePar {
+		return 2
+	}
+	share := runtime.GOMAXPROCS(0) / max(1, int(liveRuns.Load()))
+	return max(2, min(share, len(g.sms)))
 }
 
 // nextReplyPort returns the first reply port at or above s holding a
@@ -531,7 +721,7 @@ func (g *GPU) collect() *Result {
 		res.Audit = g.col.MergedAudit()
 		res.Digest = g.col.Digest
 		if res.Telemetry != nil && res.Telemetry.Census != nil {
-			res.Telemetry.Census.Host = g.host.phases(g.pool)
+			res.Telemetry.Census.Host = g.host.phases(g.shardPool())
 		}
 	}
 	if g.cfg.Fault.Enabled {
@@ -545,6 +735,14 @@ func (g *GPU) collect() *Result {
 		g.publishMetrics() // final state, after the run has drained
 	}
 	return res
+}
+
+// shardPool returns the pool when it ticks partitions, else nil.
+func (g *GPU) shardPool() *shardPool {
+	if !g.shard {
+		return nil
+	}
+	return g.pool
 }
 
 // faultSummary merges the per-channel injector summaries into the run-level

@@ -13,7 +13,10 @@ import (
 // ticked only on its horizon, on a reply or to send its outbox head must
 // yield the same Result, every telemetry block included (host timings
 // excepted), and the same digest chain. A horizon too late, or a missed
-// wake event, shifts some SM's timing and fails it.
+// wake event, shifts some SM's timing and fails it. A third run forces the
+// SM phase onto a two-worker pool on every cycle and must match the same
+// reference: a send that left the serial SM-order loop, or SM work that
+// reached shared state, reorders the request network and fails it.
 func TestSMHorizonEquivalence(t *testing.T) {
 	apps := []string{"SCP", "FWT", "GEMM", "MVT", "RAY", "3DCONV"}
 	if testing.Short() {
@@ -58,6 +61,9 @@ func TestSMHorizonEquivalence(t *testing.T) {
 			sim.SetTickEvery(ref)
 			want := runGPU(t, ref)
 			assertSameResult(t, got, want)
+			par := prepare(t, r.app, r.scheme, r.mutate...)
+			sim.SetParallelSMs(par)
+			t.Run("parallel", func(t *testing.T) { assertSameResult(t, runGPU(t, par), want) })
 		})
 	}
 }

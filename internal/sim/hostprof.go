@@ -18,8 +18,9 @@ const hostProfEvery = 64
 // hostProf accumulates the sampled wall-clock spent in each host-side phase
 // of GPU.Step. Everything here is written on the simulation goroutine; the
 // per-worker busy counters live in shardPool and are owner-written by each
-// worker strictly inside a timed dispatch, so the barrier that ends the
-// dispatch gives this goroutine happens-before visibility without locks.
+// worker inside a timed dispatch, before it reports its items finished, so
+// the barrier that ends the dispatch gives this goroutine happens-before
+// visibility without locks.
 // Wall times are nondeterministic by nature — they surface in telemetry
 // under census.host and are excluded from lazycmp's flattening and the
 // determinism gates, exactly like run wall_ms.
@@ -47,11 +48,11 @@ func (h *hostProf) addProbe(d time.Duration) {
 }
 
 // phases folds the accumulated samples into the telemetry summary. pool is
-// nil for sequential runs; then the per-worker section is omitted. A
-// worker's barrier time is the sampled dispatch wall-clock not covered by
-// its own busy time: on a timed dispatch every worker is timed, so
-// memNS − busy is exactly the time that worker spent parked at the barrier
-// (or waiting for its task) while the slowest chain finished.
+// nil unless partitions are sharded; then the per-worker section is
+// omitted. A worker's barrier time is the sampled dispatch wall-clock not
+// covered by its own busy time: on a timed dispatch every worker is timed,
+// so memNS − busy is the time that worker spent waiting for its first item
+// or for the last one to finish.
 func (h *hostProf) phases(pool *shardPool) *obs.HostPhases {
 	if h == nil {
 		return nil
@@ -67,7 +68,7 @@ func (h *hostProf) phases(pool *shardPool) *obs.HostPhases {
 	}
 	if pool != nil {
 		for w := 0; w < pool.workers; w++ {
-			busy := pool.busyNS[w]
+			busy := pool.slots[w].busyNS
 			wp := obs.WorkerPhase{Worker: w, Dispatches: pool.timedDispatches, BusyNS: busy}
 			if h.memNS > busy {
 				wp.BarrierNS = h.memNS - busy

@@ -115,17 +115,25 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
-// TestRunsReleaseWarpCoroutines checks that no warp-slot coroutine outlives a
-// run: one abandoned halfway through a multi-phase kernel with Close, one
-// completed by Run, and one stepped to its end, where the last phase
-// releases the parked coroutines before Finish.
+// TestRunsReleaseWarpCoroutines checks that no warp-slot coroutine and no
+// worker-pool helper outlives a run: one abandoned halfway through a
+// multi-phase kernel with Close, one completed by Run, one stepped to its
+// end, where the last phase releases the parked coroutines and stops the
+// pool before Finish, and one stopped by a Step error for exceeding
+// MaxCoreCycles. Every run forces its SM phase onto the pool.
 func TestRunsReleaseWarpCoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
-	fwt, err := workloads.New("FWT")
-	if err != nil {
-		t.Fatal(err)
+	prepare := func(app string, scheme mc.Scheme, cfg sim.Config) *sim.GPU {
+		t.Helper()
+		kern, err := workloads.New(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := sim.Prepare(kern, cfg, scheme, 1)
+		sim.SetParallelSMs(g)
+		return g
 	}
-	g := sim.Prepare(fwt, sim.DefaultConfig(), mc.DynDMS, 1)
+	g := prepare("FWT", mc.DynDMS, sim.DefaultConfig())
 	for g.CoreCycle() < 30000 {
 		if _, err := g.Step(); err != nil {
 			t.Fatal(err)
@@ -134,20 +142,19 @@ func TestRunsReleaseWarpCoroutines(t *testing.T) {
 	if runtime.NumGoroutine() <= base {
 		t.Fatal("no warp coroutine is alive halfway through FWT")
 	}
+	if sim.ParallelSMPhases(g) == 0 {
+		t.Fatal("the forced SM phase never ran on the pool")
+	}
 	g.Close()
 	g.Close()
 	waitGoroutines(t, base, "Close halfway through FWT")
 
-	mvt, err := workloads.New("MVT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Simulate(mvt, sim.DefaultConfig(), mc.Baseline, 1); err != nil {
+	if _, err := prepare("MVT", mc.Baseline, sim.DefaultConfig()).Run(); err != nil {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, base, "Run")
 
-	g = sim.Prepare(mvt, sim.DefaultConfig(), mc.Baseline, 1)
+	g = prepare("MVT", mc.Baseline, sim.DefaultConfig())
 	for {
 		done, err := g.Step()
 		if err != nil {
@@ -159,4 +166,18 @@ func TestRunsReleaseWarpCoroutines(t *testing.T) {
 	}
 	waitGoroutines(t, base, "the last phase's end")
 	g.Finish()
+
+	cfg := sim.DefaultConfig()
+	cfg.MaxCoreCycles = 5000
+	g = prepare("MVT", mc.Baseline, cfg)
+	for {
+		done, err := g.Step()
+		if done {
+			t.Fatal("MVT finished within 5000 core cycles")
+		}
+		if err != nil {
+			break
+		}
+	}
+	waitGoroutines(t, base, "a Step error")
 }
