@@ -248,6 +248,7 @@ func (g *GPU) Step() (done bool, err error) {
 			t0 = time.Now()
 		}
 		if g.shard {
+			g.pool.begin(len(g.partitions))
 			g.pool.addRange(len(g.partitions))
 			g.pool.dispatch(phaseMem, g.memCycle, timed)
 		} else {
@@ -413,6 +414,7 @@ func (g *GPU) coreTick() {
 	// order — the same order the sequential loop sends in, since a
 	// partition's coreTick never reads another partition's state.
 	if g.shard {
+		g.pool.begin(len(g.partitions))
 		g.pool.addRange(len(g.partitions))
 		g.pool.dispatch(phaseCore, now, false)
 		for _, p := range g.partitions {
@@ -490,6 +492,11 @@ const (
 // smMargin is the share a trial window must save to switch modes.
 const smMargin = 0.05
 
+// smWorkers is the number of workers the SM phase runs on, also on a larger
+// shard pool: two is the only size its gain and its trial constants were
+// measured at.
+const smWorkers = 2
+
 // smMinActing is the fewest SMs a window must average acting per cycle for
 // the pool to be tried. Below it a window's SM work is mostly LSU retries,
 // and trials only cost: MVT and ATAX average 12.7 acting SMs, SCP 3.4,
@@ -523,8 +530,9 @@ func (g *GPU) tickSMs(now uint64) {
 	switch n := len(g.due); {
 	case n > 1 || n == 1 && g.forcePar:
 		if g.pool == nil {
-			g.pool = newShardPool(g.smWorkers(), g.runItem)
+			g.pool = newShardPool(smWorkers, g.runItem)
 		}
+		g.pool.begin(smWorkers)
 		for _, s := range g.due {
 			g.pool.add(int(s))
 		}
@@ -561,16 +569,6 @@ func (g *GPU) decideSMPhase() {
 	if g.smWait--; g.smWait <= 0 && (g.smPar || acting >= smMinActing*smWindow) {
 		g.smTrial = true
 	}
-}
-
-// smWorkers sizes a pool the SM phase starts: this run's share of
-// GOMAXPROCS, at least two (two when forced), at most one per SM.
-func (g *GPU) smWorkers() int {
-	if g.forcePar {
-		return 2
-	}
-	share := runtime.GOMAXPROCS(0) / max(1, int(liveRuns.Load()))
-	return max(2, min(share, len(g.sms)))
 }
 
 // nextReplyPort returns the first reply port at or above s holding a

@@ -44,6 +44,12 @@ const (
 // parameters of; a claimed item keeps its phase open until it is finished,
 // so the queues and parameters it reads are not rewritten under it.
 //
+// A panic in an item does not end the process from a helper goroutine: the
+// worker recovers it, counts the item finished, and dispatch re-panics with
+// the first such value on worker 0 once the phase's barrier is passed, so
+// the caller's recover (exp.Runner fails that run alone) sees it with the
+// pool idle.
+//
 // Determinism does not depend on which worker runs an item: items of one
 // phase never share mutable state (an SM's HandleReply and Advance touch
 // only that SM; a partition owns its controller, DRAM channel, stats, fault
@@ -60,6 +66,16 @@ type shardPool struct {
 	kind  phaseKind
 	now   uint64
 	timed bool
+
+	// span is the number of workers a phase runs on, set by begin: items
+	// are owned by worker item%span, and helpers at or above span sit the
+	// phase out. Helpers read it through active.
+	span   int
+	active atomic.Int32
+
+	// fault holds the first panic value an item of the current phase raised.
+	faultMu sync.Mutex
+	fault   any
 
 	epoch   atomic.Uint32 // tag of the latest dispatch
 	pending atomic.Int64  // items of the current phase not yet finished
@@ -88,7 +104,7 @@ type poolSlot struct {
 // newShardPool starts workers-1 helper goroutines running items through
 // run. Callers must close() the pool to stop them.
 func newShardPool(workers int, run func(kind phaseKind, item int, now uint64)) *shardPool {
-	sp := &shardPool{workers: workers, run: run, slots: make([]poolSlot, workers)}
+	sp := &shardPool{workers: workers, span: workers, run: run, slots: make([]poolSlot, workers)}
 	sp.exited.Add(workers - 1)
 	for w := 1; w < workers; w++ {
 		sp.slots[w].wake = make(chan struct{}, 1)
@@ -97,9 +113,15 @@ func newShardPool(workers int, run func(kind phaseKind, item int, now uint64)) *
 	return sp
 }
 
+// begin opens the next phase on the first span workers (at most all of
+// them); add and addRange then queue its items.
+func (sp *shardPool) begin(span int) {
+	sp.span = max(1, min(span, sp.workers))
+}
+
 // add queues item on its owner's queue for the next dispatch.
 func (sp *shardPool) add(item int) {
-	q := &sp.slots[item%sp.workers]
+	q := &sp.slots[item%sp.span]
 	q.items = append(q.items, int32(item))
 }
 
@@ -111,10 +133,11 @@ func (sp *shardPool) addRange(n int) {
 }
 
 // dispatch runs the queued items as one phase of the given kind at cycle
-// now and returns once all of them are finished. timed clocks each worker's
-// span into its busyNS.
+// now and returns once all of them are finished, re-panicking if one of
+// them panicked. timed clocks each worker's span into its busyNS.
 func (sp *shardPool) dispatch(kind phaseKind, now uint64, timed bool) {
 	sp.tag++
+	sp.active.Store(int32(sp.span))
 	sp.kind, sp.now, sp.timed = kind, now, timed
 	if timed {
 		sp.timedDispatches++
@@ -132,7 +155,7 @@ func (sp *shardPool) dispatch(kind phaseKind, now uint64, timed bool) {
 	if sp.parked.Load() > 0 {
 		sp.wakeAll()
 	}
-	sp.drain(0, sp.tag)
+	sp.drain(0, sp.tag, sp.span)
 	for i := 1; sp.pending.Load() != 0; i++ {
 		if i%yieldEvery == 0 {
 			runtime.Gosched()
@@ -141,16 +164,21 @@ func (sp *shardPool) dispatch(kind phaseKind, now uint64, timed bool) {
 	for w := range sp.slots {
 		sp.slots[w].items = sp.slots[w].items[:0]
 	}
+	if p := sp.fault; p != nil {
+		sp.fault = nil
+		panic(p)
+	}
 }
 
 // drain runs, as worker w, the items of phase tag it can claim: its own
-// queue first, then the others in turn. It reports the items it finished
-// after timing them, so the dispatch that waits for them sees the timing.
-func (sp *shardPool) drain(w int, tag uint32) {
+// queue first, then the other queues of the phase's span workers in turn.
+// It reports the items it finished after timing them, so the dispatch that
+// waits for them sees the timing.
+func (sp *shardPool) drain(w int, tag uint32, span int) {
 	var t0 time.Time
 	done := int64(0)
-	for k := 0; k < sp.workers; k++ {
-		q := &sp.slots[(w+k)%sp.workers]
+	for k := 0; k < span; k++ {
+		q := &sp.slots[(w+k)%span]
 		for {
 			c := q.claim.Load()
 			next, end := c>>16&0xffff, c&0xffff
@@ -163,7 +191,7 @@ func (sp *shardPool) drain(w int, tag uint32) {
 			if done == 0 && sp.timed {
 				t0 = time.Now()
 			}
-			sp.run(sp.kind, int(q.items[next]), sp.now)
+			sp.runItem(int(q.items[next]))
 			done++
 		}
 	}
@@ -174,6 +202,20 @@ func (sp *shardPool) drain(w int, tag uint32) {
 		sp.slots[w].busyNS += uint64(time.Since(t0))
 	}
 	sp.pending.Add(-done)
+}
+
+// runItem runs one claimed item, recovering a panic into the pool's fault.
+func (sp *shardPool) runItem(item int) {
+	defer func() {
+		if p := recover(); p != nil {
+			sp.faultMu.Lock()
+			if sp.fault == nil {
+				sp.fault = p
+			}
+			sp.faultMu.Unlock()
+		}
+	}()
+	sp.run(sp.kind, item, sp.now)
 }
 
 // helper is worker w's goroutine: it waits for each new dispatch and drains
@@ -187,7 +229,9 @@ func (sp *shardPool) helper(w int) {
 			return
 		}
 		seen = tag
-		sp.drain(w, tag)
+		if span := int(sp.active.Load()); w < span {
+			sp.drain(w, tag, span)
+		}
 	}
 }
 
