@@ -13,14 +13,13 @@
 //	-runlog PREFIX   record every run's lifecycle (queueing, worker slot,
 //	                 wall-clock, dedup joins) and write PREFIX.trace.json
 //	                 (Chrome trace_event — open it in Perfetto),
-//	                 PREFIX.events.jsonl, and PREFIX.sweep.json (the summary
-//	                 block, same shape as lazysim -sweep -json)
+//	                 PREFIX.events.jsonl, and PREFIX.sweep.json (the sweep
+//	                 document of lazysim -sweep -json, without run rows)
 //	-metrics-addr A  serve the live registry — including the sweep families —
 //	                 on A: /metrics (Prometheus text) and /vars (expvar JSON)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -33,6 +32,7 @@ import (
 	"lazydram/internal/cliflags"
 	"lazydram/internal/exp"
 	"lazydram/internal/obs"
+	"lazydram/internal/rundoc"
 )
 
 func main() {
@@ -135,7 +135,8 @@ func main() {
 		rl.FinishProgress()
 		sum := rl.Summary()
 		if *runlog != "" {
-			if err := writeRunLog(rl, sum, *runlog); err != nil {
+			doc := rundoc.SweepDoc{Meta: rundoc.Meta{Build: buildinfo.Get()}, Seed: *seed, Sweep: sum}
+			if err := rundoc.WriteRunLog(*runlog, rl, doc); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -149,35 +150,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// writeRunLog exports the run log: PREFIX.trace.json (Chrome trace_event),
-// PREFIX.events.jsonl, and PREFIX.sweep.json carrying {"sweep": summary} so
-// tooling reads the block at the same path as in lazysim -sweep -json.
-func writeRunLog(rl *obs.RunLog, sum *obs.SweepSummary, prefix string) error {
-	tf, err := os.Create(prefix + ".trace.json")
-	if err != nil {
-		return err
-	}
-	defer tf.Close()
-	if err := rl.WriteChromeTrace(tf); err != nil {
-		return err
-	}
-	ef, err := os.Create(prefix + ".events.jsonl")
-	if err != nil {
-		return err
-	}
-	defer ef.Close()
-	if err := rl.WriteEventsJSONL(ef); err != nil {
-		return err
-	}
-	sf, err := os.Create(prefix + ".sweep.json")
-	if err != nil {
-		return err
-	}
-	defer sf.Close()
-	return json.NewEncoder(sf).Encode(map[string]any{
-		"meta":  map[string]any{"build": buildinfo.Get()},
-		"sweep": sum,
-	})
 }

@@ -1,8 +1,14 @@
-// Command lazycmp diffs two lazysim -json telemetry documents and gates on
-// regressions: it compares every numeric run metric (IPC, BWUTIL,
-// activations, row/memory energy, AMS coverage and app error, per-stage
-// latency percentiles, per-channel energy attribution), prints a human
-// table plus an optional machine-readable delta JSON, and exits non-zero
+// Command lazycmp diffs two lazysim documents (run documents from -json,
+// sweep documents from -sweep -json or experiments -runlog) and gates on
+// regressions. Every numeric value the document schema gates is compared:
+// rundoc.Flatten names each by its JSON path, keys list elements by their
+// identity (telemetry.census.stalls.trcd.cycles,
+// energy_by_channel.0.banks.3.ams_drops, runs.SCP.Baseline.ipc), and leaves
+// out only the fields tagged gate:"-" in the Go types (provenance, seed,
+// wall clock, knobs, the hottest-bank top-N). A member the schema does not
+// declare is an input error, so a new field is gated from the day it is
+// added. lazycmp prints the rows that did not pass plus a summary line, can
+// write every row as a machine-readable delta document, and exits non-zero
 // when any delta exceeds its threshold.
 //
 // Usage:
@@ -12,16 +18,16 @@
 //	-max-rel F      allowed |relative delta| for every metric (default 0:
 //	                metrics must match exactly)
 //	-min-abs F      ignore deltas whose |absolute delta| is below F
-//	-thresholds S   per-metric overrides, e.g. "ipc=0.02,stage.*=0.10";
-//	                a trailing * matches by prefix, later entries win ties
-//	                only by being more specific (exact > longest prefix)
-//	-ignore S       comma-separated metric patterns excluded from the
-//	                comparison entirely — for nondeterministic keys like
-//	                sweep.timing.* or run.*.wall_seconds where no finite
-//	                threshold works (a change from exactly 0 has infinite
-//	                relative delta). Each * matches any substring, so both
-//	                trailing prefixes and mid-string globs work.
-//	-json FILE      write the delta document to FILE ("-" for stdout)
+//	-thresholds S   per-metric overrides, e.g.
+//	                "ipc=0.02,telemetry.stages.*=0.10"; a trailing * matches
+//	                by prefix, later entries win ties only by being more
+//	                specific (exact > longest prefix)
+//	-ignore S       comma-separated metric globs excluded from the
+//	                comparison entirely, where no finite threshold works (a
+//	                change from exactly 0 has infinite relative delta). Each
+//	                * matches any substring, e.g. runs.*.app_error.
+//	-json FILE      write the delta document, every row, to FILE ("-" for
+//	                stdout)
 //	-report-only    always exit 0; print and emit deltas only
 //	-fail-on-new    treat metrics present in only one document as failures
 //
@@ -46,6 +52,7 @@ import (
 	"strings"
 
 	"lazydram/internal/buildinfo"
+	"lazydram/internal/rundoc"
 )
 
 func main() {
@@ -58,8 +65,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		maxRel     = fs.Float64("max-rel", 0, "allowed |relative delta| for every metric (0 = exact match)")
 		minAbs     = fs.Float64("min-abs", 0, "ignore deltas with |absolute delta| below this")
-		thresholds = fs.String("thresholds", "", `per-metric threshold overrides, e.g. "ipc=0.02,stage.*=0.10"`)
-		ignore     = fs.String("ignore", "", `comma-separated metric patterns to exclude entirely, e.g. "sweep.timing.*"`)
+		thresholds = fs.String("thresholds", "", `per-metric threshold overrides, e.g. "ipc=0.02,telemetry.stages.*=0.10"`)
+		ignore     = fs.String("ignore", "", `comma-separated metric globs to exclude entirely, e.g. "runs.*.app_error"`)
 		jsonOut    = fs.String("json", "", `write the machine-readable delta document here ("-" for stdout)`)
 		reportOnly = fs.Bool("report-only", false, "never fail: print and emit deltas, exit 0")
 		failOnNew  = fs.Bool("fail-on-new", false, "fail when a metric exists in only one document")
@@ -136,287 +143,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// loadMetrics reads one lazysim -json document and flattens it to
-// name -> value, also returning the names of non-finite metrics it refused.
+// loadMetrics reads one run or sweep document and flattens it to the gated
+// name -> value map, also returning the names of non-finite metrics it
+// refused.
 func loadMetrics(path string) (map[string]float64, []string, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	m, skipped, err := rundoc.Flatten(raw)
+	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	out, skipped := flatten(doc)
-	return out, skipped, nil
-}
-
-// numeric coerces a JSON value to a float: numbers directly, strings parsed
-// (delta documents and the expvar exposition encode NaN/±Inf as strings).
-func numeric(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case string:
-		f, err := strconv.ParseFloat(x, 64)
-		if err != nil {
-			return 0, false
-		}
-		return f, true
-	}
-	return 0, false
-}
-
-// flatten extracts the comparable numeric metrics from a report document:
-// top-level scalars (minus run identity and wall time), per-stage latency
-// digests keyed by stage name, the per-channel energy attribution, and the
-// audit/quality/fault digests. Time series, per-bank rows, and the hottest-bank
-// summary are derived views and stay out of the gate. Non-finite values are
-// diverted to the skipped list instead of entering the comparable set,
-// where a NaN would neither equal itself (silent pass under exact-match)
-// nor render as valid JSON in the delta document.
-func flatten(doc map[string]any) (out map[string]float64, skipped []string) {
-	out = make(map[string]float64)
-	put := func(name string, v any) {
-		x, ok := numeric(v)
-		if !ok {
-			return
-		}
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			skipped = append(skipped, name)
-			return
-		}
-		out[name] = x
-	}
-	for k, v := range doc {
-		switch k {
-		case "seed", "wall_ms", "hottest_banks":
-			// seed is identity, wall time is noise, hottest banks are a
-			// derived top-N whose membership may flap on ties.
-		case "app", "scheme":
-			// run identity, not metrics
-		case "meta":
-			// build provenance (meta.build revision/dirty/Go version), not a
-			// result: skipped so baselines recorded on different commits or
-			// toolchains don't churn the gate.
-		case "runs":
-			// lazysim -sweep -json: one row per run, keyed by its identity.
-			arr, _ := v.([]any)
-			for _, e := range arr {
-				m, ok := e.(map[string]any)
-				if !ok {
-					continue
-				}
-				app, _ := m["app"].(string)
-				scheme, _ := m["scheme"].(string)
-				if app == "" || scheme == "" {
-					continue
-				}
-				// wall_seconds and cycles_per_sec are wall-clock: flattened so
-				// they appear in reports, ignored in CI gates via
-				// -ignore "run.*.wall_seconds,run.*.cycles_per_sec".
-				for _, f := range []string{"ipc", "activations", "row_energy_nj",
-					"app_error", "coverage", "wall_seconds", "cycles_per_sec"} {
-					if x, ok := m[f]; ok {
-						put("run."+app+"."+scheme+"."+f, x)
-					}
-				}
-			}
-		case "sweep":
-			// Run-lifecycle summary: the counts are deterministic (invariant
-			// under worker count) and gate; everything wall-clock lives under
-			// sweep.timing.* so one -ignore prefix rule excludes it. Workers
-			// is a knob, not a result, and spans are per-run raw material.
-			m, _ := v.(map[string]any)
-			for _, f := range []string{"runs", "executed", "deduped", "errors",
-				"prefetch_hits", "events", "sim_cycles"} {
-				if x, ok := m[f]; ok {
-					put("sweep."+f, x)
-				}
-			}
-			if tm, ok := m["timing"].(map[string]any); ok {
-				for tk, tv := range tm {
-					put("sweep.timing."+tk, tv) // non-numeric (the histogram array) is skipped by put
-				}
-			}
-		case "energy_by_channel":
-			arr, _ := v.([]any)
-			for _, e := range arr {
-				m, ok := e.(map[string]any)
-				if !ok {
-					continue
-				}
-				ch, ok := m["channel"].(float64)
-				if !ok {
-					continue
-				}
-				for _, f := range []string{"row_nj", "access_nj", "background_nj", "total_nj"} {
-					if x, ok := m[f]; ok {
-						put(fmt.Sprintf("energy.ch%d.%s", int(ch), f), x)
-					}
-				}
-			}
-		case "telemetry":
-			m, _ := v.(map[string]any)
-			stages, _ := m["stages"].([]any)
-			for _, s := range stages {
-				sm, ok := s.(map[string]any)
-				if !ok {
-					continue
-				}
-				name, _ := sm["stage"].(string)
-				if name == "" {
-					continue
-				}
-				for _, f := range []string{"count", "mean", "p50", "p90", "p99", "max"} {
-					if x, ok := sm[f]; ok {
-						put("stage."+name+"."+f, x)
-					}
-				}
-			}
-			if am, ok := m["audit"].(map[string]any); ok {
-				for _, f := range []string{"total", "dms_delay_holds", "dms_delay_expiries", "ams_drops", "ams_skips"} {
-					if x, ok := am[f]; ok {
-						put("audit."+f, x)
-					}
-				}
-				reasons, _ := am["reasons"].([]any)
-				for _, rv := range reasons {
-					rm, ok := rv.(map[string]any)
-					if !ok {
-						continue
-					}
-					unit, _ := rm["unit"].(string)
-					reason, _ := rm["reason"].(string)
-					if unit == "" || reason == "" {
-						continue
-					}
-					put("audit."+unit+"."+reason, rm["count"])
-				}
-			}
-			if qm, ok := m["quality"].(map[string]any); ok {
-				putQuality(put, "quality.", qm)
-			}
-			if dm, ok := m["digest"].(map[string]any); ok {
-				// The state-digest chain summary: the hi/lo uint32 halves are
-				// exact in float64, so an exact-match gate on them IS a
-				// bit-identity gate on the full 64-bit digests. The hex-string
-				// forms ("0x...") fail the numeric parse and stay out.
-				for _, f := range []string{"every", "intervals", "dropped",
-					"final_hi", "final_lo", "chain_hi", "chain_lo"} {
-					if x, ok := dm[f]; ok {
-						put("digest."+f, x)
-					}
-				}
-			}
-			if cm, ok := m["census"].(map[string]any); ok {
-				putCensus(put, cm)
-			}
-			if fm, ok := m["fault"].(map[string]any); ok {
-				for _, f := range []string{"seed", "bus_ber", "weak_density",
-					"reads", "corrupted_reads", "act_flips", "ret_flips",
-					"bus_flips", "total_flips", "weak_rows", "weak_cells", "digest"} {
-					if x, ok := fm[f]; ok {
-						put("fault."+f, x)
-					}
-				}
-				if qm, ok := fm["quality"].(map[string]any); ok {
-					putQuality(put, "fault.quality.", qm)
-				}
-			}
-		default:
-			put(k, v)
-		}
-	}
-	return out, skipped
-}
-
-// putCensus flattens the cycle-census summary: the machine-level scalars
-// (including the Σ-invariant pair latency_cycles/attributed_cycles, so an
-// exact-match gate doubles as an exactness gate), the per-cause stall and
-// per-state residency decompositions, ingress backpressure, and the
-// per-channel rollup. The host phase profile is wall-clock and stays out,
-// like wall_ms; the gap histogram buckets are a derived view of the gated
-// gap_* percentiles.
-func putCensus(put func(string, any), cm map[string]any) {
-	for _, f := range []string{"requests", "latency_cycles", "attributed_cycles",
-		"bank_cycles", "partition_cycles", "advancing", "timing_wait", "idle",
-		"skippable_frac", "gap_count", "gap_mean", "gap_p50", "gap_p90",
-		"gap_p99", "gap_max"} {
-		if x, ok := cm[f]; ok {
-			put("census."+f, x)
-		}
-	}
-	stalls, _ := cm["stalls"].([]any)
-	for _, sv := range stalls {
-		sm, ok := sv.(map[string]any)
-		if !ok {
-			continue
-		}
-		cause, _ := sm["cause"].(string)
-		if cause == "" {
-			continue
-		}
-		put("census.stall."+cause+".cycles", sm["cycles"])
-		put("census.stall."+cause+".requests", sm["requests"])
-	}
-	res, _ := cm["residency"].([]any)
-	for _, rv := range res {
-		rm, ok := rv.(map[string]any)
-		if !ok {
-			continue
-		}
-		state, _ := rm["state"].(string)
-		if state == "" {
-			continue
-		}
-		put("census.state."+state+".cycles", rm["cycles"])
-	}
-	if im, ok := cm["ingress"].(map[string]any); ok {
-		for _, f := range []string{"mshr_full", "merge_limit", "queue_full"} {
-			if x, ok := im[f]; ok {
-				put("census.ingress."+f, x)
-			}
-		}
-	}
-	chans, _ := cm["channels"].([]any)
-	for _, cv := range chans {
-		chm, ok := cv.(map[string]any)
-		if !ok {
-			continue
-		}
-		ch, ok := chm["channel"].(float64)
-		if !ok {
-			continue
-		}
-		prefix := fmt.Sprintf("census.ch%d.", int(ch))
-		for _, f := range []string{"requests", "latency_cycles", "skippable_frac"} {
-			if x, ok := chm[f]; ok {
-				put(prefix+f, x)
-			}
-		}
-		if scm, ok := chm["stall_cycles"].(map[string]any); ok {
-			for cause, x := range scm {
-				put(prefix+"stall."+cause, x)
-			}
-		}
-	}
-}
-
-// putQuality flattens one QualitySummary map (the AMS-drop log and the
-// injected-fault log share the shape) under the given key prefix.
-func putQuality(put func(string, any), prefix string, qm map[string]any) {
-	for _, f := range []string{"lines", "words", "skipped_words",
-		"mean_abs_error", "mean_rel_error",
-		"rel_p50", "rel_p90", "rel_p99", "max_rel_error"} {
-		if x, ok := qm[f]; ok {
-			put(prefix+f, x)
-		}
-	}
+	return m, skipped, nil
 }
 
 // parseIgnore splits the -ignore pattern list: exact names or glob patterns
-// where each * matches any substring (so run.*.wall_seconds covers every
+// where each * matches any substring (so runs.*.app_error covers every
 // app×scheme row).
 func parseIgnore(s string) []string {
 	var pats []string
@@ -439,9 +182,8 @@ func ignoreMatch(name string, pats []string) bool {
 }
 
 // globMatch reports whether name matches pattern, where each * matches any
-// (possibly empty) substring; a pattern with no * must match exactly. This
-// subsumes the old trailing-* prefix match and adds mid-string globs like
-// run.*.wall_seconds.
+// (possibly empty) substring; a pattern with no * must match exactly, so
+// both trailing prefixes and mid-string globs like runs.*.app_error work.
 func globMatch(pattern, name string) bool {
 	parts := strings.Split(pattern, "*")
 	if len(parts) == 1 {
@@ -631,18 +373,24 @@ func compare(base, cand map[string]float64, cfg cmpConfig) DeltaDoc {
 	return doc
 }
 
-// printTable renders the human-readable comparison.
+// printTable renders the human-readable comparison: the rows that did not
+// pass, then the summary line.
 func printTable(w io.Writer, doc DeltaDoc) {
-	fmt.Fprintf(w, "%-36s %14s %14s %14s %9s  %s\n",
-		"metric", "baseline", "candidate", "delta", "rel", "status")
+	header := true
 	for _, d := range doc.Metrics {
+		if d.Status == "ok" {
+			continue
+		}
+		if header {
+			fmt.Fprintf(w, "%-36s %14s %14s %14s %9s  %s\n",
+				"metric", "baseline", "candidate", "delta", "rel", "status")
+			header = false
+		}
 		rel := "-"
-		if d.Status == "ok" || d.Status == "fail" {
-			switch {
-			case math.IsInf(d.Rel, 0):
+		if d.Status == "fail" {
+			rel = fmt.Sprintf("%+.3f%%", 100*d.Rel)
+			if math.IsInf(d.Rel, 0) {
 				rel = fmt.Sprintf("%v", d.Rel)
-			default:
-				rel = fmt.Sprintf("%+.3f%%", 100*d.Rel)
 			}
 		}
 		fmt.Fprintf(w, "%-36s %14.6g %14.6g %+14.6g %9s  %s\n",

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lazydram/internal/rundoc"
 )
 
 const sampleReport = `{
@@ -33,13 +35,13 @@ const sampleReport = `{
 				{"unit": "ams", "kind": "drop", "reason": "drop", "count": 25},
 				{"unit": "ams", "kind": "skip", "reason": "row-open", "count": 15}
 			],
-			"adapt": [{"cycle": 1024, "unit": "ams", "th_rbl": 7}]
+			"adapt": [{"cycle": 1024, "channel": 0, "unit": "ams", "th_rbl": 7}]
 		},
 		"quality": {
 			"lines": 25, "words": 800, "mean_abs_error": 0.5,
 			"mean_rel_error": 0.01, "rel_p50": 0.001, "rel_p99": 0.2,
 			"max_rel_error": 1.5,
-			"worst": [{"addr": 4096, "mean_rel": 1.5}]
+			"worst": [{"addr": 4096, "cycle": 7, "mean_rel": 1.5}]
 		},
 		"digest": {
 			"every": 4096, "intervals": 25,
@@ -50,50 +52,65 @@ const sampleReport = `{
 	}
 }`
 
-func TestFlatten(t *testing.T) {
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(sampleReport), &doc); err != nil {
+// flatten runs the schema flattener lazycmp gates with on a literal
+// document.
+func flatten(t *testing.T, doc string) (map[string]float64, []string) {
+	t.Helper()
+	m, skipped, err := rundoc.Flatten([]byte(doc))
+	if err != nil {
 		t.Fatal(err)
 	}
-	m, skipped := flatten(doc)
+	return m, skipped
+}
+
+func TestFlatten(t *testing.T) {
+	m, skipped := flatten(t, sampleReport)
 	if len(skipped) != 0 {
 		t.Fatalf("unexpected skipped metrics: %v", skipped)
 	}
 
 	for name, want := range map[string]float64{
-		"ipc":                    2.0153,
-		"activations":            31549,
-		"row_energy_nj":          709852.5,
-		"energy.ch0.row_nj":      100,
-		"energy.ch0.total_nj":    175,
-		"stage.mc.queue.p99":     10,
-		"stage.mc.queue.mean":    5.5,
-		"audit.total":            120,
-		"audit.dms_delay_holds":  70,
-		"audit.ams_drops":        25,
-		"audit.dms.delay-hold":   70,
-		"audit.ams.drop":         25,
-		"audit.ams.row-open":     15,
-		"quality.lines":          25,
-		"quality.mean_rel_error": 0.01,
-		"quality.rel_p99":        0.2,
-		"digest.every":           4096,
-		"digest.intervals":       25,
-		"digest.final_hi":        1,
-		"digest.final_lo":        100000,
-		"digest.chain_hi":        3735928559,
-		"digest.chain_lo":        1,
+		"ipc":                                          2.0153,
+		"activations":                                  31549,
+		"row_energy_nj":                                709852.5,
+		"energy_by_channel.0.row_nj":                   100,
+		"energy_by_channel.0.total_nj":                 175,
+		"energy_by_channel.0.banks.0.access_nj":        50,
+		"telemetry.stages.mc.queue.p99":                10,
+		"telemetry.stages.mc.queue.mean":               5.5,
+		"telemetry.audit.total":                        120,
+		"telemetry.audit.dms_delay_holds":              70,
+		"telemetry.audit.ams_drops":                    25,
+		"telemetry.audit.reasons.dms.delay-hold.count": 70,
+		"telemetry.audit.reasons.ams.drop.count":       25,
+		"telemetry.audit.reasons.ams.row-open.count":   15,
+		"telemetry.audit.adapt.1024.0.ams.th_rbl":      7,
+		"telemetry.quality.lines":                      25,
+		"telemetry.quality.mean_rel_error":             0.01,
+		"telemetry.quality.rel_p99":                    0.2,
+		"telemetry.quality.worst.4096.7.mean_rel":      1.5,
+		"telemetry.digest.every":                       4096,
+		"telemetry.digest.intervals":                   25,
+		"telemetry.digest.final_hi":                    1,
+		"telemetry.digest.final_lo":                    100000,
+		"telemetry.digest.chain_hi":                    3735928559,
+		"telemetry.digest.chain_lo":                    1,
 	} {
 		if got, ok := m[name]; !ok || got != want {
 			t.Errorf("flatten[%q] = %v (present=%v), want %v", name, got, ok, want)
 		}
 	}
 	// Identity, noise, provenance, and derived views must stay out of the
-	// gate; the hex digest strings fail the numeric parse and stay out too.
-	for _, name := range []string{"seed", "wall_ms", "app", "scheme", "hottest_banks",
-		"meta.build.go_version", "meta.build.revision", "meta.build.dirty",
-		"digest.final", "digest.chain"} {
+	// gate; the hex digest strings are identity, not numbers, and stay out
+	// too.
+	for _, name := range []string{"seed", "wall_ms", "app", "scheme",
+		"telemetry.digest.final", "telemetry.digest.chain"} {
 		if _, ok := m[name]; ok {
+			t.Errorf("flatten leaked %q into the comparable set", name)
+		}
+	}
+	for name := range m {
+		if strings.HasPrefix(name, "meta.") || strings.HasPrefix(name, "hottest_banks.") {
 			t.Errorf("flatten leaked %q into the comparable set", name)
 		}
 	}
@@ -236,14 +253,8 @@ func TestRunExitCodes(t *testing.T) {
 // delta documents emit them — must be diverted to the skip list, never into
 // the comparable set, while finite string-encoded numbers are parsed.
 func TestFlattenNonFinite(t *testing.T) {
-	doc := map[string]any{
-		"app_error": "NaN",
-		"bwutil":    "+Inf",
-		"ipc":       math.Inf(-1),
-		"reads":     "123",
-		"scheme":    "Baseline",
-	}
-	m, skipped := flatten(doc)
+	m, skipped := flatten(t, `{"app_error": "NaN", "bwutil": "+Inf", "ipc": "-Inf",
+		"reads": "123", "scheme": "Baseline"}`)
 	if got := len(skipped); got != 3 {
 		t.Fatalf("skipped = %v, want 3 entries", skipped)
 	}
@@ -334,52 +345,44 @@ const sampleSweepDoc = `{
 
 // TestFlattenSweepDoc: a lazysim -sweep -json document flattens to per-run
 // rows keyed by identity plus the sweep counts, with every wall-clock value
-// under the single sweep.timing.* prefix and the non-metric parts (workers,
-// spans, the histogram array) left out.
+// and the non-metric parts (workers, spans) left out.
 func TestFlattenSweepDoc(t *testing.T) {
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(sampleSweepDoc), &doc); err != nil {
-		t.Fatal(err)
-	}
-	m, skipped := flatten(doc)
+	m, skipped := flatten(t, sampleSweepDoc)
 	if len(skipped) != 0 {
 		t.Fatalf("unexpected skipped metrics: %v", skipped)
 	}
 	for name, want := range map[string]float64{
-		"run.jmein.Baseline.ipc":              2.8,
-		"run.jmein.Baseline.activations":      11494,
-		"run.jmein.Static-AMS.row_energy_nj":  223672.5,
-		"run.jmein.Static-AMS.app_error":      0.092,
-		"run.jmein.Static-AMS.coverage":       0.1,
-		"run.jmein.Static-AMS.wall_seconds":   0.29,
-		"run.jmein.Static-AMS.cycles_per_sec": 41379.3,
+		"runs.jmein.Baseline.ipc":             2.8,
+		"runs.jmein.Baseline.activations":     11494,
+		"runs.jmein.Static-AMS.row_energy_nj": 223672.5,
+		"runs.jmein.Static-AMS.app_error":     0.092,
+		"runs.jmein.Static-AMS.coverage":      0.1,
 		"sweep.runs":                          4,
 		"sweep.executed":                      2,
 		"sweep.deduped":                       2,
 		"sweep.errors":                        0,
-		"sweep.prefetch_hits":                 1,
 		"sweep.events":                        14,
 		"sweep.sim_cycles":                    24000,
-		"sweep.timing.wall_seconds":           0.61,
-		"sweep.timing.worker_occupancy":       0.95,
-		"sweep.timing.alloc_bytes":            1048576,
 	} {
 		if got, ok := m[name]; !ok || got != want {
 			t.Errorf("flatten[%q] = %v (present=%v), want %v", name, got, ok, want)
 		}
 	}
-	for _, name := range []string{"sweep.workers", "sweep.spans", "sweep.timing.queue_wait_hist", "seed"} {
+	// The wall-clock values (run rows' wall_seconds and cycles_per_sec, the
+	// sweep.timing block), the scheduling-dependent prefetch_hits, the
+	// workers knob and the spans are tagged gate:"-" in the schema, so no
+	// -ignore rule is needed for them.
+	for _, name := range []string{"runs.jmein.Static-AMS.wall_seconds",
+		"runs.jmein.Static-AMS.cycles_per_sec", "sweep.prefetch_hits",
+		"sweep.workers", "seed"} {
 		if _, ok := m[name]; ok {
 			t.Errorf("flatten admitted %q", name)
 		}
 	}
-	// Every wall-clock key must be coverable by one of the documented ignore
-	// rules: the sweep.timing.* prefix or the run.*.wall_seconds /
-	// run.*.cycles_per_sec globs.
-	ignoreRules := []string{"sweep.timing.*", "run.*.wall_seconds", "run.*.cycles_per_sec"}
 	for name := range m {
-		if strings.Contains(name, "seconds") && !ignoreMatch(name, ignoreRules) {
-			t.Errorf("wall-clock metric %q not covered by the ignore rules", name)
+		if strings.Contains(name, "seconds") || strings.HasPrefix(name, "sweep.timing.") ||
+			strings.HasPrefix(name, "sweep.spans.") {
+			t.Errorf("flatten admitted wall-clock metric %q", name)
 		}
 	}
 }
@@ -401,12 +404,12 @@ func TestIgnore(t *testing.T) {
 
 	dir := t.TempDir()
 	a := writeDoc(t, dir, "sweep-a.json", sampleSweepDoc)
-	// Candidate: different timing everywhere (incl. a key changing from 0 and
-	// a key present on one side only), identical deterministic counts.
+	// Candidate: a changed count, a key changing from 0, and a key present
+	// on one side only; every other count identical.
 	b := writeDoc(t, dir, "sweep-b.json", strings.NewReplacer(
-		`"wall_seconds": 0.61`, `"wall_seconds": 1.9`,
-		`"worker_occupancy": 0.95`, `"worker_occupancy": 0.5, "queue_wait_p99_seconds": 0.4`,
-		`"prefetch_hits": 1`, `"prefetch_hits": 2`,
+		`"events": 14`, `"events": 15`,
+		`"errors": 0`, `"errors": 3`,
+		`"deduped": 2, `, ``,
 	).Replace(sampleSweepDoc))
 
 	var out, errBuf bytes.Buffer
@@ -414,14 +417,14 @@ func TestIgnore(t *testing.T) {
 		t.Fatalf("without -ignore: exit %d, want 1\n%s", got, out.String())
 	}
 	out.Reset()
-	args := []string{"-ignore", "sweep.timing.*,sweep.prefetch_hits", "-fail-on-new", a, b}
+	args := []string{"-ignore", "sweep.e*,sweep.deduped", "-fail-on-new", a, b}
 	if got := run(args, &out, &errBuf); got != 0 {
 		t.Fatalf("with -ignore: exit %d, want 0\n%s", got, out.String())
 	}
 	if !strings.Contains(out.String(), "ignored (-ignore)") {
 		t.Fatalf("table missing ignore note:\n%s", out.String())
 	}
-	if strings.Contains(out.String(), "sweep.timing.") {
+	if strings.Contains(out.String(), "sweep.e") || strings.Contains(out.String(), "sweep.deduped") {
 		t.Fatalf("ignored metric still in the table:\n%s", out.String())
 	}
 }
@@ -483,47 +486,46 @@ const sampleCensusDoc = `{
 }`
 
 // TestFlattenCensus: the census block flattens to gateable scalars — totals,
-// the Σ-invariant pair, per-cause stalls, per-state residency, ingress, and
-// per-channel rollups — while the wall-clock host profile and the raw gap
-// histogram stay out.
+// the Σ-invariant pair, per-cause stalls, per-state residency, ingress, the
+// gap histogram, and per-channel and per-bank rollups — while the wall-clock
+// host profile stays out.
 func TestFlattenCensus(t *testing.T) {
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(sampleCensusDoc), &doc); err != nil {
-		t.Fatal(err)
-	}
-	m, skipped := flatten(doc)
+	m, skipped := flatten(t, sampleCensusDoc)
 	if len(skipped) != 0 {
 		t.Fatalf("unexpected skipped metrics: %v", skipped)
 	}
+	const c = "telemetry.census."
 	for name, want := range map[string]float64{
-		"census.requests":              100,
-		"census.latency_cycles":        5000,
-		"census.attributed_cycles":     5000,
-		"census.bank_cycles":           2000,
-		"census.partition_cycles":      2000,
-		"census.advancing":             1200,
-		"census.timing_wait":           700,
-		"census.idle":                  100,
-		"census.skippable_frac":        0.4,
-		"census.gap_p99":               9,
-		"census.stall.queued.cycles":   3000,
-		"census.stall.queued.requests": 90,
-		"census.stall.trcd.cycles":     2000,
-		"census.state.serving.cycles":  900,
-		"census.state.idle.cycles":     1100,
-		"census.ingress.mshr_full":     7,
-		"census.ch0.requests":          100,
-		"census.ch0.skippable_frac":    0.4,
-		"census.ch0.stall.queued":      3000,
-		"census.ch0.stall.trcd":        2000,
+		c + "requests":                       100,
+		c + "latency_cycles":                 5000,
+		c + "attributed_cycles":              5000,
+		c + "bank_cycles":                    2000,
+		c + "partition_cycles":               2000,
+		c + "advancing":                      1200,
+		c + "timing_wait":                    700,
+		c + "idle":                           100,
+		c + "skippable_frac":                 0.4,
+		c + "gap_p99":                        9,
+		c + "gap_hist.1.2.count":             150,
+		c + "stalls.queued.cycles":           3000,
+		c + "stalls.queued.requests":         90,
+		c + "stalls.trcd.cycles":             2000,
+		c + "residency.serving.cycles":       900,
+		c + "residency.idle.cycles":          1100,
+		c + "ingress.mshr_full":              7,
+		c + "channels.0.requests":            100,
+		c + "channels.0.skippable_frac":      0.4,
+		c + "channels.0.stall_cycles.queued": 3000,
+		c + "channels.0.stall_cycles.trcd":   2000,
+		c + "channels.0.banks.0.serving":     900,
 	} {
 		if got, ok := m[name]; !ok || got != want {
 			t.Errorf("flatten[%q] = %v (present=%v), want %v", name, got, ok, want)
 		}
 	}
 	for name := range m {
-		if strings.Contains(name, "host") || strings.Contains(name, "gap_hist") {
-			t.Errorf("flatten leaked wall-clock/derived census key %q", name)
+		if strings.Contains(name, "host") {
+			t.Errorf("flatten leaked wall-clock census key %q", name)
 		}
 	}
 }

@@ -22,8 +22,9 @@
 //	-workers N       concurrent simulations in -sweep mode (0: GOMAXPROCS)
 //	-runlog PREFIX   in -sweep mode, write the run-lifecycle log to
 //	                 PREFIX.trace.json (Chrome trace_event, one track per
-//	                 worker slot — open it in Perfetto) and
-//	                 PREFIX.events.jsonl (one lifecycle event per line)
+//	                 worker slot — open it in Perfetto),
+//	                 PREFIX.events.jsonl (one lifecycle event per line) and
+//	                 PREFIX.sweep.json (the -sweep -json document)
 //
 // Observability:
 //
@@ -100,7 +101,7 @@ func main() {
 
 		sweep   = flag.String("sweep", "", "comma-separated scheme list: run every scheme for every -app concurrently and print one row per run")
 		workers = flag.Int("workers", 0, "concurrent simulations in -sweep mode (0: GOMAXPROCS)")
-		runlog  = flag.String("runlog", "", "in -sweep mode, write PREFIX.trace.json (Chrome trace) and PREFIX.events.jsonl (run-lifecycle events)")
+		runlog  = flag.String("runlog", "", "in -sweep mode, write PREFIX.trace.json (Chrome trace), PREFIX.events.jsonl (run-lifecycle events) and PREFIX.sweep.json")
 
 		jsonOut  = flag.Bool("json", false, "emit one JSON document with stats and telemetry")
 		sampleN  = flag.Uint64("sample-every", 1024, "time-series sampling interval in memory cycles (0 disables)")
@@ -409,61 +410,16 @@ type sweepOptions struct {
 	Shard        bool
 	ShardWorkers int
 
-	// JSON switches the output to one sweepDoc document (rows + sweep
-	// summary block) instead of the text table.
+	// JSON switches the output to one rundoc.SweepDoc (rows + sweep summary
+	// block) instead of the text table.
 	JSON bool
-	// RunLogPrefix, when set, writes PREFIX.trace.json and
-	// PREFIX.events.jsonl from the run log.
+	// RunLogPrefix, when set, writes PREFIX.trace.json, PREFIX.events.jsonl
+	// and PREFIX.sweep.json from the run log.
 	RunLogPrefix string
 	// Metrics, when set, receives the live sweep families.
 	Metrics *obs.Registry
 	// Progress, when set, receives the interactive progress line.
 	Progress io.Writer
-}
-
-// sweepRow is one run's summary in the -sweep -json document — the same
-// columns as the text table.
-type sweepRow struct {
-	App         string  `json:"app"`
-	Scheme      string  `json:"scheme"`
-	IPC         float64 `json:"ipc"`
-	Activations uint64  `json:"activations"`
-	RowEnergyNJ float64 `json:"row_energy_nj"`
-	AppError    float64 `json:"app_error"`
-	Coverage    float64 `json:"coverage"`
-	// WallSeconds/CyclesPerSec report the run's execution time even without
-	// -runlog (deduped rows share the executing run's time). Wall-clock is
-	// nondeterministic: CI's sweep gates -ignore these fields.
-	WallSeconds  float64 `json:"wall_seconds"`
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-}
-
-// sweepDoc is the -sweep -json document: per-run rows in declaration order
-// plus the run-lifecycle summary block.
-type sweepDoc struct {
-	Meta  rundoc.Meta       `json:"meta"`
-	Seed  int64             `json:"seed"`
-	Runs  []sweepRow        `json:"runs"`
-	Sweep *obs.SweepSummary `json:"sweep,omitempty"`
-}
-
-// writeRunLogFiles exports the run log next to the given prefix:
-// PREFIX.trace.json (Chrome trace_event) and PREFIX.events.jsonl.
-func writeRunLogFiles(rl *obs.RunLog, prefix string) error {
-	tf, err := os.Create(prefix + ".trace.json")
-	if err != nil {
-		return err
-	}
-	defer tf.Close()
-	if err := rl.WriteChromeTrace(tf); err != nil {
-		return err
-	}
-	ef, err := os.Create(prefix + ".events.jsonl")
-	if err != nil {
-		return err
-	}
-	defer ef.Close()
-	return rl.WriteEventsJSONL(ef)
 }
 
 // runSweep is the -sweep multi-run mode: the cross product of the
@@ -521,7 +477,7 @@ func runSweep(w io.Writer, appList, schemeList string, o sweepOptions) error {
 	start := time.Now()
 	r.Prefetch(pts...)
 
-	var rows []sweepRow
+	var rows []rundoc.SweepRow
 	if !o.JSON {
 		fmt.Fprintf(w, "%-14s %-22s %-9s %-12s %-14s %-10s %-10s\n",
 			"app", "scheme", "ipc", "activations", "row-energy-nj", "app-error", "coverage")
@@ -533,34 +489,33 @@ func runSweep(w io.Writer, appList, schemeList string, o sweepOptions) error {
 			rl.FinishProgress()
 			return err
 		}
-		if o.JSON {
-			row := sweepRow{
-				App: p.App, Scheme: p.Scheme.Name(), IPC: res.Run.IPC(),
-				Activations: res.Run.Mem.Activations, RowEnergyNJ: res.Run.RowEnergy,
-				AppError: res.Run.AppError, Coverage: res.Run.Mem.Coverage(),
-			}
-			if secs, ok := r.Timing(p.App, p.Scheme, p.Variant); ok && secs > 0 {
-				row.WallSeconds = secs
-				row.CyclesPerSec = float64(res.Run.Mem.Cycles) / secs
-			}
-			rows = append(rows, row)
-			continue
+		row := rundoc.SweepRow{
+			App: p.App, Scheme: p.Scheme.Name(), IPC: res.Run.IPC(),
+			Activations: res.Run.Mem.Activations, RowEnergyNJ: res.Run.RowEnergy,
+			AppError: res.Run.AppError, Coverage: res.Run.Mem.Coverage(),
 		}
-		fmt.Fprintf(w, "%-14s %-22s %-9.4f %-12d %-14.0f %-10.4f %-10.4f\n",
-			p.App, p.Scheme.Name(), res.Run.IPC(), res.Run.Mem.Activations,
-			res.Run.RowEnergy, res.Run.AppError, res.Run.Mem.Coverage())
+		if secs, ok := r.Timing(p.App, p.Scheme, p.Variant); ok && secs > 0 {
+			row.WallSeconds = secs
+			row.CyclesPerSec = float64(res.Run.Mem.Cycles) / secs
+		}
+		rows = append(rows, row)
+		if !o.JSON {
+			fmt.Fprintf(w, "%-14s %-22s %-9.4f %-12d %-14.0f %-10.4f %-10.4f\n",
+				row.App, row.Scheme, row.IPC, row.Activations, row.RowEnergyNJ, row.AppError, row.Coverage)
+		}
 	}
 	r.Wait()
 	rl.FinishProgress()
+	doc := rundoc.SweepDoc{Meta: rundoc.Meta{Build: buildinfo.Get()}, Seed: o.Seed, Runs: rows, Sweep: rl.Summary()}
 	if o.JSON {
-		if err := json.NewEncoder(w).Encode(sweepDoc{Meta: rundoc.Meta{Build: buildinfo.Get()}, Seed: o.Seed, Runs: rows, Sweep: rl.Summary()}); err != nil {
+		if err := json.NewEncoder(w).Encode(doc); err != nil {
 			return err
 		}
 	} else {
 		fmt.Fprintf(w, "%d runs in %v\n", len(pts), time.Since(start).Round(time.Millisecond))
 	}
 	if o.RunLogPrefix != "" {
-		if err := writeRunLogFiles(rl, o.RunLogPrefix); err != nil {
+		if err := rundoc.WriteRunLog(o.RunLogPrefix, rl, doc); err != nil {
 			return err
 		}
 	}

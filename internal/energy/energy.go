@@ -89,7 +89,7 @@ func (p Profile) MemEnergyNJ(m *stats.Mem, memCycles uint64, memClockHz float64,
 // BankEnergy attributes one bank's share of the channel energy, alongside
 // the counters the attribution derives from.
 type BankEnergy struct {
-	Bank     int     `json:"bank"`
+	Bank     int     `json:"bank" gate:"key"`
 	RowNJ    float64 `json:"row_nj"`
 	AccessNJ float64 `json:"access_nj"`
 
@@ -106,7 +106,7 @@ type BankEnergy struct {
 // ChannelEnergy attributes one channel's energy, split per bank. Background
 // energy is a channel-level quantity and has no per-bank split.
 type ChannelEnergy struct {
-	Channel      int          `json:"channel"`
+	Channel      int          `json:"channel" gate:"key"`
 	RowNJ        float64      `json:"row_nj"`
 	AccessNJ     float64      `json:"access_nj"`
 	BackgroundNJ float64      `json:"background_nj"`

@@ -108,10 +108,10 @@ type Decision struct {
 // AdaptPoint is one entry of the dynamic units' per-window adaptation trace:
 // what a Dyn-DMS or Dyn-AMS unit decided at a profile-window boundary.
 type AdaptPoint struct {
-	Cycle   uint64 `json:"cycle"`
-	Channel int    `json:"channel"`
+	Cycle   uint64 `json:"cycle" gate:"key"`
+	Channel int    `json:"channel" gate:"key"`
 	// Unit is "dms" or "ams".
-	Unit string `json:"unit"`
+	Unit string `json:"unit" gate:"key"`
 	// Delay is the in-force delay after the window decision (DMS); BWUtil
 	// the window's bus utilization that drove it; Phase the search phase.
 	Delay  int     `json:"delay,omitempty"`
@@ -280,9 +280,9 @@ func MergeAuditLogs(logs ...*AuditLog) *AuditLog {
 
 // ReasonCount is one row of the serialized per-reason breakdown.
 type ReasonCount struct {
-	Unit   string `json:"unit"`
+	Unit   string `json:"unit" gate:"key"`
 	Kind   string `json:"kind"`
-	Reason string `json:"reason"`
+	Reason string `json:"reason" gate:"key"`
 	Count  uint64 `json:"count"`
 }
 

@@ -371,7 +371,7 @@ func (c *Census) SkippableFrac() float64 {
 
 // StallSummary is the serializable decomposition-table row for one cause.
 type StallSummary struct {
-	Cause string `json:"cause"`
+	Cause string `json:"cause" gate:"key"`
 	// Cycles is the cause's total; Share its fraction of all attributed
 	// cycles. Requests counts retired requests that spent at least one cycle
 	// in the cause; Mean/P50/P99/Max describe that per-request distribution.
@@ -387,14 +387,14 @@ type StallSummary struct {
 // ResidencySummary is one bank-state row of the machine-level residency
 // census.
 type ResidencySummary struct {
-	State  string  `json:"state"`
+	State  string  `json:"state" gate:"key"`
 	Cycles uint64  `json:"cycles"`
 	Share  float64 `json:"share"`
 }
 
 // BankResidency is one bank's residency row in per-channel detail.
 type BankResidency struct {
-	Bank        int    `json:"bank"`
+	Bank        int    `json:"bank" gate:"key"`
 	Serving     uint64 `json:"serving"`
 	DMSHeld     uint64 `json:"dms_held"`
 	TimingWait  uint64 `json:"timing_wait"`
@@ -405,7 +405,7 @@ type BankResidency struct {
 
 // ChannelCensus is one channel's slice of the census in serializable form.
 type ChannelCensus struct {
-	Channel       int               `json:"channel"`
+	Channel       int               `json:"channel" gate:"key"`
 	Requests      uint64            `json:"requests"`
 	LatencyCycles uint64            `json:"latency_cycles"`
 	SkippableFrac float64           `json:"skippable_frac"`
@@ -424,7 +424,8 @@ type IngressSummary struct {
 // HostPhases reports the host-side phase profiler: sampled wall-clock spent
 // in the coreTick / memTick / probe phases of GPU.Step, and per shard-worker
 // busy vs barrier-wait time. Host timings are nondeterministic by nature and
-// are excluded from lazycmp's flattening, like wall_ms.
+// are excluded from lazycmp's gate (CensusSummary.Host is tagged gate:"-"),
+// like wall_ms.
 type HostPhases struct {
 	SampleEvery uint64 `json:"sample_every"`
 	CoreTicks   uint64 `json:"core_ticks_sampled"`
@@ -479,7 +480,7 @@ type CensusSummary struct {
 
 	Ingress  *IngressSummary `json:"ingress,omitempty"`
 	Channels []ChannelCensus `json:"channels,omitempty"`
-	Host     *HostPhases     `json:"host,omitempty"`
+	Host     *HostPhases     `json:"host,omitempty" gate:"-"`
 
 	// InvariantError carries the first CheckInvariants violation, so any
 	// artifact that embeds a census also records whether its exactness

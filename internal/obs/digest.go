@@ -321,14 +321,13 @@ func ReadDigestJSONL(r io.Reader) ([]DigestRecord, error) {
 	}
 }
 
-// hex64 renders a digest as "0x%016x". The 0x prefix keeps lazycmp's numeric
-// parser from misreading an all-decimal-digit digest as a number.
+// hex64 renders a digest as "0x%016x".
 func hex64(v uint64) string { return fmt.Sprintf("0x%016x", v) }
 
 // DigestSummary is the telemetry.digest chain summary in the -json document:
 // a single exact bit-identity key for a whole run. The 64-bit digests are
-// carried both as hex strings (human-readable, skipped by lazycmp's numeric
-// flattener) and as hi/lo 32-bit halves, which are exact in float64 so
+// carried both as hex strings (human-readable; string fields are never
+// gated) and as hi/lo 32-bit halves, which are exact in float64 so
 // lazycmp can gate on them without precision loss.
 type DigestSummary struct {
 	Every     uint64 `json:"every"`

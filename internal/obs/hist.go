@@ -116,8 +116,8 @@ func (h *Histogram) Percentile(p float64) uint64 {
 // HistBucket is one non-empty histogram bucket in serializable form: the
 // [Lo, Hi) value range and its sample count.
 type HistBucket struct {
-	Lo    uint64 `json:"lo"`
-	Hi    uint64 `json:"hi"`
+	Lo    uint64 `json:"lo" gate:"key"`
+	Hi    uint64 `json:"hi" gate:"key"`
 	Count uint64 `json:"count"`
 }
 

@@ -125,7 +125,7 @@ func (t *Tracer) Stages() []StageSummary {
 
 // StageSummary is the serializable digest of one stage's latency histogram.
 type StageSummary struct {
-	Stage string  `json:"stage"`
+	Stage string  `json:"stage" gate:"key"`
 	Clock string  `json:"clock"`
 	Count uint64  `json:"count"`
 	Sum   uint64  `json:"sum"`

@@ -113,8 +113,8 @@ func (h *ErrHist) Quantile(q float64) float64 {
 
 // ErrBucket is one serialized histogram bucket: errors in [Lo, Hi).
 type ErrBucket struct {
-	Lo    float64 `json:"lo"`
-	Hi    float64 `json:"hi"`
+	Lo    float64 `json:"lo" gate:"key"`
+	Hi    float64 `json:"hi" gate:"key"`
 	Count uint64  `json:"count"`
 }
 
@@ -140,8 +140,8 @@ func (h *ErrHist) Buckets() []ErrBucket {
 
 // WorstOffender is one AMS-dropped line scored among the worst of the run.
 type WorstOffender struct {
-	Addr    uint64  `json:"addr"`
-	Cycle   uint64  `json:"cycle"`
+	Addr    uint64  `json:"addr" gate:"key"`
+	Cycle   uint64  `json:"cycle" gate:"key"`
 	Words   int     `json:"words"`
 	MeanAbs float64 `json:"mean_abs"`
 	MeanRel float64 `json:"mean_rel"`

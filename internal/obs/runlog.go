@@ -26,7 +26,7 @@ package obs
 // span and its duplicate Run calls exactly one dedup-joined span each, no
 // matter which caller wins the singleflight race. Everything measured in
 // wall-clock (the Timing block, prefetch_hits, per-span timestamps) is not,
-// and is excluded from regression gating (see lazycmp -ignore).
+// and is tagged gate:"-" to stay out of regression gating.
 
 import (
 	"bufio"
@@ -450,25 +450,24 @@ type RunSpanJSON struct {
 // SweepSummary is the serializable digest of one sweep. The count fields
 // (Runs, Executed, Deduped, Errors, Events, SimCycles) are deterministic —
 // invariant under worker count and singleflight races — and are gated by
-// lazycmp; Timing, PrefetchHits and the per-span timestamps are wall-clock
-// measurements and are not.
+// lazycmp; Timing, PrefetchHits and the spans are wall-clock measurements,
+// and Workers is a knob, so those are tagged gate:"-".
 type SweepSummary struct {
 	Runs         int    `json:"runs"`
 	Executed     int    `json:"executed"`
 	Deduped      int    `json:"deduped"`
 	Errors       int    `json:"errors"`
-	PrefetchHits int    `json:"prefetch_hits"`
+	PrefetchHits int    `json:"prefetch_hits" gate:"-"`
 	Events       int    `json:"events"`
-	Workers      int    `json:"workers"`
+	Workers      int    `json:"workers" gate:"-"`
 	SimCycles    uint64 `json:"sim_cycles"`
 
-	Timing SweepTiming   `json:"timing"`
-	Spans  []RunSpanJSON `json:"spans,omitempty"`
+	Timing SweepTiming   `json:"timing" gate:"-"`
+	Spans  []RunSpanJSON `json:"spans,omitempty" gate:"-"`
 }
 
 // SweepTiming collects the nondeterministic wall-clock measurements of a
-// sweep; lazycmp flattens these under sweep.timing.* so a single prefix
-// rule excludes them from regression gating.
+// sweep, all ungated (SweepSummary.Timing is tagged gate:"-").
 type SweepTiming struct {
 	WallSeconds         float64      `json:"wall_seconds"`
 	RunMeanSeconds      float64      `json:"run_mean_seconds"`

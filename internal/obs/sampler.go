@@ -7,7 +7,7 @@ package obs
 // settling behaviour rather than a long-run average.
 type Sample struct {
 	// MemCycle / CoreCycle are the cycle counts at snapshot time.
-	MemCycle  uint64 `json:"mem_cycle"`
+	MemCycle  uint64 `json:"mem_cycle" gate:"key"`
 	CoreCycle uint64 `json:"core_cycle"`
 	// IPC is instructions per core cycle over the window.
 	IPC float64 `json:"ipc"`

@@ -1,325 +1,33 @@
-// Package report renders lazysim -json run documents (and sweep documents)
-// into a single self-contained HTML page: run summary, scheduler
-// decision-reason breakdown, adaptation timelines, latency CDFs, bank
-// heatmaps, quality histograms, sweep dashboard, with an optional
-// side-by-side comparison. The page embeds every byte it needs — no scripts,
-// no external assets, zero network fetches — so it can be archived next to
-// the JSON it was built from, or served on demand by the lazyd daemon.
+// Package report renders lazysim run documents and sweep documents into a
+// single self-contained HTML page: run summary, scheduler decision-reason
+// breakdown, adaptation timelines, latency CDFs, bank heatmaps, quality
+// histograms, sweep dashboard, with an optional side-by-side comparison. The
+// page embeds every byte it needs — no scripts, no external assets, zero
+// network fetches — so it can be archived next to the JSON it was built
+// from, or served on demand by the lazyd daemon.
 //
-// The structs below mirror the subset of the lazysim -json document the
-// report consumes; unknown fields are ignored so newer documents keep
-// rendering.
+// Documents decode into the producer's own types (rundoc.Doc and the sweep
+// block of rundoc.SweepDoc), so the page reads exactly the fields lazysim
+// writes. Unknown members are ignored, so a newer document still renders.
 package report
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"lazydram/internal/obs"
+	"lazydram/internal/rundoc"
 )
 
-// Doc is one parsed run document. Construct it with Load or Parse.
+// Doc is one parsed run or sweep document. Construct it with Load or Parse.
 type Doc struct {
 	Path string `json:"-"`
-
-	App          string  `json:"app"`
-	Scheme       string  `json:"scheme"`
-	Seed         int64   `json:"seed"`
-	CoreCycles   uint64  `json:"core_cycles"`
-	Instructions uint64  `json:"instructions"`
-	IPC          float64 `json:"ipc"`
-
-	Activations uint64  `json:"activations"`
-	Reads       uint64  `json:"reads"`
-	Writes      uint64  `json:"writes"`
-	AvgRBL      float64 `json:"avg_rbl"`
-	BWUtil      float64 `json:"bwutil"`
-	Coverage    float64 `json:"coverage"`
-	Dropped     uint64  `json:"dropped"`
-	QueueOcc    float64 `json:"queue_occ"`
-
-	RowEnergyNJ float64 `json:"row_energy_nj"`
-	MemEnergyNJ float64 `json:"mem_energy_nj"`
-	AppError    float64 `json:"app_error"`
-
-	FinalDelay int     `json:"final_delay"`
-	FinalThRBL int     `json:"final_th_rbl"`
-	MeanDelay  float64 `json:"mean_delay"`
-	MeanThRBL  float64 `json:"mean_th_rbl"`
-
-	EnergyByChannel []chEnergy `json:"energy_by_channel"`
-	Telemetry       *telemetry `json:"telemetry"`
-
-	// Sweep is the run-lifecycle summary block of a lazysim -sweep -json or
-	// experiments -runlog document; its presence switches on the sweep
+	rundoc.Doc
+	// Sweep is the run-lifecycle block of a sweep document (lazysim -sweep
+	// -json or experiments -runlog); its presence switches on the sweep
 	// dashboard section.
-	Sweep *sweepSummary `json:"sweep"`
-}
-
-type sweepSummary struct {
-	Runs         int    `json:"runs"`
-	Executed     int    `json:"executed"`
-	Deduped      int    `json:"deduped"`
-	Errors       int    `json:"errors"`
-	PrefetchHits int    `json:"prefetch_hits"`
-	Events       int    `json:"events"`
-	Workers      int    `json:"workers"`
-	SimCycles    uint64 `json:"sim_cycles"`
-
-	Timing sweepTiming `json:"timing"`
-	Spans  []sweepSpan `json:"spans"`
-}
-
-type sweepTiming struct {
-	WallSeconds         float64     `json:"wall_seconds"`
-	RunMeanSeconds      float64     `json:"run_mean_seconds"`
-	RunP50Seconds       float64     `json:"run_p50_seconds"`
-	RunP99Seconds       float64     `json:"run_p99_seconds"`
-	RunMaxSeconds       float64     `json:"run_max_seconds"`
-	QueueWaitP50Seconds float64     `json:"queue_wait_p50_seconds"`
-	QueueWaitP99Seconds float64     `json:"queue_wait_p99_seconds"`
-	QueueWaitMaxSeconds float64     `json:"queue_wait_max_seconds"`
-	WorkerOccupancy     float64     `json:"worker_occupancy"`
-	CyclesPerSec        float64     `json:"cycles_per_sec"`
-	AllocBytes          uint64      `json:"alloc_bytes"`
-	Mallocs             uint64      `json:"mallocs"`
-	QueueWaitHist       []errBucket `json:"queue_wait_hist"`
-}
-
-type sweepSpan struct {
-	ID       int    `json:"id"`
-	App      string `json:"app"`
-	Scheme   string `json:"scheme"`
-	Origin   string `json:"origin"`
-	State    string `json:"state"`
-	Worker   int    `json:"worker"`
-	Target   int    `json:"target"`
-	Prefetch bool   `json:"prefetch_hit"`
-	Err      string `json:"err"`
-
-	SubmittedUS int64 `json:"submitted_us"`
-	StartedUS   int64 `json:"started_us"`
-	FinishedUS  int64 `json:"finished_us"`
-	QueueWaitUS int64 `json:"queue_wait_us"`
-	WallUS      int64 `json:"wall_us"`
-
-	SimCycles    uint64  `json:"sim_cycles"`
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-	Joins        int     `json:"joins"`
-}
-
-type chEnergy struct {
-	Channel int          `json:"channel"`
-	RowNJ   float64      `json:"row_nj"`
-	TotalNJ float64      `json:"total_nj"`
-	Banks   []bankEnergy `json:"banks"`
-}
-
-type bankEnergy struct {
-	Bank           int     `json:"bank"`
-	RowNJ          float64 `json:"row_nj"`
-	Activations    uint64  `json:"activations"`
-	RowHits        uint64  `json:"row_hits"`
-	RowConflicts   uint64  `json:"row_conflicts"`
-	DMSDelayCycles uint64  `json:"dms_delay_cycles"`
-	AMSDrops       uint64  `json:"ams_drops"`
-}
-
-type telemetry struct {
-	Stages      []stageSummary  `json:"stages"`
-	SampleEvery uint64          `json:"sample_every"`
-	Series      []sample        `json:"series"`
-	Audit       *auditSummary   `json:"audit"`
-	Quality     *qualitySummary `json:"quality"`
-	Fault       *faultSummary   `json:"fault"`
-	Census      *censusSummary  `json:"census"`
-}
-
-// censusSummary mirrors obs.CensusSummary: the -census cycle census with its
-// stall-cause decomposition, bank state residency, skip-ahead opportunity
-// profile, and host-side phase timings.
-type censusSummary struct {
-	Requests         uint64        `json:"requests"`
-	LatencyCycles    uint64        `json:"latency_cycles"`
-	AttributedCycles uint64        `json:"attributed_cycles"`
-	Stalls           []censusStall `json:"stalls"`
-
-	BankCycles uint64        `json:"bank_cycles"`
-	Residency  []censusState `json:"residency"`
-
-	PartCycles    uint64  `json:"partition_cycles"`
-	Advancing     uint64  `json:"advancing"`
-	TimingWait    uint64  `json:"timing_wait"`
-	Idle          uint64  `json:"idle"`
-	SkippableFrac float64 `json:"skippable_frac"`
-
-	GapCount uint64      `json:"gap_count"`
-	GapMean  float64     `json:"gap_mean"`
-	GapP50   uint64      `json:"gap_p50"`
-	GapP90   uint64      `json:"gap_p90"`
-	GapP99   uint64      `json:"gap_p99"`
-	GapMax   uint64      `json:"gap_max"`
-	GapHist  []errBucket `json:"gap_hist"`
-
-	Ingress  *censusIngress  `json:"ingress"`
-	Channels []censusChannel `json:"channels"`
-	Host     *censusHost     `json:"host"`
-
-	InvariantError string `json:"invariant_error"`
-}
-
-type censusStall struct {
-	Cause    string  `json:"cause"`
-	Cycles   uint64  `json:"cycles"`
-	Share    float64 `json:"share"`
-	Requests uint64  `json:"requests"`
-	Mean     float64 `json:"mean"`
-	P99      uint64  `json:"p99"`
-	Max      uint64  `json:"max"`
-}
-
-type censusState struct {
-	State  string  `json:"state"`
-	Cycles uint64  `json:"cycles"`
-	Share  float64 `json:"share"`
-}
-
-type censusIngress struct {
-	MSHRFull   uint64 `json:"mshr_full"`
-	MergeLimit uint64 `json:"merge_limit"`
-	QueueFull  uint64 `json:"queue_full"`
-}
-
-type censusChannel struct {
-	Channel       int               `json:"channel"`
-	Requests      uint64            `json:"requests"`
-	LatencyCycles uint64            `json:"latency_cycles"`
-	SkippableFrac float64           `json:"skippable_frac"`
-	StallCycles   map[string]uint64 `json:"stall_cycles"`
-	Banks         []censusBank      `json:"banks"`
-}
-
-type censusBank struct {
-	Bank        int    `json:"bank"`
-	Serving     uint64 `json:"serving"`
-	DMSHeld     uint64 `json:"dms_held"`
-	TimingWait  uint64 `json:"timing_wait"`
-	OpenIdle    uint64 `json:"open_idle"`
-	Precharging uint64 `json:"precharging"`
-	Idle        uint64 `json:"idle"`
-}
-
-type censusHost struct {
-	SampleEvery uint64         `json:"sample_every"`
-	CoreTicks   uint64         `json:"core_ticks_sampled"`
-	CoreNS      uint64         `json:"core_ns"`
-	MemTicks    uint64         `json:"mem_ticks_sampled"`
-	MemNS       uint64         `json:"mem_ns"`
-	ProbeTicks  uint64         `json:"probe_ticks_sampled"`
-	ProbeNS     uint64         `json:"probe_ns"`
-	Workers     []censusWorker `json:"workers"`
-}
-
-type censusWorker struct {
-	Worker     int     `json:"worker"`
-	Dispatches uint64  `json:"dispatches"`
-	BusyNS     uint64  `json:"busy_ns"`
-	BarrierNS  uint64  `json:"barrier_ns"`
-	BusyFrac   float64 `json:"busy_frac"`
-}
-
-type faultSummary struct {
-	Seed        int64   `json:"seed"`
-	BusBER      float64 `json:"bus_ber"`
-	WeakDensity float64 `json:"weak_density"`
-
-	Reads          uint64 `json:"reads"`
-	CorruptedReads uint64 `json:"corrupted_reads"`
-	ActFlips       uint64 `json:"act_flips"`
-	RetFlips       uint64 `json:"ret_flips"`
-	BusFlips       uint64 `json:"bus_flips"`
-	TotalFlips     uint64 `json:"total_flips"`
-	WeakRows       uint64 `json:"weak_rows"`
-	WeakCells      uint64 `json:"weak_cells"`
-	Digest         uint64 `json:"digest"`
-
-	Quality *qualitySummary `json:"quality"`
-}
-
-type stageSummary struct {
-	Stage string  `json:"stage"`
-	Clock string  `json:"clock"`
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-type sample struct {
-	MemCycle uint64  `json:"mem_cycle"`
-	IPC      float64 `json:"ipc"`
-	BWUtil   float64 `json:"bwutil"`
-	QueueOcc float64 `json:"queue_occ"`
-	Delay    float64 `json:"delay"`
-	ThRBL    float64 `json:"th_rbl"`
-}
-
-type auditSummary struct {
-	Total            uint64        `json:"total"`
-	DMSDelayHolds    uint64        `json:"dms_delay_holds"`
-	DMSDelayExpiries uint64        `json:"dms_delay_expiries"`
-	AMSDrops         uint64        `json:"ams_drops"`
-	AMSSkips         uint64        `json:"ams_skips"`
-	Reasons          []reasonCount `json:"reasons"`
-	Adapt            []adaptPoint  `json:"adapt"`
-}
-
-type reasonCount struct {
-	Unit   string `json:"unit"`
-	Kind   string `json:"kind"`
-	Reason string `json:"reason"`
-	Count  uint64 `json:"count"`
-}
-
-type adaptPoint struct {
-	Cycle    uint64  `json:"cycle"`
-	Channel  int     `json:"channel"`
-	Unit     string  `json:"unit"`
-	Delay    float64 `json:"delay"`
-	BWUtil   float64 `json:"bwutil"`
-	ThRBL    float64 `json:"th_rbl"`
-	Coverage float64 `json:"coverage"`
-}
-
-type qualitySummary struct {
-	Lines        uint64          `json:"lines"`
-	Words        uint64          `json:"words"`
-	SkippedWords uint64          `json:"skipped_words"`
-	MeanAbsError float64         `json:"mean_abs_error"`
-	MeanRelError float64         `json:"mean_rel_error"`
-	RelP50       float64         `json:"rel_p50"`
-	RelP90       float64         `json:"rel_p90"`
-	RelP99       float64         `json:"rel_p99"`
-	MaxRelError  float64         `json:"max_rel_error"`
-	AbsHist      []errBucket     `json:"abs_hist"`
-	RelHist      []errBucket     `json:"rel_hist"`
-	Worst        []worstOffender `json:"worst"`
-}
-
-type errBucket struct {
-	Lo    float64 `json:"lo"`
-	Hi    float64 `json:"hi"`
-	Count uint64  `json:"count"`
-}
-
-type worstOffender struct {
-	Addr    uint64  `json:"addr"`
-	Cycle   uint64  `json:"cycle"`
-	Words   int     `json:"words"`
-	MeanAbs float64 `json:"mean_abs"`
-	MeanRel float64 `json:"mean_rel"`
-	MaxRel  float64 `json:"max_rel"`
+	Sweep *obs.SweepSummary `json:"sweep"`
 }
 
 // Parse decodes one run document from raw JSON bytes; path labels the

@@ -10,6 +10,9 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"lazydram/internal/energy"
+	"lazydram/internal/obs"
 )
 
 const pageCSS = `
@@ -218,7 +221,7 @@ func writeDoc(b *strings.Builder, d *Doc, named bool) {
 	}
 }
 
-func writeSweepSection(b *strings.Builder, s *sweepSummary, suffix string) {
+func writeSweepSection(b *strings.Builder, s *obs.SweepSummary, suffix string) {
 	openSection(b, "Sweep dashboard"+suffix,
 		fmt.Sprintf("Run-lifecycle log of one exp.Runner sweep: %d Run calls over %d worker slots; singleflight dedupe resolved %d of them without simulating.",
 			s.Runs, s.Workers, s.Deduped))
@@ -284,7 +287,7 @@ func writeSweepSection(b *strings.Builder, s *sweepSummary, suffix string) {
 		{Label: "errors", Value: float64(s.Errors), Class: "s2"},
 	}))
 	// Queue-wait histogram (µs buckets from obs.Histogram).
-	if rows := histRows(s.Timing.QueueWaitHist, "s1"); len(rows) > 0 {
+	if rows := histRows(errBuckets(s.Timing.QueueWaitHist), "s1"); len(rows) > 0 {
 		mini(b, "queue-wait histogram (µs, log-linear buckets)", barChart(rows))
 	}
 	b.WriteString("</div>\n")
@@ -302,7 +305,7 @@ func writeSweepSection(b *strings.Builder, s *sweepSummary, suffix string) {
 	b.WriteString("</section>\n")
 }
 
-func writeFaultSection(b *strings.Builder, f *faultSummary, suffix string) {
+func writeFaultSection(b *strings.Builder, f *obs.FaultSummary, suffix string) {
 	openSection(b, "Fault injection"+suffix,
 		fmt.Sprintf("Deterministic DRAM error model (seed %d, bus BER %s, weak-cell density %s): per-mode injected flips and the error they caused in the returned data.",
 			f.Seed, fnum(f.BusBER), fnum(f.WeakDensity)))
@@ -336,7 +339,7 @@ func writeFaultSection(b *strings.Builder, f *faultSummary, suffix string) {
 	b.WriteString("</section>\n")
 }
 
-func writeAuditSection(b *strings.Builder, a *auditSummary, suffix string) {
+func writeAuditSection(b *strings.Builder, a *obs.AuditSummary, suffix string) {
 	openSection(b, "Scheduler decisions"+suffix,
 		"Every DMS delay hold/expiry and AMS drop/skip the memory controllers recorded, grouped by reason.")
 	writeTiles(b, []tile{
@@ -367,7 +370,7 @@ func writeAuditSection(b *strings.Builder, a *auditSummary, suffix string) {
 	b.WriteString("</section>\n")
 }
 
-func writeAdaptSection(b *strings.Builder, a *auditSummary, suffix string) {
+func writeAdaptSection(b *strings.Builder, a *obs.AuditSummary, suffix string) {
 	if len(a.Adapt) == 0 {
 		return
 	}
@@ -387,10 +390,10 @@ func writeAdaptSection(b *strings.Builder, a *auditSummary, suffix string) {
 		x := float64(p.Cycle)
 		switch p.Unit {
 		case "dms":
-			delay = append(delay, pt{x, p.Delay})
+			delay = append(delay, pt{x, float64(p.Delay)})
 			bw = append(bw, pt{x, p.BWUtil})
 		case "ams":
-			th = append(th, pt{x, p.ThRBL})
+			th = append(th, pt{x, float64(p.ThRBL)})
 			cov = append(cov, pt{x, p.Coverage})
 		}
 	}
@@ -408,7 +411,7 @@ func writeAdaptSection(b *strings.Builder, a *auditSummary, suffix string) {
 	b.WriteString("</div>\n</section>\n")
 }
 
-func writeSeriesSection(b *strings.Builder, t *telemetry, suffix string) {
+func writeSeriesSection(b *strings.Builder, t *obs.Telemetry, suffix string) {
 	var ipc, bw, occ []pt
 	for _, s := range t.Series {
 		x := float64(s.MemCycle)
@@ -425,7 +428,7 @@ func writeSeriesSection(b *strings.Builder, t *telemetry, suffix string) {
 	b.WriteString("</div>\n</section>\n")
 }
 
-func writeStagesSection(b *strings.Builder, stages []stageSummary, suffix string) {
+func writeStagesSection(b *strings.Builder, stages []obs.StageSummary, suffix string) {
 	openSection(b, "Request latency by stage"+suffix,
 		"Empirical CDF per lifecycle stage from the traced quantiles (x axis: latency in the stage's clock, log scale).")
 	xf := func(x float64) string { return fnum(math.Pow(10, x)) }
@@ -435,7 +438,7 @@ func writeStagesSection(b *strings.Builder, stages []stageSummary, suffix string
 			continue
 		}
 		lg := func(v float64) float64 { return math.Log10(math.Max(v, 0.5)) }
-		ps := []pt{{lg(st.P50), 0.50}, {lg(st.P90), 0.90}, {lg(st.P99), 0.99}, {lg(st.Max), 1.0}}
+		ps := []pt{{lg(float64(st.P50)), 0.50}, {lg(float64(st.P90)), 0.90}, {lg(float64(st.P99)), 0.99}, {lg(float64(st.Max)), 1.0}}
 		cap := fmt.Sprintf("%s (%s cycles, n=%d, mean %s)", st.Stage, st.Clock, st.Count, fnum(st.Mean))
 		mini(b, cap, lineChart([]series{{st.Stage, "ls1", ps}}, xf, nil))
 	}
@@ -446,7 +449,7 @@ func writeHeatmapSection(b *strings.Builder, d *Doc, suffix string) {
 	if len(d.EnergyByChannel) == 0 {
 		return
 	}
-	matrix := func(get func(bankEnergy) float64) ([][]float64, bool) {
+	matrix := func(get func(energy.BankEnergy) float64) ([][]float64, bool) {
 		out := make([][]float64, len(d.EnergyByChannel))
 		any := false
 		for i, ce := range d.EnergyByChannel {
@@ -465,22 +468,22 @@ func writeHeatmapSection(b *strings.Builder, d *Doc, suffix string) {
 	openSection(b, "Bank heatmaps"+suffix,
 		"Per-bank attribution across channels; darker is more.")
 	b.WriteString(`<div class="minis">`)
-	if m, ok := matrix(func(be bankEnergy) float64 { return be.RowNJ }); ok {
+	if m, ok := matrix(func(be energy.BankEnergy) float64 { return be.RowNJ }); ok {
 		mini(b, "row energy (nJ)", heatmap(m, rl, cl, "nJ"))
 	}
-	if m, ok := matrix(func(be bankEnergy) float64 { return float64(be.DMSDelayCycles) }); ok {
+	if m, ok := matrix(func(be energy.BankEnergy) float64 { return float64(be.DMSDelayCycles) }); ok {
 		mini(b, "DMS delay cycles", heatmap(m, rl, cl, "cycles"))
 	}
-	if m, ok := matrix(func(be bankEnergy) float64 { return float64(be.AMSDrops) }); ok {
+	if m, ok := matrix(func(be energy.BankEnergy) float64 { return float64(be.AMSDrops) }); ok {
 		mini(b, "AMS dropped reads", heatmap(m, rl, cl, "drops"))
 	}
-	if m, ok := matrix(func(be bankEnergy) float64 { return float64(be.RowConflicts) }); ok {
+	if m, ok := matrix(func(be energy.BankEnergy) float64 { return float64(be.RowConflicts) }); ok {
 		mini(b, "row conflicts", heatmap(m, rl, cl, "conflicts"))
 	}
 	b.WriteString("</div>\n</section>\n")
 }
 
-func bucketLabel(bk errBucket) string {
+func bucketLabel(bk obs.ErrBucket) string {
 	if bk.Lo == 0 && bk.Hi == 0 {
 		return "exact"
 	}
@@ -497,7 +500,16 @@ func fe(v float64) string {
 	return strings.Replace(fmt.Sprintf("%.0e", v), "e-0", "e-", 1)
 }
 
-func histRows(hs []errBucket, cls string) []barRow {
+// errBuckets widens integer histogram buckets for histRows.
+func errBuckets(hs []obs.HistBucket) []obs.ErrBucket {
+	out := make([]obs.ErrBucket, len(hs))
+	for i, h := range hs {
+		out[i] = obs.ErrBucket{Lo: float64(h.Lo), Hi: float64(h.Hi), Count: h.Count}
+	}
+	return out
+}
+
+func histRows(hs []obs.ErrBucket, cls string) []barRow {
 	rows := make([]barRow, 0, len(hs))
 	for _, bk := range hs {
 		if bk.Count == 0 {
@@ -508,7 +520,7 @@ func histRows(hs []errBucket, cls string) []barRow {
 	return rows
 }
 
-func writeQualitySection(b *strings.Builder, q *qualitySummary, suffix string) {
+func writeQualitySection(b *strings.Builder, q *obs.QualitySummary, suffix string) {
 	openSection(b, "Approximation quality"+suffix,
 		"Predicted line values vs ground-truth memory image for every AMS-dropped read (float32 words).")
 	writeTiles(b, []tile{
@@ -540,7 +552,7 @@ func writeQualitySection(b *strings.Builder, q *qualitySummary, suffix string) {
 
 // --- cycle census -----------------------------------------------------------
 
-func writeCensusSection(b *strings.Builder, c *censusSummary, suffix string) {
+func writeCensusSection(b *strings.Builder, c *obs.CensusSummary, suffix string) {
 	openSection(b, "Cycle census"+suffix,
 		"Exact latency provenance: every retired request's queue+service cycles charged to one stall cause, every bank-cycle classified into one residency state, and the partition-cycle census that sizes event-driven skip-ahead (ROADMAP item 2).")
 	if c.InvariantError != "" {
@@ -606,7 +618,7 @@ func writeCensusSection(b *strings.Builder, c *censusSummary, suffix string) {
 		{Label: "timing-wait (skippable)", Value: float64(c.TimingWait), Class: "s2", Note: "work pending, nothing could change — an event-driven loop skips these"},
 		{Label: "fully idle", Value: float64(c.Idle), Class: "s3"},
 	}))
-	if rows := histRows(c.GapHist, "s2"); len(rows) > 0 {
+	if rows := histRows(errBuckets(c.GapHist), "s2"); len(rows) > 0 {
 		mini(b, fmt.Sprintf("next-event gap histogram (cycles per skip; mean %s)", fnum(c.GapMean)), barChart(rows))
 	}
 	b.WriteString("</div>\n")
@@ -624,7 +636,7 @@ func writeCensusSection(b *strings.Builder, c *censusSummary, suffix string) {
 }
 
 // machineStallRow builds the machine-wide stacked decomposition row.
-func machineStallRow(c *censusSummary, causeClass map[string]string) stackRow {
+func machineStallRow(c *obs.CensusSummary, causeClass map[string]string) stackRow {
 	row := stackRow{Label: "machine"}
 	for _, st := range c.Stalls {
 		if st.Cycles > 0 {
@@ -636,7 +648,7 @@ func machineStallRow(c *censusSummary, causeClass map[string]string) stackRow {
 
 // writeHostPhases renders the host-side phase profile: where the simulator
 // process itself spends wall time, sampled every SampleEvery ticks.
-func writeHostPhases(b *strings.Builder, hp *censusHost) {
+func writeHostPhases(b *strings.Builder, hp *obs.HostPhases) {
 	fmt.Fprintf(b, "<p class=\"cap\">Host phase profile (wall time, sampled every %d ticks — not simulated time, excluded from determinism gates):</p>\n", hp.SampleEvery)
 	perTick := func(ns, ticks uint64) string {
 		if ticks == 0 {

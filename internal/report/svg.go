@@ -262,9 +262,15 @@ type spanBox struct {
 	Tip        string // tooltip; Label+duration when empty
 }
 
+// maxTimelineLanes caps the lanes a timeline draws.
+const maxTimelineLanes = 1024
+
 // timelineChart lays spans out on horizontal lanes (one per worker slot)
 // over a shared seconds axis — a static Gantt strip of the sweep.
 func timelineChart(lanes int, boxes []spanBox, laneLabel func(int) string) string {
+	// A corrupt worker count must not draw millions of lanes; boxes on
+	// lanes past the cap are skipped like any out-of-range lane.
+	lanes = min(lanes, maxTimelineLanes)
 	if lanes <= 0 || len(boxes) == 0 {
 		return ""
 	}

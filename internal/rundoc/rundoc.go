@@ -1,14 +1,22 @@
-// Package rundoc builds the canonical machine-readable run document — the
-// JSON emitted by `lazysim -json`, compared by lazycmp, rendered by
-// lazyreport, and served by the lazyd daemon. Keeping the document shape and
-// construction in one place is what makes "the daemon serves exactly what
-// the CLI prints" true by construction rather than by parallel maintenance:
-// both call Build on the same sim.Result and encode the same struct.
+// Package rundoc owns the machine-readable document schemas: the run
+// document (Doc) emitted by `lazysim -json` and served by the lazyd daemon,
+// and the sweep document (SweepDoc) of `lazysim -sweep -json` and
+// `experiments -runlog`. lazycmp gates on them through Flatten and
+// lazyreport decodes into them, so the Go types are the only description of
+// the document shape. Keeping construction here too is what makes "the
+// daemon serves exactly what the CLI prints" true by construction: both call
+// Build on the same sim.Result and encode the same struct.
+//
+// Two struct tags beside the json tags steer Flatten: gate:"-" keeps a field
+// (and everything under it) out of the regression gate, and gate:"key" marks
+// the identity fields that name a list element in the flattened key.
 package rundoc
 
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
 	"time"
 
 	"lazydram/internal/buildinfo"
@@ -18,8 +26,8 @@ import (
 	"lazydram/internal/stats"
 )
 
-// Meta carries document provenance (skipped by lazycmp, so baselines
-// recorded on different commits don't churn).
+// Meta carries document provenance (ungated, so baselines recorded on
+// different commits don't churn).
 type Meta struct {
 	Build buildinfo.Build `json:"build"`
 }
@@ -28,10 +36,10 @@ type Meta struct {
 // block, plus the telemetry digest. Field names are the stable contract
 // lazycmp flattens; never rename them.
 type Doc struct {
-	Meta         Meta    `json:"meta"`
+	Meta         Meta    `json:"meta" gate:"-"`
 	App          string  `json:"app"`
 	Scheme       string  `json:"scheme"`
-	Seed         int64   `json:"seed"`
+	Seed         int64   `json:"seed" gate:"-"`
 	CoreCycles   uint64  `json:"core_cycles"`
 	Instructions uint64  `json:"instructions"`
 	IPC          float64 `json:"ipc"`
@@ -62,12 +70,14 @@ type Doc struct {
 	VPPredictions uint64 `json:"vp_predictions"`
 	VPFallbacks   uint64 `json:"vp_fallbacks"`
 
-	WallMS float64 `json:"wall_ms"`
+	// WallMS is host wall time, noise to a gate.
+	WallMS float64 `json:"wall_ms" gate:"-"`
 
 	// EnergyByChannel is the per-channel × per-bank energy attribution;
-	// HottestBanks the top-N banks by row energy across the whole system.
+	// HottestBanks the top-N banks by row energy across the whole system, a
+	// derived view whose membership may flap on ties.
 	EnergyByChannel []energy.ChannelEnergy `json:"energy_by_channel,omitempty"`
-	HottestBanks    []energy.HotBank       `json:"hottest_banks,omitempty"`
+	HottestBanks    []energy.HotBank       `json:"hottest_banks,omitempty" gate:"-"`
 
 	Telemetry *obs.Telemetry `json:"telemetry,omitempty"`
 }
@@ -131,4 +141,58 @@ func Encode(d Doc) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// SweepRow is one run's summary in a sweep document: the same columns as the
+// `lazysim -sweep` text table.
+type SweepRow struct {
+	App         string  `json:"app" gate:"key"`
+	Scheme      string  `json:"scheme" gate:"key"`
+	IPC         float64 `json:"ipc"`
+	Activations uint64  `json:"activations"`
+	RowEnergyNJ float64 `json:"row_energy_nj"`
+	AppError    float64 `json:"app_error"`
+	Coverage    float64 `json:"coverage"`
+	// WallSeconds/CyclesPerSec report the run's execution time even without
+	// -runlog (deduped rows share the executing run's time). Wall-clock is
+	// nondeterministic, so neither is gated.
+	WallSeconds  float64 `json:"wall_seconds" gate:"-"`
+	CyclesPerSec float64 `json:"cycles_per_sec" gate:"-"`
+}
+
+// SweepDoc is the sweep document: per-run rows in declaration order (absent
+// from `experiments -runlog`, which has no row view) plus the run-lifecycle
+// summary block.
+type SweepDoc struct {
+	Meta  Meta              `json:"meta" gate:"-"`
+	Seed  int64             `json:"seed" gate:"-"`
+	Runs  []SweepRow        `json:"runs,omitempty"`
+	Sweep *obs.SweepSummary `json:"sweep,omitempty"`
+}
+
+// WriteRunLog exports a sweep's run log next to prefix: PREFIX.trace.json
+// (Chrome trace_event, one track per worker slot), PREFIX.events.jsonl (one
+// lifecycle event per line) and PREFIX.sweep.json (doc).
+func WriteRunLog(prefix string, rl *obs.RunLog, doc SweepDoc) error {
+	for _, f := range []struct {
+		suffix string
+		write  func(io.Writer) error
+	}{
+		{".trace.json", rl.WriteChromeTrace},
+		{".events.jsonl", rl.WriteEventsJSONL},
+		{".sweep.json", func(w io.Writer) error { return json.NewEncoder(w).Encode(doc) }},
+	} {
+		out, err := os.Create(prefix + f.suffix)
+		if err != nil {
+			return err
+		}
+		err = f.write(out)
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
