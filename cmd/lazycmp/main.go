@@ -31,6 +31,10 @@
 //	-report-only    always exit 0; print and emit deltas only
 //	-fail-on-new    treat metrics present in only one document as failures
 //
+// An -ignore or -thresholds pattern that matches no metric of either
+// document is an input error: a misspelt or renamed key would otherwise
+// make its rule a silent no-op.
+//
 // Non-finite values (NaN, ±Inf — numbers or their string encodings, which
 // delta documents and expvar produce) are excluded from the gate with a
 // warning: they can neither silently pass an exact-match comparison nor
@@ -106,7 +110,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lazycmp: warning: %s: skipping non-finite metric %s\n", candPath, n)
 	}
 
-	ignored := dropIgnored(parseIgnore(*ignore), base, cand)
+	pats := parseIgnore(*ignore)
+	if err := checkPatterns(pats, th, base, cand); err != nil {
+		fmt.Fprintln(stderr, "lazycmp:", err)
+		return 2
+	}
+	ignored := dropIgnored(pats, base, cand)
 
 	doc := compare(base, cand, cmpConfig{maxRel: *maxRel, minAbs: *minAbs, overrides: th})
 	doc.Baseline = basePath
@@ -223,6 +232,32 @@ func dropIgnored(pats []string, maps ...map[string]float64) int {
 	return len(dropped)
 }
 
+// checkPatterns returns an error for the first -ignore or -thresholds
+// pattern that matches no metric of docs.
+func checkPatterns(ignore []string, rules []thresholdRule, docs ...map[string]float64) error {
+	matchesAny := func(match func(string) bool) bool {
+		for _, m := range docs {
+			for name := range m {
+				if match(name) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, pat := range ignore {
+		if !matchesAny(func(name string) bool { return globMatch(pat, name) }) {
+			return fmt.Errorf("-ignore pattern %q matches no metric", pat)
+		}
+	}
+	for _, r := range rules {
+		if !matchesAny(r.matches) {
+			return fmt.Errorf("-thresholds pattern %q matches no metric", r.pattern)
+		}
+	}
+	return nil
+}
+
 // thresholdRule is one "-thresholds" entry; Pattern with a trailing *
 // matches by prefix.
 type thresholdRule struct {
@@ -251,6 +286,14 @@ func parseThresholds(s string) ([]thresholdRule, error) {
 		rules = append(rules, thresholdRule{pattern: strings.TrimSpace(name), value: f})
 	}
 	return rules, nil
+}
+
+// matches reports whether r applies to name, exactly or by prefix.
+func (r thresholdRule) matches(name string) bool {
+	if p, ok := strings.CutSuffix(r.pattern, "*"); ok {
+		return strings.HasPrefix(name, p)
+	}
+	return r.pattern == name
 }
 
 // resolve returns the threshold for a metric: exact rule, else the longest

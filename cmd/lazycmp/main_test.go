@@ -529,3 +529,60 @@ func TestFlattenCensus(t *testing.T) {
 		}
 	}
 }
+
+// TestUnmatchedPatternIsInputError: an -ignore or -thresholds pattern that
+// matches no metric of either document exits 2 instead of making its rule
+// a silent no-op; a pattern matching a metric of only one document counts.
+func TestUnmatchedPatternIsInputError(t *testing.T) {
+	dir := t.TempDir()
+	self := writeDoc(t, dir, "a.json", sampleReport)
+	short := writeDoc(t, dir, "b.json", strings.Replace(sampleReport, `"bwutil": 0.42,`, ``, 1))
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-ignore", "ipc,telemetry.stage.*", self, self}, 2},
+		{[]string{"-ignore", "run.*.wall_seconds", self, self}, 2},
+		{[]string{"-thresholds", "ipc=0.1,stage.*=0.1", self, self}, 2},
+		{[]string{"-thresholds", "ipcc=0.1", self, self}, 2},
+		{[]string{"-ignore", "ipc,telemetry.stages.*", "-thresholds", "energy_by_channel.*=0.1,activations=0", self, self}, 0},
+		{[]string{"-ignore", "bwutil", "-fail-on-new", self, short}, 0},
+	} {
+		var out, errBuf bytes.Buffer
+		if got := run(tc.args, &out, &errBuf); got != tc.want {
+			t.Errorf("%v: exit %d, want %d\n%s", tc.args, got, tc.want, errBuf.String())
+		}
+		if tc.want == 2 && !strings.Contains(errBuf.String(), "matches no metric") {
+			t.Errorf("%v: stderr does not name the unmatched pattern:\n%s", tc.args, errBuf.String())
+		}
+	}
+}
+
+// TestZeroedOmitemptyValueFailsGate: a gated number encoded with omitempty
+// vanishes from the document when it becomes zero; the gate must read it
+// as 0 and fail, not report it baseline-only and pass.
+func TestZeroedOmitemptyValueFailsGate(t *testing.T) {
+	dir := t.TempDir()
+	withDrops := strings.Replace(sampleReport, `"every": 4096,`, `"every": 4096, "dropped": 3,`, 1)
+	base := writeDoc(t, dir, "a.json", withDrops)
+	// The encoder leaves out both zeroed values: the digest's dropped count
+	// and the adapt point's threshold.
+	zeroed := strings.Replace(strings.Replace(withDrops, `"dropped": 3,`, ``, 1), `, "th_rbl": 7`, ``, 1)
+	cand := writeDoc(t, dir, "b.json", zeroed)
+	var out, errBuf bytes.Buffer
+	if got := run([]string{base, cand}, &out, &errBuf); got != 1 {
+		t.Fatalf("exit %d, want 1\n%s%s", got, out.String(), errBuf.String())
+	}
+	for _, name := range []string{"telemetry.digest.dropped", "telemetry.audit.adapt.1024.0.ams.th_rbl"} {
+		if !strings.Contains(out.String(), name) || strings.Contains(out.String(), "baseline-only") {
+			t.Errorf("%s not reported as a failure:\n%s", name, out.String())
+		}
+	}
+	if !strings.Contains(out.String(), "2 failed, 0 unmatched") {
+		t.Errorf("summary:\n%s", out.String())
+	}
+	m, _ := flatten(t, sampleReport)
+	if got, ok := m["telemetry.digest.dropped"]; !ok || got != 0 {
+		t.Errorf("absent omitempty number reads %v (present=%v), want 0", got, ok)
+	}
+}

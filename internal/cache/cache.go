@@ -168,11 +168,10 @@ func (c *Cache) Fill(addr uint64, data []byte, approx bool) (ev Evicted, evicted
 			victim = l // refill of a resident line (race with a hit-under-miss)
 			break
 		}
-		if !l.valid {
-			victim = l
-			break
-		}
-		if l.lru < victim.lru {
+		// Else the first invalid way, else the least recently used one. The
+		// scan goes on past an invalid way: the line may sit behind it, and
+		// filling the hole would leave a second, possibly dirty, copy.
+		if victim.valid && (!l.valid || l.lru < victim.lru) {
 			victim = l
 		}
 	}

@@ -56,6 +56,26 @@ func TestSameSetConflictEvictsLRU(t *testing.T) {
 	}
 }
 
+// TestRefillBehindHoleKeepsOneCopy refills a resident dirty line whose way
+// follows an invalidated one: the refill must land in the line's own way,
+// not in the hole, or the set holds two copies and the stale dirty one
+// outlives an invalidation.
+func TestRefillBehindHoleKeepsOneCopy(t *testing.T) {
+	c := tinyCache(t)
+	// Lines 0 and 4 share set 0: way 0 holds 0, way 1 holds 4 (dirty).
+	c.Fill(0, line(1), false)
+	c.Fill(4*128, line(2), false)
+	c.WriteWord(4*128, 7, 4, true)
+	c.Invalidate(0)
+	c.Fill(4*128, line(3), false)
+	if _, dirty := c.Invalidate(4 * 128); dirty {
+		t.Fatal("the refill left the dirty copy behind and filled the hole")
+	}
+	if c.Contains(4 * 128) {
+		t.Fatal("a second copy of the line survives its invalidation")
+	}
+}
+
 func TestFillReturnsDirtyVictim(t *testing.T) {
 	c := tinyCache(t)
 	c.Fill(0, line(1), false)

@@ -30,6 +30,16 @@ func (c *Ctx) need(r int) {
 	}
 }
 
+// Row returns register reg's lanes after waiting, once, for a buffered op
+// that owns it; a lane loop reads the row instead of paying a check per
+// lane in F32 or U32. The row is valid until the program's next op on reg:
+// a later load into reg does not wait for the row's reader, so fetch the
+// row again after it.
+func (c *Ctx) Row(reg int) *[WarpSize]uint32 {
+	c.need(reg)
+	return &c.Regs[reg]
+}
+
 // F32 returns register reg, lane lane as float32.
 func (c *Ctx) F32(reg, lane int) float32 {
 	c.need(reg)
@@ -51,6 +61,15 @@ func (c *Ctx) Compute(cycles int) Op {
 	return Op{Kind: OpCompute, Cycles: uint32(cycles)}
 }
 
+// addr32 returns a as a lane-set address, panicking if it does not fit in
+// 32 bits: a bad index, or an image past 4 GiB.
+func addr32(a uint64) uint32 {
+	if a>>32 != 0 {
+		panic("core: lane address beyond 4 GiB")
+	}
+	return uint32(a)
+}
+
 // fullMask activates lanes [0, n).
 func fullMask(n int) uint32 {
 	if n >= WarpSize {
@@ -66,7 +85,7 @@ func (c *Ctx) LoadSeq32(dst int, base uint64, elem int, n int) Op {
 	c.need(dst)
 	ls := &c.lanes[dst]
 	ls.Active = fullMask(n)
-	ls.Base, ls.Seq = base+4*uint64(elem), true
+	ls.Base, ls.Seq = addr32(base+4*uint64(elem)), true
 	return Op{Kind: OpLoad, Dst: uint8(dst), Lanes: ls}
 }
 
@@ -79,7 +98,7 @@ func (c *Ctx) LoadStride32(dst int, base uint64, elem, strideElems, n int) Op {
 	ls := &c.lanes[dst]
 	ls.Active, ls.Seq = fullMask(n), false
 	for l := 0; l < n && l < WarpSize; l++ {
-		ls.Addrs[l] = base + 4*uint64(elem+l*strideElems)
+		ls.Addrs[l] = addr32(base + 4*uint64(elem+l*strideElems))
 	}
 	return Op{Kind: OpLoad, Dst: uint8(dst), Lanes: ls}
 }
@@ -91,7 +110,7 @@ func (c *Ctx) LoadGather32(dst int, base uint64, idx []int, n int) Op {
 	ls := &c.lanes[dst]
 	ls.Active, ls.Seq = fullMask(n), false
 	for l := 0; l < n && l < WarpSize; l++ {
-		ls.Addrs[l] = base + 4*uint64(idx[l])
+		ls.Addrs[l] = addr32(base + 4*uint64(idx[l]))
 	}
 	return Op{Kind: OpLoad, Dst: uint8(dst), Lanes: ls}
 }
@@ -102,7 +121,7 @@ func (c *Ctx) StoreSeqF32(base uint64, elem int, vals []float32, n int) Op {
 	c.need(MaxRegs - 1)
 	ls := &c.lanes[MaxRegs-1]
 	ls.Active = fullMask(n)
-	ls.Base, ls.Seq = base+4*uint64(elem), true
+	ls.Base, ls.Seq = addr32(base+4*uint64(elem)), true
 	for l := 0; l < n && l < WarpSize; l++ {
 		ls.Vals[l] = math.Float32bits(vals[l])
 	}
@@ -116,7 +135,7 @@ func (c *Ctx) StoreStrideF32(base uint64, elem, strideElems int, vals []float32,
 	ls := &c.lanes[MaxRegs-1]
 	ls.Active, ls.Seq = fullMask(n), false
 	for l := 0; l < n && l < WarpSize; l++ {
-		ls.Addrs[l] = base + 4*uint64(elem+l*strideElems)
+		ls.Addrs[l] = addr32(base + 4*uint64(elem+l*strideElems))
 		ls.Vals[l] = math.Float32bits(vals[l])
 	}
 	return Op{Kind: OpStore, Lanes: ls}
@@ -129,7 +148,7 @@ func (c *Ctx) StoreScatterF32(base uint64, idx []int, vals []float32, n int) Op 
 	ls := &c.lanes[MaxRegs-1]
 	ls.Active, ls.Seq = fullMask(n), false
 	for l := 0; l < n && l < WarpSize; l++ {
-		ls.Addrs[l] = base + 4*uint64(idx[l])
+		ls.Addrs[l] = addr32(base + 4*uint64(idx[l]))
 		ls.Vals[l] = math.Float32bits(vals[l])
 	}
 	return Op{Kind: OpStore, Lanes: ls}
@@ -145,12 +164,3 @@ func (c *Ctx) Async(op Op) Op {
 
 // Join returns the instruction that waits for all in-flight async loads.
 func (c *Ctx) Join() Op { return Op{Kind: OpJoin} }
-
-// RegF32 copies register reg into dst as float32 values and returns dst[:n].
-func (c *Ctx) RegF32(reg int, dst *[WarpSize]float32, n int) []float32 {
-	c.need(reg)
-	for l := 0; l < n && l < WarpSize; l++ {
-		dst[l] = math.Float32frombits(c.Regs[reg][l])
-	}
-	return dst[:n]
-}

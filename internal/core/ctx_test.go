@@ -37,8 +37,8 @@ func TestLoadStride32Addresses(t *testing.T) {
 	var ctx core.Ctx
 	op := ctx.LoadStride32(0, 0, 10, 100, 3)
 	for l := 0; l < 3; l++ {
-		if want := uint64(4 * (10 + l*100)); op.Lanes.Addrs[l] != want {
-			t.Fatalf("lane %d addr = %d, want %d", l, op.Lanes.Addrs[l], want)
+		if want := uint64(4 * (10 + l*100)); op.Lanes.Addr(l) != want {
+			t.Fatalf("lane %d addr = %d, want %d", l, op.Lanes.Addr(l), want)
 		}
 	}
 }
@@ -48,8 +48,8 @@ func TestLoadGather32Addresses(t *testing.T) {
 	idx := []int{9, 3, 7}
 	op := ctx.LoadGather32(1, 64, idx, 3)
 	for l, ix := range idx {
-		if want := uint64(64 + 4*ix); op.Lanes.Addrs[l] != want {
-			t.Fatalf("lane %d addr = %d, want %d", l, op.Lanes.Addrs[l], want)
+		if want := uint64(64 + 4*ix); op.Lanes.Addr(l) != want {
+			t.Fatalf("lane %d addr = %d, want %d", l, op.Lanes.Addr(l), want)
 		}
 	}
 }
@@ -106,13 +106,47 @@ func TestAsyncWrapperAndJoin(t *testing.T) {
 	}
 }
 
-func TestRegF32(t *testing.T) {
+// TestRow checks Row hands out register reg's own row: a write through
+// the register shows in the row and the other rows are not it.
+func TestRow(t *testing.T) {
 	var ctx core.Ctx
 	ctx.Regs[3][0] = math.Float32bits(2.5)
-	ctx.Regs[3][1] = math.Float32bits(-1)
-	var buf [core.WarpSize]float32
-	out := ctx.RegF32(3, &buf, 2)
-	if out[0] != 2.5 || out[1] != -1 {
-		t.Fatalf("RegF32 = %v", out[:2])
+	ctx.Regs[3][31] = 7
+	row := ctx.Row(3)
+	if math.Float32frombits(row[0]) != 2.5 || row[31] != 7 {
+		t.Fatalf("Row(3) = %v", row)
+	}
+	if row != &ctx.Regs[3] || ctx.Row(2) == row {
+		t.Fatal("Row does not return the register's own row")
+	}
+}
+
+// TestBuildersPanicBeyond32BitAddresses checks every lane-set builder
+// refuses an address that does not fit the 32-bit lane set: an image past
+// 4 GiB or a bad index fails loudly instead of wrapping.
+func TestBuildersPanicBeyond32BitAddresses(t *testing.T) {
+	const far = 1 << 32
+	vals := make([]float32, core.WarpSize)
+	for name, build := range map[string]func(*core.Ctx) core.Op{
+		"LoadSeq32":       func(c *core.Ctx) core.Op { return c.LoadSeq32(0, far-8, 2, 1) },
+		"LoadStride32":    func(c *core.Ctx) core.Op { return c.LoadStride32(0, far-8, 0, 1, 3) },
+		"LoadGather32":    func(c *core.Ctx) core.Op { return c.LoadGather32(0, 0, []int{0, 1 << 30}, 2) },
+		"StoreSeqF32":     func(c *core.Ctx) core.Op { return c.StoreSeqF32(far, 0, vals, 1) },
+		"StoreStrideF32":  func(c *core.Ctx) core.Op { return c.StoreStrideF32(far-8, 0, 1, vals, 3) },
+		"StoreScatterF32": func(c *core.Ctx) core.Op { return c.StoreScatterF32(0, []int{1 << 30}, vals, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s built an address beyond 4 GiB", name)
+				}
+			}()
+			var ctx core.Ctx
+			build(&ctx)
+		}()
+	}
+	var ctx core.Ctx
+	if op := ctx.LoadGather32(0, 0, []int{1<<30 - 1}, 1); op.Lanes.Addr(0) != far-4 {
+		t.Fatalf("highest word address = %#x, want %#x", op.Lanes.Addr(0), uint64(far-4))
 	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // MaxBatch exposes the batch bound to the external tests.
 const MaxBatch = maxBatch
 
@@ -15,3 +17,6 @@ func Coalesce(ls *LaneSet) (lines []uint64, masks []uint32) {
 	}
 	return lines, op.masks[:op.numLines]
 }
+
+// WarpRecordBytes is the size of a warp slot's record.
+const WarpRecordBytes = unsafe.Sizeof(warp{})

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"iter"
 	"maps"
 	"math"
 	"slices"
@@ -107,10 +106,7 @@ func fuzzRead(ctx *core.Ctx, reg, arg int) []uint32 {
 			out[l] = ctx.U32(reg, l)
 		}
 	default:
-		var buf [core.WarpSize]float32
-		for l, v := range ctx.RegF32(reg, &buf, core.WarpSize) {
-			out[l] = math.Float32bits(v)
-		}
+		copy(out, ctx.Row(reg)[:])
 	}
 	return out
 }
@@ -119,32 +115,30 @@ func fuzzRead(ctx *core.Ctx, reg, arg int) []uint32 {
 // store writes its register's lanes, read through its reader and xored with
 // the step index so that stores of one register differ.
 func fuzzProgram(steps []fuzzStep, trace [][]uint32) core.Program {
-	return func(w int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			for i, s := range steps {
-				var op core.Op
-				switch s.kind {
-				case fzLoad:
-					op = fuzzLanes(ctx, w, s, false, nil)
-				case fzAsync:
-					op = ctx.Async(fuzzLanes(ctx, w, s, false, nil))
-				case fzJoin:
-					op = ctx.Join()
-				case fzRead:
-					trace[w] = append(trace[w], fuzzRead(ctx, s.reg, s.arg)...)
-					continue
-				case fzCompute:
-					op = ctx.Compute(1 + s.arg%4)
-				case fzStore:
-					vals := make([]float32, core.WarpSize)
-					for l, v := range fuzzRead(ctx, s.reg, s.arg) {
-						vals[l] = math.Float32frombits(v ^ uint32(i))
-					}
-					op = fuzzLanes(ctx, w, s, true, vals)
+	return func(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+		for i, s := range steps {
+			var op core.Op
+			switch s.kind {
+			case fzLoad:
+				op = fuzzLanes(ctx, w, s, false, nil)
+			case fzAsync:
+				op = ctx.Async(fuzzLanes(ctx, w, s, false, nil))
+			case fzJoin:
+				op = ctx.Join()
+			case fzRead:
+				trace[w] = append(trace[w], fuzzRead(ctx, s.reg, s.arg)...)
+				continue
+			case fzCompute:
+				op = ctx.Compute(1 + s.arg%4)
+			case fzStore:
+				vals := make([]float32, core.WarpSize)
+				for l, v := range fuzzRead(ctx, s.reg, s.arg) {
+					vals[l] = math.Float32frombits(v ^ uint32(i))
 				}
-				if !yield(op) {
-					return
-				}
+				op = fuzzLanes(ctx, w, s, true, vals)
+			}
+			if !yield(op) {
+				return
 			}
 		}
 	}
@@ -173,7 +167,7 @@ func FuzzProgramMatchesFunctional(f *testing.F) {
 		prog := fuzzProgram(steps, want)
 		for _, w := range ids {
 			ctx := &core.Ctx{}
-			for op := range prog(w, ctx) {
+			prog(0, w, ctx, func(op core.Op) bool {
 				for l := 0; l < core.WarpSize; l++ {
 					if op.Kind == core.OpCompute || op.Kind == core.OpJoin || op.Lanes.Active>>l&1 == 0 {
 						continue
@@ -184,7 +178,8 @@ func FuzzProgramMatchesFunctional(f *testing.F) {
 						ref.stores[addr] = op.Lanes.Vals[l]
 					}
 				}
-			}
+				return true
+			})
 		}
 
 		for _, tight := range []bool{false, true} {

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"iter"
 	"math"
 	"math/rand"
 	"slices"
@@ -19,14 +18,12 @@ func TestStraddlingSeqLoadSplitsIntoTwoLines(t *testing.T) {
 	const base, elem = 4096, 8 // lane 0 at 4128: lanes 0-23 in line 4096
 	var seq, gather [core.WarpSize]uint32
 	run := func(regs *[core.WarpSize]uint32, build func(ctx *core.Ctx) core.Op) int {
-		prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-			return func(yield func(core.Op) bool) {
-				if !yield(build(ctx)) {
-					return
-				}
-				for l := range regs {
-					regs[l] = ctx.U32(0, l)
-				}
+		prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+			if !yield(build(ctx)) {
+				return
+			}
+			for l := range regs {
+				regs[l] = ctx.U32(0, l)
 			}
 		}
 		mem := newFakeMem(20)
@@ -90,17 +87,15 @@ func TestSeqCoalescingMatchesGather(t *testing.T) {
 func TestDuplicateLaneStoreLastLaneWins(t *testing.T) {
 	const base = 4096
 	var got uint32
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			// Bring the line into the L1, scatter lanes 0 and 1 onto word
-			// 5, then read it back from the L1.
-			if !yield(ctx.LoadSeq32(0, base, 0, core.WarpSize)) ||
-				!yield(ctx.StoreScatterF32(base, []int{5, 5, 6}, []float32{1, 2, 3}, 3)) ||
-				!yield(ctx.LoadSeq32(1, base, 0, core.WarpSize)) {
-				return
-			}
-			got = ctx.U32(1, 5)
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		// Bring the line into the L1, scatter lanes 0 and 1 onto word
+		// 5, then read it back from the L1.
+		if !yield(ctx.LoadSeq32(0, base, 0, core.WarpSize)) ||
+			!yield(ctx.StoreScatterF32(base, []int{5, 5, 6}, []float32{1, 2, 3}, 3)) ||
+			!yield(ctx.LoadSeq32(1, base, 0, core.WarpSize)) {
+			return
 		}
+		got = ctx.U32(1, 5)
 	}
 	mem := newFakeMem(20)
 	sm := core.NewSM(0, smConfig(), prog, []int{0})
@@ -117,30 +112,28 @@ func TestDuplicateLaneStoreLastLaneWins(t *testing.T) {
 	}
 }
 
-// phaseProg loads distinct nonzero data into every register in phase 1 and,
-// in phase 2, records whether any register was nonzero before its first
+// phaseProg loads distinct nonzero data into every register in phase 0 and,
+// in phase 1, records whether any register was nonzero before its first
 // load, then does the same loads.
-func phaseProg(phase int, dirty *bool) core.Program {
-	return func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			if phase == 2 && ctx.Regs != [core.MaxRegs][core.WarpSize]uint32{} {
-				*dirty = true
+func phaseProg(dirty *bool) core.Program {
+	return func(phase, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		if phase == 1 && ctx.Regs != [core.MaxRegs][core.WarpSize]uint32{} {
+			*dirty = true
+		}
+		for r := 0; r < core.MaxRegs; r++ {
+			op := ctx.LoadSeq32(r, uint64(4096+warpID*4096+r*128), 0, core.WarpSize)
+			if r%2 == 1 {
+				op = ctx.Async(op)
 			}
-			for r := 0; r < core.MaxRegs; r++ {
-				op := ctx.LoadSeq32(r, uint64(4096+warpID*4096+r*128), 0, core.WarpSize)
-				if r%2 == 1 {
-					op = ctx.Async(op)
-				}
-				if !yield(op) || !yield(ctx.Compute(3)) {
-					return
-				}
-			}
-			if !yield(ctx.Join()) {
+			if !yield(op) || !yield(ctx.Compute(3)) {
 				return
 			}
-			vals := make([]float32, core.WarpSize)
-			yield(ctx.StoreSeqF32(1<<20, warpID*core.WarpSize, vals, core.WarpSize))
 		}
+		if !yield(ctx.Join()) {
+			return
+		}
+		vals := make([]float32, core.WarpSize)
+		yield(ctx.StoreSeqF32(1<<20, warpID*core.WarpSize, vals, core.WarpSize))
 	}
 }
 
@@ -164,10 +157,11 @@ func TestReseedMatchesFreshSM(t *testing.T) {
 		phase1[i] = i
 	}
 	phase2 := []int{3, 5, 7, 9, 11, 13}
-	reseeded := core.NewSM(0, cfg, phaseProg(1, &dirty), phase1)
+	prog := phaseProg(&dirty)
+	reseeded := core.NewSM(0, cfg, prog, phase1)
 	runSM(t, reseeded, newFakeMem(30), 100000)
-	reseeded.Reseed(phaseProg(2, &dirty), phase2)
-	fresh := core.NewSM(0, cfg, phaseProg(2, &dirty), phase2)
+	reseeded.Reseed(1, phase2)
+	fresh := core.NewSM(0, cfg, prog, phase2)
 	defer reseeded.Shutdown()
 	defer fresh.Shutdown()
 	if got, want := smDigest(reseeded), smDigest(fresh); got != want {
@@ -183,6 +177,6 @@ func TestReseedMatchesFreshSM(t *testing.T) {
 			endR, reseeded.Insts(), endF, fresh.Insts())
 	}
 	if dirty {
-		t.Fatal("a phase-2 program saw nonzero registers before its first load")
+		t.Fatal("a phase-1 program saw nonzero registers before its first load")
 	}
 }

@@ -31,20 +31,24 @@ const (
 // word-aligned and come in one of two forms: a contiguous set (Seq) records
 // only lane 0's address in Base, lane l addressing Base + 4*l; any other
 // shape lists every lane's address in Addrs. Read them through Addr.
+//
+// Addresses are image offsets held in 32 bits, which halves the lane sets
+// a warp record carries; the builders panic on an address at or past
+// 4 GiB (see addr32), far beyond any kernel image.
 type LaneSet struct {
-	Addrs  [WarpSize]uint64
+	Addrs  [WarpSize]uint32
 	Vals   [WarpSize]uint32
 	Active uint32
-	Base   uint64
+	Base   uint32
 	Seq    bool
 }
 
 // Addr returns lane l's address.
 func (ls *LaneSet) Addr(l int) uint64 {
 	if ls.Seq {
-		return ls.Base + 4*uint64(l)
+		return uint64(ls.Base) + 4*uint64(l)
 	}
-	return ls.Addrs[l]
+	return uint64(ls.Addrs[l])
 }
 
 // Op is one warp instruction. Compute ops carry a latency in core cycles;

@@ -10,8 +10,11 @@ import (
 	"lazydram/internal/dram"
 )
 
-// Program generates the instruction stream of one warp. The SM does not pull
-// it one op at a time: the program runs ahead, buffering ops, until it
+// Program runs the body of warp warpID of a kernel phase, handing each
+// instruction to yield, and returns once the body ends or yield reports
+// false. It returns no iterator, so launching a warp allocates nothing: the
+// SM passes its slot coroutine's push as yield. The SM does not pull the
+// program one op at a time: the program runs ahead, buffering ops, until it
 // touches a Ctx slot a buffered op owns (it reads a blocking load's register
 // or rebuilds a lane set in use, see runSlot), yields a Join, or buffers
 // maxBatch ops. The SM then takes the batch and resumes the program once it
@@ -22,11 +25,12 @@ import (
 //
 //   - A program must read registers only through the Ctx readers, and not
 //     read an async load's destination register before the Join that
-//     follows it (see Ctx.Async).
+//     follows it (see Ctx.Async). A row from Ctx.Row is valid until the
+//     program's next op on its register.
 //   - A program must never observe time, or any other simulated state than
 //     its registers: between sync points it runs ahead of the simulated
 //     clock.
-type Program func(warpID int, ctx *Ctx) iter.Seq[Op]
+type Program func(phase, warpID int, ctx *Ctx, yield func(Op) bool)
 
 // maxBatch bounds the ops a program may buffer ahead of the SM; a
 // compute-only loop would otherwise grow its buffer without limit.
@@ -178,6 +182,7 @@ type SM struct {
 	mshr *cache.MSHR
 
 	prog     Program
+	phase    int
 	warpIDs  []int
 	nextSeed int
 	warps    []*warp
@@ -196,7 +201,8 @@ type SM struct {
 	insts uint64
 }
 
-// NewSM creates an SM that will run the given warp IDs through prog.
+// NewSM creates an SM that will run the given warp IDs of phase 0 through
+// prog.
 func NewSM(id int, cfg Config, prog Program, warpIDs []int) *SM {
 	s := &SM{
 		id:      id,
@@ -210,18 +216,18 @@ func NewSM(id int, cfg Config, prog Program, warpIDs []int) *SM {
 	return s
 }
 
-// Reseed readies a Done SM to run warpIDs through prog (the next kernel
-// phase), leaving it exactly as NewSM would: a cold L1 (as after a real
-// kernel launch), an empty MSHR, zero counters, fresh runnable and warp
-// lists, zeroed registers. It keeps the storage: the L1 lines, the MSHR
+// Reseed readies a Done SM to run warpIDs of the given kernel phase
+// through its program, leaving it exactly as NewSM would: a cold L1 (as
+// after a real kernel launch), an empty MSHR, zero counters, fresh
+// runnable and warp lists, zeroed registers. It keeps the storage: the L1 lines, the MSHR
 // table and free entries, the memOp and transaction pools, and the warp
 // records with their Ctx and parked slot coroutines.
-func (s *SM) Reseed(prog Program, warpIDs []int) {
+func (s *SM) Reseed(phase int, warpIDs []int) {
 	if !s.Done() {
 		panic("core: reseed of an SM with work in flight")
 	}
 	s.l1.Reset()
-	s.prog, s.warpIDs, s.nextSeed, s.insts = prog, warpIDs, 0, 0
+	s.phase, s.warpIDs, s.nextSeed, s.insts = phase, warpIDs, 0, 0
 	s.next, s.sleepers = 0, 0
 	s.runnable = s.runnable[:0]
 	clear(s.wheelHead[:])
@@ -339,7 +345,7 @@ func (s *SM) runSlot(w *warp) iter.Seq[bool] {
 			return !w.stopped
 		}
 		for !w.stopped {
-			s.prog(w.id, &w.ctx)(push)
+			s.prog(s.phase, w.id, &w.ctx, push)
 			w.stopped = w.stopped || !yield(true)
 		}
 	}
@@ -563,7 +569,8 @@ func coalesce(ls *LaneSet, masks *[WarpSize]uint32) int {
 	n := 0
 	if ls.Seq {
 		// Lanes [0, k) address Base's line (k is 32 when it holds all).
-		k := (lineOf(ls.Base) + cache.LineSize - ls.Base + 3) / 4
+		base := uint64(ls.Base)
+		k := (lineOf(base) + cache.LineSize - base + 3) / 4
 		lo := ls.Active & (uint32(1)<<k - 1)
 		if lo != 0 {
 			masks[0] = lo
@@ -578,7 +585,7 @@ func coalesce(ls *LaneSet, masks *[WarpSize]uint32) int {
 	var lines [WarpSize]uint64
 	for m := ls.Active; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros32(m)
-		line := lineOf(ls.Addrs[l])
+		line := lineOf(uint64(ls.Addrs[l]))
 		i := 0
 		for i < n && lines[i] != line {
 			i++

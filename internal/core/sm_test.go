@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"encoding/binary"
-	"iter"
 	"math"
 	"slices"
 	"testing"
@@ -126,14 +125,12 @@ func smConfig() core.Config {
 
 func TestLoadDeliversValues(t *testing.T) {
 	var got [core.WarpSize]uint32
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			if !yield(ctx.LoadSeq32(0, 4096, 0, core.WarpSize)) {
-				return
-			}
-			for l := 0; l < core.WarpSize; l++ {
-				got[l] = ctx.U32(0, l)
-			}
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		if !yield(ctx.LoadSeq32(0, 4096, 0, core.WarpSize)) {
+			return
+		}
+		for l := 0; l < core.WarpSize; l++ {
+			got[l] = ctx.U32(0, l)
 		}
 	}
 	mem := newFakeMem(20)
@@ -147,10 +144,8 @@ func TestLoadDeliversValues(t *testing.T) {
 }
 
 func TestCoalescingSequentialIsOneTransaction(t *testing.T) {
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			yield(ctx.LoadSeq32(0, 4096, 0, core.WarpSize))
-		}
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		yield(ctx.LoadSeq32(0, 4096, 0, core.WarpSize))
 	}
 	mem := newFakeMem(5)
 	sm := core.NewSM(0, smConfig(), prog, []int{0})
@@ -161,10 +156,8 @@ func TestCoalescingSequentialIsOneTransaction(t *testing.T) {
 }
 
 func TestCoalescingStridedIsManyTransactions(t *testing.T) {
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			yield(ctx.LoadStride32(0, 4096, 0, 64, core.WarpSize)) // 256 B apart
-		}
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		yield(ctx.LoadStride32(0, 4096, 0, 64, core.WarpSize)) // 256 B apart
 	}
 	mem := newFakeMem(5)
 	sm := core.NewSM(0, smConfig(), prog, []int{0})
@@ -175,12 +168,10 @@ func TestCoalescingStridedIsManyTransactions(t *testing.T) {
 }
 
 func TestL1AbsorbsRepeatedLoads(t *testing.T) {
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			for i := 0; i < 5; i++ {
-				if !yield(ctx.LoadSeq32(0, 4096, 0, core.WarpSize)) {
-					return
-				}
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		for i := 0; i < 5; i++ {
+			if !yield(ctx.LoadSeq32(0, 4096, 0, core.WarpSize)) {
+				return
 			}
 		}
 	}
@@ -197,10 +188,8 @@ func TestL1AbsorbsRepeatedLoads(t *testing.T) {
 }
 
 func TestMSHRMergesSameLineAcrossWarps(t *testing.T) {
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			yield(ctx.LoadSeq32(0, 4096, 0, core.WarpSize))
-		}
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		yield(ctx.LoadSeq32(0, 4096, 0, core.WarpSize))
 	}
 	mem := newFakeMem(500) // long latency so both warps miss before the fill
 	sm := core.NewSM(0, smConfig(), prog, []int{0, 1})
@@ -211,14 +200,12 @@ func TestMSHRMergesSameLineAcrossWarps(t *testing.T) {
 }
 
 func TestStoresReachMemory(t *testing.T) {
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			vals := make([]float32, core.WarpSize)
-			for i := range vals {
-				vals[i] = float32(i)
-			}
-			yield(ctx.StoreSeqF32(4096, 0, vals, core.WarpSize))
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		vals := make([]float32, core.WarpSize)
+		for i := range vals {
+			vals[i] = float32(i)
 		}
+		yield(ctx.StoreSeqF32(4096, 0, vals, core.WarpSize))
 	}
 	mem := newFakeMem(5)
 	sm := core.NewSM(0, smConfig(), prog, []int{0})
@@ -235,18 +222,16 @@ func TestAsyncLoadsOverlap(t *testing.T) {
 	// Two dependent-free loads issued async must overlap their latencies:
 	// the run finishes in roughly one latency, not two.
 	mk := func(async bool) uint64 {
-		prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-			return func(yield func(core.Op) bool) {
-				a := ctx.LoadSeq32(0, 4096, 0, core.WarpSize)
-				b := ctx.LoadSeq32(1, 1<<20, 0, core.WarpSize)
-				if async {
-					if !yield(ctx.Async(a)) || !yield(ctx.Async(b)) || !yield(ctx.Join()) {
-						return
-					}
-				} else {
-					if !yield(a) || !yield(b) {
-						return
-					}
+		prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+			a := ctx.LoadSeq32(0, 4096, 0, core.WarpSize)
+			b := ctx.LoadSeq32(1, 1<<20, 0, core.WarpSize)
+			if async {
+				if !yield(ctx.Async(a)) || !yield(ctx.Async(b)) || !yield(ctx.Join()) {
+					return
+				}
+			} else {
+				if !yield(a) || !yield(b) {
+					return
 				}
 			}
 		}
@@ -266,16 +251,14 @@ func TestAsyncLoadsOverlap(t *testing.T) {
 
 func TestJoinBlocksUntilDelivery(t *testing.T) {
 	var sawValue uint32
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			if !yield(ctx.Async(ctx.LoadSeq32(0, 4096, 0, core.WarpSize))) {
-				return
-			}
-			if !yield(ctx.Join()) {
-				return
-			}
-			sawValue = ctx.U32(0, 0)
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		if !yield(ctx.Async(ctx.LoadSeq32(0, 4096, 0, core.WarpSize))) {
+			return
 		}
+		if !yield(ctx.Join()) {
+			return
+		}
+		sawValue = ctx.U32(0, 0)
 	}
 	mem := newFakeMem(300)
 	sm := core.NewSM(0, smConfig(), prog, []int{0})
@@ -289,14 +272,12 @@ func TestLatencyHidingAcrossWarps(t *testing.T) {
 	// One warp serializes on a 300-cycle memory; eight warps overlap their
 	// misses and finish far sooner than 8x the single-warp time.
 	mk := func(warps int) uint64 {
-		prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-			return func(yield func(core.Op) bool) {
-				for i := 0; i < 4; i++ {
-					// Distinct lines per warp and iteration: all misses.
-					addr := uint64(1<<16) + uint64(warpID)*4096 + uint64(i)*128
-					if !yield(ctx.LoadSeq32(0, addr, 0, core.WarpSize)) {
-						return
-					}
+		prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+			for i := 0; i < 4; i++ {
+				// Distinct lines per warp and iteration: all misses.
+				addr := uint64(1<<16) + uint64(warpID)*4096 + uint64(i)*128
+				if !yield(ctx.LoadSeq32(0, addr, 0, core.WarpSize)) {
+					return
 				}
 			}
 		}
@@ -317,11 +298,9 @@ func TestLatencyHidingAcrossWarps(t *testing.T) {
 
 func TestWarpReplacementRunsFullGrid(t *testing.T) {
 	ran := make([]bool, 30)
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			ran[warpID] = true
-			yield(ctx.Compute(3))
-		}
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		ran[warpID] = true
+		yield(ctx.Compute(3))
 	}
 	ids := make([]int, 30)
 	for i := range ids {
@@ -342,17 +321,15 @@ func TestWarpReplacementRunsFullGrid(t *testing.T) {
 }
 
 func TestInstructionCounting(t *testing.T) {
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			if !yield(ctx.Compute(2)) {
-				return
-			}
-			if !yield(ctx.LoadSeq32(0, 4096, 0, 4)) {
-				return
-			}
-			vals := []float32{1, 2, 3, 4}
-			yield(ctx.StoreSeqF32(8192, 0, vals, 4))
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		if !yield(ctx.Compute(2)) {
+			return
 		}
+		if !yield(ctx.LoadSeq32(0, 4096, 0, 4)) {
+			return
+		}
+		vals := []float32{1, 2, 3, 4}
+		yield(ctx.StoreSeqF32(8192, 0, vals, 4))
 	}
 	mem := newFakeMem(5)
 	sm := core.NewSM(0, smConfig(), prog, []int{0})
@@ -363,12 +340,10 @@ func TestInstructionCounting(t *testing.T) {
 }
 
 func TestShutdownReleasesWarps(t *testing.T) {
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			for {
-				if !yield(ctx.Compute(1)) {
-					return
-				}
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		for {
+			if !yield(ctx.Compute(1)) {
+				return
 			}
 		}
 	}
@@ -385,13 +360,11 @@ func TestShutdownReleasesWarps(t *testing.T) {
 
 func TestPartialWarpMasksInactiveLanes(t *testing.T) {
 	var got uint32 = 0xFFFFFFFF
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			if !yield(ctx.LoadSeq32(0, 4096, 0, 3)) { // 3 active lanes
-				return
-			}
-			got = ctx.U32(0, 2)
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		if !yield(ctx.LoadSeq32(0, 4096, 0, 3)) { // 3 active lanes
+			return
 		}
+		got = ctx.U32(0, 2)
 	}
 	mem := newFakeMem(5)
 	sm := core.NewSM(0, smConfig(), prog, []int{0})
@@ -436,27 +409,25 @@ func TestProgramResumesOncePerPendingRead(t *testing.T) {
 	const iters, latency = 10, 5
 	var clk clock
 	readResumes, yieldResumes, wrong := 0, 0, 0
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			step := func(op core.Op) (ok bool) {
-				if clk.resumed(func() { ok = yield(op) }) {
-					yieldResumes++
-				}
-				return ok
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		step := func(op core.Op) (ok bool) {
+			if clk.resumed(func() { ok = yield(op) }) {
+				yieldResumes++
 			}
-			for i := 0; i < iters; i++ {
-				addr := 4096 + uint64(i)*cache.LineSize
-				if !step(ctx.Compute(2)) || !step(ctx.Compute(3)) ||
-					!step(ctx.LoadSeq32(0, addr, 0, core.WarpSize)) {
-					return
-				}
-				var v uint32
-				if clk.resumed(func() { v = ctx.U32(0, 1) }) {
-					readResumes++
-				}
-				if v != wordAt(addr+4) {
-					wrong++
-				}
+			return ok
+		}
+		for i := 0; i < iters; i++ {
+			addr := 4096 + uint64(i)*cache.LineSize
+			if !step(ctx.Compute(2)) || !step(ctx.Compute(3)) ||
+				!step(ctx.LoadSeq32(0, addr, 0, core.WarpSize)) {
+				return
+			}
+			var v uint32
+			if clk.resumed(func() { v = ctx.U32(0, 1) }) {
+				readResumes++
+			}
+			if v != wordAt(addr+4) {
+				wrong++
 			}
 		}
 	}
@@ -491,28 +462,26 @@ func TestProgramRunsAheadOverDistinctLoads(t *testing.T) {
 	const groups, regs = 3, 4
 	var clk clock
 	resumes, yieldResumes, wrong := 0, 0, 0
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			addr := func(g, r int) uint64 { return uint64(4096 + (g*regs+r)*cache.LineSize) }
-			for g := 0; g < groups; g++ {
-				for r := 0; r < regs; r++ {
-					var ok bool
-					if clk.resumed(func() { ok = yield(ctx.LoadSeq32(r, addr(g, r), 0, core.WarpSize)) }) {
-						yieldResumes++
-					}
-					if !ok {
-						return
-					}
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		addr := func(g, r int) uint64 { return uint64(4096 + (g*regs+r)*cache.LineSize) }
+		for g := 0; g < groups; g++ {
+			for r := 0; r < regs; r++ {
+				var ok bool
+				if clk.resumed(func() { ok = yield(ctx.LoadSeq32(r, addr(g, r), 0, core.WarpSize)) }) {
+					yieldResumes++
 				}
-				for r := 0; r < regs; r++ {
-					for l := 0; l < core.WarpSize; l++ {
-						var v uint32
-						if clk.resumed(func() { v = ctx.U32(r, l) }) {
-							resumes++
-						}
-						if v != wordAt(addr(g, r)+4*uint64(l)) {
-							wrong++
-						}
+				if !ok {
+					return
+				}
+			}
+			for r := 0; r < regs; r++ {
+				for l := 0; l < core.WarpSize; l++ {
+					var v uint32
+					if clk.resumed(func() { v = ctx.U32(r, l) }) {
+						resumes++
+					}
+					if v != wordAt(addr(g, r)+4*uint64(l)) {
+						wrong++
 					}
 				}
 			}
@@ -543,16 +512,14 @@ func TestBackToBackStoresSync(t *testing.T) {
 		}
 		return v
 	}
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			var op core.Op
-			firstSynced = clk.resumed(func() { op = ctx.StoreSeqF32(4096, 0, vals(100), core.WarpSize) })
-			if !yield(op) {
-				return
-			}
-			secondSynced = clk.resumed(func() { op = ctx.StoreSeqF32(8192, 0, vals(200), core.WarpSize) })
-			yield(op)
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		var op core.Op
+		firstSynced = clk.resumed(func() { op = ctx.StoreSeqF32(4096, 0, vals(100), core.WarpSize) })
+		if !yield(op) {
+			return
 		}
+		secondSynced = clk.resumed(func() { op = ctx.StoreSeqF32(8192, 0, vals(200), core.WarpSize) })
+		yield(op)
 	}
 	mem := newFakeMem(5)
 	sm := core.NewSM(0, smConfig(), prog, []int{0})
@@ -579,17 +546,16 @@ type syncProbe struct {
 	pending *int
 }
 
-func (k syncProbe) Program(phase, warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		for op := range k.Kernel.Program(phase, warpID, ctx) {
-			if !yield(op) {
-				return
-			}
-			if core.Pending(ctx) {
-				*k.pending++
-			}
+func (k syncProbe) Program(phase, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+	k.Kernel.Program(phase, warpID, ctx, func(op core.Op) bool {
+		if !yield(op) {
+			return false
 		}
-	}
+		if core.Pending(ctx) {
+			*k.pending++
+		}
+		return true
+	})
 }
 
 // TestFunctionalCtxNeverSyncs checks a Ctx driven outside an SM, by
@@ -616,16 +582,14 @@ func TestFunctionalCtxNeverSyncs(t *testing.T) {
 func TestSlotReuseZeroesRegisters(t *testing.T) {
 	var ctxs [2]*core.Ctx
 	dirty := false
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			ctxs[warpID] = ctx
-			for r := range ctx.Regs {
-				for _, v := range ctx.Regs[r] {
-					dirty = dirty || v != 0
-				}
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		ctxs[warpID] = ctx
+		for r := range ctx.Regs {
+			for _, v := range ctx.Regs[r] {
+				dirty = dirty || v != 0
 			}
-			yield(ctx.LoadSeq32(warpID, 4096, 0, core.WarpSize))
 		}
+		yield(ctx.LoadSeq32(warpID, 4096, 0, core.WarpSize))
 	}
 	cfg := smConfig()
 	cfg.MaxResidentWarps = 1
@@ -646,22 +610,20 @@ func TestSlotWithAsyncInFlightNotReused(t *testing.T) {
 	const latency = 200
 	var ctxs [2]*core.Ctx
 	var after [core.WarpSize]uint32
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			ctxs[warpID] = ctx
-			if warpID == 0 {
-				yield(ctx.Async(ctx.LoadSeq32(0, 4096, 0, core.WarpSize)))
-				return // ends without a join
-			}
-			// Outlast warp 0's load, then read register 0 once reading a
-			// blocking load's register has resumed this program.
-			if !yield(ctx.Compute(2*latency)) || !yield(ctx.LoadSeq32(1, 8192, 0, core.WarpSize)) {
-				return
-			}
-			ctx.U32(1, 0)
-			for l := range after {
-				after[l] = ctx.U32(0, l)
-			}
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		ctxs[warpID] = ctx
+		if warpID == 0 {
+			yield(ctx.Async(ctx.LoadSeq32(0, 4096, 0, core.WarpSize)))
+			return // ends without a join
+		}
+		// Outlast warp 0's load, then read register 0 once reading a
+		// blocking load's register has resumed this program.
+		if !yield(ctx.Compute(2*latency)) || !yield(ctx.LoadSeq32(1, 8192, 0, core.WarpSize)) {
+			return
+		}
+		ctx.U32(1, 0)
+		for l := range after {
+			after[l] = ctx.U32(0, l)
 		}
 	}
 	cfg := smConfig()
@@ -687,14 +649,12 @@ func TestSlotWithAsyncInFlightNotReused(t *testing.T) {
 // bound fails here instead of hanging the first Tick.
 func TestComputeLoopCutAtBatchBound(t *testing.T) {
 	yields, returned := 0, false
-	prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return func(yield func(core.Op) bool) {
-			defer func() { returned = true }()
-			for yields < 4*core.MaxBatch {
-				yields++
-				if !yield(ctx.Compute(1)) {
-					return
-				}
+	prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+		defer func() { returned = true }()
+		for yields < 4*core.MaxBatch {
+			yields++
+			if !yield(ctx.Compute(1)) {
+				return
 			}
 		}
 	}
@@ -733,12 +693,10 @@ func TestStalledLSUParksUntilReplyOrPop(t *testing.T) {
 		{"outbox-full", func(c *core.Config) { c.OutboxDepth = 1 }, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			prog := func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-				return func(yield func(core.Op) bool) {
-					// Lanes 0-15 read the second half of one line, lanes
-					// 16-31 the first half of the next.
-					yield(ctx.LoadSeq32(0, base, 16, core.WarpSize))
-				}
+			prog := func(_, warpID int, ctx *core.Ctx, yield func(core.Op) bool) {
+				// Lanes 0-15 read the second half of one line, lanes
+				// 16-31 the first half of the next.
+				yield(ctx.LoadSeq32(0, base, 16, core.WarpSize))
 			}
 			cfg := smConfig()
 			tc.mutate(&cfg)
@@ -783,5 +741,15 @@ func TestStalledLSUParksUntilReplyOrPop(t *testing.T) {
 			}
 			t.Fatal("the parked retry never succeeded")
 		})
+	}
+}
+
+// TestWarpRecordSize pins a warp slot's record to the 3,456-byte
+// allocation size class: 48 records per SM, 30 SMs, so each class step
+// up costs the run megabytes of heap. The lane sets' 32-bit addresses keep
+// it there.
+func TestWarpRecordSize(t *testing.T) {
+	if core.WarpRecordBytes > 3456 {
+		t.Fatalf("warp record is %d bytes, past the 3456-byte size class", core.WarpRecordBytes)
 	}
 }

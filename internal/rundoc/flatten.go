@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,11 +25,13 @@ import (
 // does not declare, or a value of the wrong JSON kind, is an input error,
 // so nothing reaches the gate unnamed and nothing is silently left out of
 // it. A member missing from the bytes produces no key (lazycmp reports it
-// unmatched) rather than a zero. Strings and bools are identity, not
-// metrics. Numbers may also be string-encoded, as delta documents and the
-// expvar exposition write NaN and ±Inf; a non-finite value is returned in
-// skipped instead of the map, where a NaN would neither equal itself nor
-// encode as JSON.
+// unmatched) rather than a zero, except a number tagged omitempty: its
+// encoder leaves out exactly the zeros, so absent it reads as 0, and a
+// gated value that falls to zero still fails the gate. Strings and bools
+// are identity, not metrics. Numbers may also be string-encoded, as delta
+// documents and the expvar exposition write NaN and ±Inf; a non-finite
+// value is returned in skipped instead of the map, where a NaN would
+// neither equal itself nor encode as JSON.
 func Flatten(raw []byte) (metrics map[string]float64, skipped []string, err error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()
@@ -61,6 +64,8 @@ func Flatten(raw []byte) (metrics map[string]float64, skipped []string, err erro
 type field struct {
 	typ  reflect.Type
 	gate string // "", "-" (ungated) or "key" (list-element identity)
+	// zero marks a gated number tagged omitempty: absent, it is 0.
+	zero bool
 }
 
 type flattener struct {
@@ -93,6 +98,11 @@ func (f *flattener) walk(path string, v any, t reflect.Type) error {
 			}
 			if err := f.walk(join(path, name), x, fd.typ); err != nil {
 				return err
+			}
+		}
+		for name, fd := range fields {
+			if _, ok := obj[name]; !ok && fd.zero {
+				f.metrics[join(path, name)] = 0
 			}
 		}
 	case reflect.Map:
@@ -132,9 +142,11 @@ func (f *flattener) walk(path string, v any, t reflect.Type) error {
 				return err
 			}
 		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64:
+	case reflect.String, reflect.Bool:
+	default:
+		if !numeric(t) {
+			return fmt.Errorf("%s: %s has no flattened form", describe(path), t)
+		}
 		x, err := number(v)
 		if err != nil {
 			return fmt.Errorf("%s: %w", describe(path), err)
@@ -144,11 +156,14 @@ func (f *flattener) walk(path string, v any, t reflect.Type) error {
 		} else {
 			f.metrics[path] = x
 		}
-	case reflect.String, reflect.Bool:
-	default:
-		return fmt.Errorf("%s: %s has no flattened form", describe(path), t)
 	}
 	return nil
+}
+
+// numeric reports whether t encodes as a JSON number.
+func numeric(t reflect.Type) bool {
+	k := t.Kind()
+	return k >= reflect.Int && k <= reflect.Float64 && k != reflect.Uintptr
 }
 
 // fieldsOf indexes a struct type's exported fields by JSON member name.
@@ -159,14 +174,16 @@ func (f *flattener) fieldsOf(t reflect.Type) map[string]field {
 	fs := make(map[string]field)
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
-		name, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		name, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
 		if !sf.IsExported() || name == "-" {
 			continue
 		}
 		if name == "" {
 			name = sf.Name
 		}
-		fs[name] = field{typ: sf.Type, gate: sf.Tag.Get("gate")}
+		gate := sf.Tag.Get("gate")
+		omitempty := slices.Contains(strings.Split(opts, ","), "omitempty")
+		fs[name] = field{typ: sf.Type, gate: gate, zero: omitempty && gate == "" && numeric(sf.Type)}
 	}
 	f.fields[t] = fs
 	return fs

@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"iter"
 	"math/rand"
 
 	"lazydram/internal/approx"
@@ -39,9 +38,9 @@ type Kernel interface {
 	Phases() int
 	// NumWarps is the number of warps in the given phase's grid.
 	NumWarps(phase int) int
-	// Program returns the instruction stream of warp warpID of phase; it
-	// must keep the rules of core.Program.
-	Program(phase, warpID int, ctx *core.Ctx) iter.Seq[core.Op]
+	// Program runs warp warpID of phase, handing its instructions to
+	// yield; it must keep the rules of core.Program.
+	Program(phase, warpID int, ctx *core.Ctx, yield func(core.Op) bool)
 	// Output extracts the result buffer for error measurement. Callers must
 	// flush caches first (Simulate does).
 	Output(im *memimage.Image) []float32

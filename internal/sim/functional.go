@@ -17,12 +17,17 @@ func RunFunctional(kern Kernel, seed int64) []float32 {
 	im := memimage.New(kern.MemBytes() + 4*memimage.LineSize)
 	rng := rand.New(rand.NewSource(seed))
 	kern.Setup(im, rng)
+	// One Ctx and one callback serve every warp; each warp starts from
+	// zeroed registers, as on the SM.
+	ctx := new(core.Ctx)
+	apply := func(op core.Op) bool {
+		ApplyOp(im, ctx, op)
+		return true
+	}
 	for ph := 0; ph < kern.Phases(); ph++ {
 		for w := 0; w < kern.NumWarps(ph); w++ {
-			ctx := &core.Ctx{}
-			for op := range kern.Program(ph, w, ctx) {
-				ApplyOp(im, ctx, op)
-			}
+			*ctx = core.Ctx{}
+			kern.Program(ph, w, ctx, apply)
 		}
 	}
 	return kern.Output(im)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"iter"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -62,8 +61,11 @@ type GPU struct {
 
 	// cores holds every SM, across phases; sms is cores while a phase runs
 	// and empty between phases, once retireSMs folded their counters.
+	// warpsPerSM[s] lists the warp IDs SM s runs in the current phase,
+	// refilled in place by each phase.
 	cores      []*core.SM
 	sms        []*core.SM
+	warpsPerSM [][]int
 	partitions []*partition
 	reqNet     *icnt.Network
 	replyNet   *icnt.Network
@@ -319,25 +321,25 @@ func (g *GPU) CoreCycle() uint64 { return g.coreCycle }
 // built by the first phase, reseeded by every later one. Either way each SM
 // starts the phase with a cold L1, as after a kernel launch on real hardware.
 func (g *GPU) seedPhase(ph int) {
-	wpb := g.cfg.WarpsPerBlock
-	if wpb < 1 {
-		wpb = 1
+	wpb := max(g.cfg.WarpsPerBlock, 1)
+	if g.warpsPerSM == nil {
+		g.warpsPerSM = make([][]int, g.cfg.NumSMs)
 	}
-	warpsPerSM := make([][]int, g.cfg.NumSMs)
+	for s := range g.warpsPerSM {
+		g.warpsPerSM[s] = g.warpsPerSM[s][:0]
+	}
 	for w := 0; w < g.kern.NumWarps(ph); w++ {
 		s := (w / wpb) % g.cfg.NumSMs
-		warpsPerSM[s] = append(warpsPerSM[s], w)
+		g.warpsPerSM[s] = append(g.warpsPerSM[s], w)
 	}
-	prog := core.Program(func(warpID int, ctx *core.Ctx) iter.Seq[core.Op] {
-		return g.kern.Program(ph, warpID, ctx)
-	})
 	if g.cores == nil {
+		prog := core.Program(g.kern.Program)
 		for s := 0; s < g.cfg.NumSMs; s++ {
-			g.cores = append(g.cores, core.NewSM(s, g.cfg.SM, prog, warpsPerSM[s]))
+			g.cores = append(g.cores, core.NewSM(s, g.cfg.SM, prog, g.warpsPerSM[s]))
 		}
 	} else {
 		for s, sm := range g.cores {
-			sm.Reseed(prog, warpsPerSM[s])
+			sm.Reseed(ph, g.warpsPerSM[s])
 		}
 	}
 	g.sms = g.cores

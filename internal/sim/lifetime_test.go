@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"iter"
 	"math"
 	"math/rand"
 	"runtime"
@@ -45,26 +44,24 @@ func (k *dupStoreKernel) Output(im *memimage.Image) []float32 {
 	return out
 }
 
-func (k *dupStoreKernel) Program(phase, _ int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		if phase == 1 {
-			k.zeroed = ctx.Regs == [core.MaxRegs][core.WarpSize]uint32{}
-			if yield(ctx.LoadSeq32(0, dupLine, 0, core.WarpSize)) {
-				k.viaL2 = ctx.U32(0, 3)
-			}
-			return
+func (k *dupStoreKernel) Program(phase, _ int, ctx *core.Ctx, yield func(core.Op) bool) {
+	if phase == 1 {
+		k.zeroed = ctx.Regs == [core.MaxRegs][core.WarpSize]uint32{}
+		if yield(ctx.LoadSeq32(0, dupLine, 0, core.WarpSize)) {
+			k.viaL2 = ctx.U32(0, 3)
 		}
-		if !yield(ctx.StoreScatterF32(dupLine, []int{3, 3, 4}, []float32{1, 2, 5}, 3)) ||
-			!yield(ctx.LoadSeq32(0, dupLine, 0, core.WarpSize)) {
-			return
-		}
-		k.viaFill = ctx.U32(0, 3)
-		if !yield(ctx.StoreScatterF32(dupLine, []int{3, 3}, []float32{7, 8}, 2)) ||
-			!yield(ctx.LoadSeq32(1, dupLine, 0, core.WarpSize)) {
-			return
-		}
-		k.viaL1 = ctx.U32(1, 3)
+		return
 	}
+	if !yield(ctx.StoreScatterF32(dupLine, []int{3, 3, 4}, []float32{1, 2, 5}, 3)) ||
+		!yield(ctx.LoadSeq32(0, dupLine, 0, core.WarpSize)) {
+		return
+	}
+	k.viaFill = ctx.U32(0, 3)
+	if !yield(ctx.StoreScatterF32(dupLine, []int{3, 3}, []float32{7, 8}, 2)) ||
+		!yield(ctx.LoadSeq32(1, dupLine, 0, core.WarpSize)) {
+		return
+	}
+	k.viaL1 = ctx.U32(1, 3)
 }
 
 // TestDuplicateLaneScatterLastLaneWins checks that of two lanes storing to

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"iter"
 	"math"
 	"math/rand"
 
@@ -53,42 +52,35 @@ func (k *inversek2j) Setup(im *memimage.Image, rng *rand.Rand) {
 	)
 }
 
-func (k *inversek2j) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		i0 := w * core.WarpSize
-		if !yield(ctx.Async(ctx.LoadSeq32(0, k.x, i0, core.WarpSize))) {
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(1, k.y, i0, core.WarpSize))) {
-			return
-		}
-		if !yield(ctx.Join()) {
-			return
-		}
-		var t1, t2 [core.WarpSize]float32
-		for l := 0; l < core.WarpSize; l++ {
-			x := float64(ctx.F32(0, l))
-			y := float64(ctx.F32(1, l))
-			c2 := (x*x + y*y - ik2jL1*ik2jL1 - ik2jL2*ik2jL2) / (2 * ik2jL1 * ik2jL2)
-			if c2 > 1 {
-				c2 = 1
-			}
-			if c2 < -1 {
-				c2 = -1
-			}
-			th2 := math.Acos(c2)
-			th1 := math.Atan2(y, x) - math.Atan2(ik2jL2*math.Sin(th2), ik2jL1+ik2jL2*math.Cos(th2))
-			t1[l] = float32(th1)
-			t2[l] = float32(th2)
-		}
-		if !yield(ctx.Compute(40)) { // trig-heavy
-			return
-		}
-		if !yield(ctx.StoreSeqF32(k.th1, i0, t1[:], core.WarpSize)) {
-			return
-		}
-		yield(ctx.StoreSeqF32(k.th2, i0, t2[:], core.WarpSize))
+func (k *inversek2j) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	i0 := w * core.WarpSize
+	if !yield(ctx.Async(ctx.LoadSeq32(0, k.x, i0, core.WarpSize))) ||
+		!yield(ctx.Async(ctx.LoadSeq32(1, k.y, i0, core.WarpSize))) ||
+		!yield(ctx.Join()) {
+		return
 	}
+	var t1, t2 [core.WarpSize]float32
+	xs, ys := ctx.Row(0), ctx.Row(1)
+	for l := 0; l < core.WarpSize; l++ {
+		x := float64(f32(xs[l]))
+		y := float64(f32(ys[l]))
+		c2 := (x*x + y*y - ik2jL1*ik2jL1 - ik2jL2*ik2jL2) / (2 * ik2jL1 * ik2jL2)
+		if c2 > 1 {
+			c2 = 1
+		}
+		if c2 < -1 {
+			c2 = -1
+		}
+		th2 := math.Acos(c2)
+		th1 := math.Atan2(y, x) - math.Atan2(ik2jL2*math.Sin(th2), ik2jL1+ik2jL2*math.Cos(th2))
+		t1[l] = float32(th1)
+		t2[l] = float32(th2)
+	}
+	if !yield(ctx.Compute(40)) || // trig-heavy
+		!yield(ctx.StoreSeqF32(k.th1, i0, t1[:], core.WarpSize)) {
+		return
+	}
+	yield(ctx.StoreSeqF32(k.th2, i0, t2[:], core.WarpSize))
 }
 
 func (k *inversek2j) Output(im *memimage.Image) []float32 {
@@ -121,29 +113,28 @@ func (k *newtonraph) Setup(im *memimage.Image, rng *rand.Rand) {
 	k.annot = annotate(approx.Range{Base: k.a, Size: uint64(k.n) * 4})
 }
 
-func (k *newtonraph) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		i0 := w * core.WarpSize
-		if !yield(ctx.LoadSeq32(0, k.a, i0, core.WarpSize)) {
+func (k *newtonraph) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	i0 := w * core.WarpSize
+	if !yield(ctx.LoadSeq32(0, k.a, i0, core.WarpSize)) {
+		return
+	}
+	var x [core.WarpSize]float32
+	for l := range x {
+		x[l] = 0.5 // initial guess
+	}
+	as := ctx.Row(0)
+	for it := 0; it < 8; it++ {
+		for l := 0; l < core.WarpSize; l++ {
+			a := f32(as[l])
+			// x <- x - (exp(x)-a)/exp(x)
+			e := float32(math.Exp(float64(x[l])))
+			x[l] = x[l] - (e-a)/e
+		}
+		if !yield(ctx.Compute(14)) {
 			return
 		}
-		var x [core.WarpSize]float32
-		for l := range x {
-			x[l] = 0.5 // initial guess
-		}
-		for it := 0; it < 8; it++ {
-			for l := 0; l < core.WarpSize; l++ {
-				a := ctx.F32(0, l)
-				// x <- x - (exp(x)-a)/exp(x)
-				e := float32(math.Exp(float64(x[l])))
-				x[l] = x[l] - (e-a)/e
-			}
-			if !yield(ctx.Compute(14)) {
-				return
-			}
-		}
-		yield(ctx.StoreSeqF32(k.root, i0, x[:], core.WarpSize))
 	}
+	yield(ctx.StoreSeqF32(k.root, i0, x[:], core.WarpSize))
 }
 
 func (k *newtonraph) Output(im *memimage.Image) []float32 {
@@ -199,46 +190,35 @@ func cnd(x float64) float64 {
 	return w
 }
 
-func (k *blackscholes) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		i0 := w * core.WarpSize
-		if !yield(ctx.Async(ctx.LoadSeq32(0, k.s, i0, core.WarpSize))) {
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(1, k.strike, i0, core.WarpSize))) {
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(2, k.t, i0, core.WarpSize))) {
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(3, k.v, i0, core.WarpSize))) {
-			return
-		}
-		if !yield(ctx.Join()) {
-			return
-		}
-		var call, put [core.WarpSize]float32
-		for l := 0; l < core.WarpSize; l++ {
-			s := float64(ctx.F32(0, l))
-			x := float64(ctx.F32(1, l))
-			t := float64(ctx.F32(2, l))
-			v := float64(ctx.F32(3, l))
-			sqrtT := math.Sqrt(t)
-			d1 := (math.Log(s/x) + (bsRate+v*v/2)*t) / (v * sqrtT)
-			d2 := d1 - v*sqrtT
-			expRT := math.Exp(-bsRate * t)
-			c := s*cnd(d1) - x*expRT*cnd(d2)
-			call[l] = float32(c)
-			put[l] = float32(c - s + x*expRT) // put-call parity
-		}
-		if !yield(ctx.Compute(80)) {
-			return
-		}
-		if !yield(ctx.StoreSeqF32(k.call, i0, call[:], core.WarpSize)) {
-			return
-		}
-		yield(ctx.StoreSeqF32(k.put, i0, put[:], core.WarpSize))
+func (k *blackscholes) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	i0 := w * core.WarpSize
+	if !yield(ctx.Async(ctx.LoadSeq32(0, k.s, i0, core.WarpSize))) ||
+		!yield(ctx.Async(ctx.LoadSeq32(1, k.strike, i0, core.WarpSize))) ||
+		!yield(ctx.Async(ctx.LoadSeq32(2, k.t, i0, core.WarpSize))) ||
+		!yield(ctx.Async(ctx.LoadSeq32(3, k.v, i0, core.WarpSize))) ||
+		!yield(ctx.Join()) {
+		return
 	}
+	var call, put [core.WarpSize]float32
+	ss, xs, ts, vs := ctx.Row(0), ctx.Row(1), ctx.Row(2), ctx.Row(3)
+	for l := 0; l < core.WarpSize; l++ {
+		s := float64(f32(ss[l]))
+		x := float64(f32(xs[l]))
+		t := float64(f32(ts[l]))
+		v := float64(f32(vs[l]))
+		sqrtT := math.Sqrt(t)
+		d1 := (math.Log(s/x) + (bsRate+v*v/2)*t) / (v * sqrtT)
+		d2 := d1 - v*sqrtT
+		expRT := math.Exp(-bsRate * t)
+		c := s*cnd(d1) - x*expRT*cnd(d2)
+		call[l] = float32(c)
+		put[l] = float32(c - s + x*expRT) // put-call parity
+	}
+	if !yield(ctx.Compute(80)) ||
+		!yield(ctx.StoreSeqF32(k.call, i0, call[:], core.WarpSize)) {
+		return
+	}
+	yield(ctx.StoreSeqF32(k.put, i0, put[:], core.WarpSize))
 }
 
 func (k *blackscholes) Output(im *memimage.Image) []float32 {
@@ -312,50 +292,51 @@ func (k *jmein) triOrder(w, t int) int {
 	return int(h % uint64(k.tris))
 }
 
-func (k *jmein) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		i0 := w * core.WarpSize
-		// Ray origin/direction, coalesced.
-		for r, base := range []uint64{k.ox, k.oy, k.oz, k.dx, k.dy, k.dz} {
-			if !yield(ctx.Async(ctx.LoadSeq32(r, base, i0, core.WarpSize))) {
-				return
-			}
-		}
-		if !yield(ctx.Join()) {
+func (k *jmein) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	i0 := w * core.WarpSize
+	// Ray origin/direction, coalesced.
+	for r, base := range []uint64{k.ox, k.oy, k.oz, k.dx, k.dy, k.dz} {
+		if !yield(ctx.Async(ctx.LoadSeq32(r, base, i0, core.WarpSize))) {
 			return
 		}
-		var o, d [core.WarpSize][3]float64
-		for l := 0; l < core.WarpSize; l++ {
-			o[l] = [3]float64{float64(ctx.F32(0, l)), float64(ctx.F32(1, l)), float64(ctx.F32(2, l))}
-			d[l] = [3]float64{float64(ctx.F32(3, l)), float64(ctx.F32(4, l)), float64(ctx.F32(5, l))}
-		}
-		var best [core.WarpSize]float32
-		for l := range best {
-			best[l] = 1e3 // miss sentinel
-		}
-		for t := 0; t < k.testsPerRay; t++ {
-			ti := k.triOrder(w, t)
-			if !yield(ctx.LoadSeq32(6, k.tri, 9*ti, 9)) {
-				return
-			}
-			var v [9]float64
-			for c := 0; c < 9; c++ {
-				v[c] = float64(ctx.F32(6, c))
-			}
-			v0 := [3]float64{v[0], v[1], v[2]}
-			e1 := [3]float64{v[3] - v[0], v[4] - v[1], v[5] - v[2]}
-			e2 := [3]float64{v[6] - v[0], v[7] - v[1], v[8] - v[2]}
-			for l := 0; l < core.WarpSize; l++ {
-				if hit, dist := mollerTrumbore(o[l], d[l], v0, e1, e2); hit && float32(dist) < best[l] {
-					best[l] = float32(dist)
-				}
-			}
-			if !yield(ctx.Compute(25)) {
-				return
-			}
-		}
-		yield(ctx.StoreSeqF32(k.dist, i0, best[:], core.WarpSize))
 	}
+	if !yield(ctx.Join()) {
+		return
+	}
+	var o, d [core.WarpSize][3]float64
+	ox, oy, oz := ctx.Row(0), ctx.Row(1), ctx.Row(2)
+	dx, dy, dz := ctx.Row(3), ctx.Row(4), ctx.Row(5)
+	for l := 0; l < core.WarpSize; l++ {
+		o[l] = [3]float64{float64(f32(ox[l])), float64(f32(oy[l])), float64(f32(oz[l]))}
+		d[l] = [3]float64{float64(f32(dx[l])), float64(f32(dy[l])), float64(f32(dz[l]))}
+	}
+	var best [core.WarpSize]float32
+	for l := range best {
+		best[l] = 1e3 // miss sentinel
+	}
+	for t := 0; t < k.testsPerRay; t++ {
+		ti := k.triOrder(w, t)
+		if !yield(ctx.LoadSeq32(6, k.tri, 9*ti, 9)) {
+			return
+		}
+		var v [9]float64
+		tri := ctx.Row(6)
+		for c := 0; c < 9; c++ {
+			v[c] = float64(f32(tri[c]))
+		}
+		v0 := [3]float64{v[0], v[1], v[2]}
+		e1 := [3]float64{v[3] - v[0], v[4] - v[1], v[5] - v[2]}
+		e2 := [3]float64{v[6] - v[0], v[7] - v[1], v[8] - v[2]}
+		for l := 0; l < core.WarpSize; l++ {
+			if hit, dist := mollerTrumbore(o[l], d[l], v0, e1, e2); hit && float32(dist) < best[l] {
+				best[l] = float32(dist)
+			}
+		}
+		if !yield(ctx.Compute(25)) {
+			return
+		}
+	}
+	yield(ctx.StoreSeqF32(k.dist, i0, best[:], core.WarpSize))
 }
 
 // mollerTrumbore intersects a ray with a triangle given one vertex and two

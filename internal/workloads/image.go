@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"io"
-	"iter"
 	"math"
 	"math/rand"
 
@@ -85,46 +84,36 @@ func WritePGM(w io.Writer, pix []float32, width, height int) error {
 // filter3x3 is the shared 3x3 image-filter warp program: each warp produces
 // 32 consecutive interior pixels of one row.
 func filter3x3(ctx *core.Ctx, h, w, warp int, in, out uint64,
-	kern *[3][3]float32, post func(float32) float32) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		wpr := ceilDiv(w-2, core.WarpSize)
-		y := warp/wpr + 1
-		x0 := (warp%wpr)*core.WarpSize + 1
-		lanes := w - 1 - x0
-		if lanes > core.WarpSize {
-			lanes = core.WarpSize
-		}
-		var acc [core.WarpSize]float32
-		for dy := -1; dy <= 1; dy++ {
-			base := (y+dy)*w + x0
-			if !yield(ctx.Async(ctx.LoadSeq32(0, in, base-1, lanes))) {
-				return
-			}
-			if !yield(ctx.Async(ctx.LoadSeq32(1, in, base, lanes))) {
-				return
-			}
-			if !yield(ctx.Async(ctx.LoadSeq32(2, in, base+1, lanes))) {
-				return
-			}
-			if !yield(ctx.Join()) {
-				return
-			}
-			kr := kern[dy+1]
-			for l := 0; l < lanes; l++ {
-				acc[l] += kr[0]*ctx.F32(0, l) + kr[1]*ctx.F32(1, l) + kr[2]*ctx.F32(2, l)
-			}
-			if !yield(ctx.Compute(6)) {
-				return
-			}
-		}
-		for l := 0; l < lanes; l++ {
-			acc[l] = post(acc[l])
-		}
-		if !yield(ctx.Compute(2)) {
+	kern *[3][3]float32, post func(float32) float32, yield func(core.Op) bool) {
+	wpr := ceilDiv(w-2, core.WarpSize)
+	y := warp/wpr + 1
+	x0 := (warp%wpr)*core.WarpSize + 1
+	lanes := min(w-1-x0, core.WarpSize)
+	var acc [core.WarpSize]float32
+	for dy := -1; dy <= 1; dy++ {
+		base := (y+dy)*w + x0
+		if !yield(ctx.Async(ctx.LoadSeq32(0, in, base-1, lanes))) ||
+			!yield(ctx.Async(ctx.LoadSeq32(1, in, base, lanes))) ||
+			!yield(ctx.Async(ctx.LoadSeq32(2, in, base+1, lanes))) ||
+			!yield(ctx.Join()) {
 			return
 		}
-		yield(ctx.StoreSeqF32(out, y*w+x0, acc[:], lanes))
+		kr := kern[dy+1]
+		left, mid, right := ctx.Row(0), ctx.Row(1), ctx.Row(2)
+		for l := 0; l < lanes; l++ {
+			acc[l] += kr[0]*f32(left[l]) + kr[1]*f32(mid[l]) + kr[2]*f32(right[l])
+		}
+		if !yield(ctx.Compute(6)) {
+			return
+		}
 	}
+	for l := 0; l < lanes; l++ {
+		acc[l] = post(acc[l])
+	}
+	if !yield(ctx.Compute(2)) {
+		return
+	}
+	yield(ctx.StoreSeqF32(out, y*w+x0, acc[:], lanes))
 }
 
 func clamp255(v float32) float32 {
@@ -180,8 +169,8 @@ var meanKernel = [3][3]float32{
 
 func (k *meanFilter) Name() string { return "meanfilter" }
 
-func (k *meanFilter) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return filter3x3(ctx, k.h, k.w, w, k.in, k.out, &meanKernel, clamp255)
+func (k *meanFilter) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	filter3x3(ctx, k.h, k.w, w, k.in, k.out, &meanKernel, clamp255, yield)
 }
 
 // ---- laplacian (AxBench: image sharpening) -------------------------------
@@ -196,6 +185,6 @@ var laplacianKernel = [3][3]float32{
 
 func (k *laplacian) Name() string { return "laplacian" }
 
-func (k *laplacian) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return filter3x3(ctx, k.h, k.w, w, k.in, k.out, &laplacianKernel, clamp255)
+func (k *laplacian) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	filter3x3(ctx, k.h, k.w, w, k.in, k.out, &laplacianKernel, clamp255, yield)
 }

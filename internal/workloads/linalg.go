@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"iter"
 	"math/rand"
 
 	"lazydram/internal/approx"
@@ -27,114 +26,103 @@ const matmulRows = 4
 // row-major matrix multiply C = alpha*A*B + beta*C: each warp produces 32
 // consecutive elements of one C row, loading the A row in line-sized chunks
 // and streaming the matching B row segments, each followed by its compute.
-func matmulProgram(ctx *core.Ctx, n, w int, a, b, c uint64, alpha, beta float32) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		stripes := n / core.WarpSize
-		i := w / stripes
-		j := (w % stripes) * core.WarpSize
-		var acc [core.WarpSize]float32
-		for k0 := 0; k0 < n; k0 += core.WarpSize {
-			if !yield(ctx.LoadSeq32(0, a, i*n+k0, core.WarpSize)) {
-				return
-			}
-			for kk := 0; kk < core.WarpSize; kk += matmulRows {
-				for r := 1; r <= matmulRows; r++ {
-					if !yield(ctx.LoadSeq32(r, b, (k0+kk+r-1)*n+j, core.WarpSize)) ||
-						!yield(ctx.Compute(2)) {
-						return
-					}
-				}
-				for r := 1; r <= matmulRows; r++ {
-					av := ctx.F32(0, kk+r-1)
-					for l := 0; l < core.WarpSize; l++ {
-						acc[l] += av * ctx.F32(r, l)
-					}
-				}
-			}
-		}
-		if !yield(ctx.LoadSeq32(2, c, i*n+j, core.WarpSize)) {
+func matmulProgram(ctx *core.Ctx, n, w int, a, b, c uint64, alpha, beta float32, yield func(core.Op) bool) {
+	stripes := n / core.WarpSize
+	i := w / stripes
+	j := (w % stripes) * core.WarpSize
+	var acc [core.WarpSize]float32
+	for k0 := 0; k0 < n; k0 += core.WarpSize {
+		if !yield(ctx.LoadSeq32(0, a, i*n+k0, core.WarpSize)) {
 			return
 		}
-		var out [core.WarpSize]float32
-		for l := range out {
-			out[l] = alpha*acc[l] + beta*ctx.F32(2, l)
+		for kk := 0; kk < core.WarpSize; kk += matmulRows {
+			for r := 1; r <= matmulRows; r++ {
+				if !yield(ctx.LoadSeq32(r, b, (k0+kk+r-1)*n+j, core.WarpSize)) ||
+					!yield(ctx.Compute(2)) {
+					return
+				}
+			}
+			for r := 1; r <= matmulRows; r++ {
+				av, br := ctx.F32(0, kk+r-1), ctx.Row(r)
+				for l := 0; l < core.WarpSize; l++ {
+					acc[l] += av * f32(br[l])
+				}
+			}
 		}
-		yield(ctx.StoreSeqF32(c, i*n+j, out[:], core.WarpSize))
 	}
+	if !yield(ctx.LoadSeq32(2, c, i*n+j, core.WarpSize)) {
+		return
+	}
+	var out [core.WarpSize]float32
+	cr := ctx.Row(2)
+	for l := range out {
+		out[l] = alpha*acc[l] + beta*f32(cr[l])
+	}
+	yield(ctx.StoreSeqF32(c, i*n+j, out[:], core.WarpSize))
 }
 
 // rowDotProgram emits warp w computing out[w] = sum_j A[w,j]*x[j] (the
 // coalesced matrix-vector product: lanes stride across the row and reduce).
-func rowDotProgram(ctx *core.Ctx, n, w int, a, x, out uint64, addIn bool) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		var acc [core.WarpSize]float32
-		for j := 0; j < n; j += core.WarpSize {
-			if !yield(ctx.Async(ctx.LoadSeq32(0, a, w*n+j, core.WarpSize))) {
-				return
-			}
-			if !yield(ctx.Async(ctx.LoadSeq32(1, x, j, core.WarpSize))) {
-				return
-			}
-			if !yield(ctx.Join()) {
-				return
-			}
-			for l := 0; l < core.WarpSize; l++ {
-				acc[l] += ctx.F32(0, l) * ctx.F32(1, l)
-			}
-			if !yield(ctx.Compute(2)) {
-				return
-			}
-		}
-		sum := float32(0)
-		for l := 0; l < core.WarpSize; l++ {
-			sum += acc[l]
-		}
-		if !yield(ctx.Compute(10)) { // lane-serial reduction
+func rowDotProgram(ctx *core.Ctx, n, w int, a, x, out uint64, addIn bool, yield func(core.Op) bool) {
+	var acc [core.WarpSize]float32
+	for j := 0; j < n; j += core.WarpSize {
+		if !yield(ctx.Async(ctx.LoadSeq32(0, a, w*n+j, core.WarpSize))) ||
+			!yield(ctx.Async(ctx.LoadSeq32(1, x, j, core.WarpSize))) ||
+			!yield(ctx.Join()) {
 			return
 		}
-		if addIn {
-			if !yield(ctx.LoadSeq32(2, out, w, 1)) {
-				return
-			}
-			sum += ctx.F32(2, 0)
+		ra, rb := ctx.Row(0), ctx.Row(1)
+		for l := 0; l < core.WarpSize; l++ {
+			acc[l] += f32(ra[l]) * f32(rb[l])
 		}
-		yield(ctx.StoreSeqF32(out, w, []float32{sum}, 1))
+		if !yield(ctx.Compute(2)) {
+			return
+		}
 	}
+	sum := float32(0)
+	for l := 0; l < core.WarpSize; l++ {
+		sum += acc[l]
+	}
+	if !yield(ctx.Compute(10)) { // lane-serial reduction
+		return
+	}
+	if addIn {
+		if !yield(ctx.LoadSeq32(2, out, w, 1)) {
+			return
+		}
+		sum += ctx.F32(2, 0)
+	}
+	yield(ctx.StoreSeqF32(out, w, []float32{sum}, 1))
 }
 
 // colDotProgram emits warp w computing out[w] = sum_i A[i,w]*y[i] — the
 // transposed product: lane l gathers A[(i+l)*n + w], a stride-n access that
 // touches up to 32 distinct lines (and DRAM rows) per instruction. This is
 // the row-thrashing access shape of MVT/ATAX/BICG.
-func colDotProgram(ctx *core.Ctx, n, w int, a, y, out uint64) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		var acc [core.WarpSize]float32
-		for i := 0; i < n; i += core.WarpSize {
-			if !yield(ctx.Async(ctx.LoadStride32(0, a, i*n+w, n, core.WarpSize))) {
-				return
-			}
-			if !yield(ctx.Async(ctx.LoadSeq32(1, y, i, core.WarpSize))) {
-				return
-			}
-			if !yield(ctx.Join()) {
-				return
-			}
-			for l := 0; l < core.WarpSize; l++ {
-				acc[l] += ctx.F32(0, l) * ctx.F32(1, l)
-			}
-			if !yield(ctx.Compute(2)) {
-				return
-			}
-		}
-		sum := float32(0)
-		for l := 0; l < core.WarpSize; l++ {
-			sum += acc[l]
-		}
-		if !yield(ctx.Compute(10)) {
+func colDotProgram(ctx *core.Ctx, n, w int, a, y, out uint64, yield func(core.Op) bool) {
+	var acc [core.WarpSize]float32
+	for i := 0; i < n; i += core.WarpSize {
+		if !yield(ctx.Async(ctx.LoadStride32(0, a, i*n+w, n, core.WarpSize))) ||
+			!yield(ctx.Async(ctx.LoadSeq32(1, y, i, core.WarpSize))) ||
+			!yield(ctx.Join()) {
 			return
 		}
-		yield(ctx.StoreSeqF32(out, w, []float32{sum}, 1))
+		ra, rb := ctx.Row(0), ctx.Row(1)
+		for l := 0; l < core.WarpSize; l++ {
+			acc[l] += f32(ra[l]) * f32(rb[l])
+		}
+		if !yield(ctx.Compute(2)) {
+			return
+		}
 	}
+	sum := float32(0)
+	for l := 0; l < core.WarpSize; l++ {
+		sum += acc[l]
+	}
+	if !yield(ctx.Compute(10)) {
+		return
+	}
+	yield(ctx.StoreSeqF32(out, w, []float32{sum}, 1))
 }
 
 // ---- GEMM (Polybench): C = alpha*A*B + beta*C --------------------------
@@ -166,8 +154,8 @@ func (k *gemm) Setup(im *memimage.Image, rng *rand.Rand) {
 	)
 }
 
-func (k *gemm) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return matmulProgram(ctx, k.n, w, k.a, k.b, k.c, 1.5, 0.8)
+func (k *gemm) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	matmulProgram(ctx, k.n, w, k.a, k.b, k.c, 1.5, 0.8, yield)
 }
 
 func (k *gemm) Output(im *memimage.Image) []float32 {
@@ -206,11 +194,12 @@ func (k *twoMM) Setup(im *memimage.Image, rng *rand.Rand) {
 	)
 }
 
-func (k *twoMM) Program(phase, w int, ctx *core.Ctx) iter.Seq[core.Op] {
+func (k *twoMM) Program(phase, w int, ctx *core.Ctx, yield func(core.Op) bool) {
 	if phase == 0 {
-		return matmulProgram(ctx, k.n, w, k.a, k.b, k.d, 1, 0)
+		matmulProgram(ctx, k.n, w, k.a, k.b, k.d, 1, 0, yield)
+	} else {
+		matmulProgram(ctx, k.n, w, k.d, k.c, k.e, 1, 0, yield)
 	}
-	return matmulProgram(ctx, k.n, w, k.d, k.c, k.e, 1, 0)
 }
 
 func (k *twoMM) Output(im *memimage.Image) []float32 {
@@ -255,14 +244,14 @@ func (k *threeMM) Setup(im *memimage.Image, rng *rand.Rand) {
 	)
 }
 
-func (k *threeMM) Program(phase, w int, ctx *core.Ctx) iter.Seq[core.Op] {
+func (k *threeMM) Program(phase, w int, ctx *core.Ctx, yield func(core.Op) bool) {
 	switch phase {
 	case 0:
-		return matmulProgram(ctx, k.n, w, k.a, k.b, k.e, 1, 0)
+		matmulProgram(ctx, k.n, w, k.a, k.b, k.e, 1, 0, yield)
 	case 1:
-		return matmulProgram(ctx, k.n, w, k.c, k.d, k.f, 1, 0)
+		matmulProgram(ctx, k.n, w, k.c, k.d, k.f, 1, 0, yield)
 	default:
-		return matmulProgram(ctx, k.n, w, k.e, k.f, k.g, 1, 0)
+		matmulProgram(ctx, k.n, w, k.e, k.f, k.g, 1, 0, yield)
 	}
 }
 
@@ -300,11 +289,12 @@ func (k *mvt) Setup(im *memimage.Image, rng *rand.Rand) {
 	k.annot = annotate(approx.Range{Base: k.a, Size: uint64(n2) * 4})
 }
 
-func (k *mvt) Program(phase, w int, ctx *core.Ctx) iter.Seq[core.Op] {
+func (k *mvt) Program(phase, w int, ctx *core.Ctx, yield func(core.Op) bool) {
 	if phase == 0 {
-		return rowDotProgram(ctx, k.n, w, k.a, k.y1, k.x1, true)
+		rowDotProgram(ctx, k.n, w, k.a, k.y1, k.x1, true, yield)
+	} else {
+		colDotProgram(ctx, k.n, w, k.a, k.y2, k.x2, yield)
 	}
-	return colDotProgram(ctx, k.n, w, k.a, k.y2, k.x2)
 }
 
 func (k *mvt) Output(im *memimage.Image) []float32 {
@@ -338,11 +328,12 @@ func (k *atax) Setup(im *memimage.Image, rng *rand.Rand) {
 	k.annot = annotate(approx.Range{Base: k.a, Size: uint64(n2) * 4})
 }
 
-func (k *atax) Program(phase, w int, ctx *core.Ctx) iter.Seq[core.Op] {
+func (k *atax) Program(phase, w int, ctx *core.Ctx, yield func(core.Op) bool) {
 	if phase == 0 {
-		return rowDotProgram(ctx, k.n, w, k.a, k.x, k.tmp, false)
+		rowDotProgram(ctx, k.n, w, k.a, k.x, k.tmp, false, yield)
+	} else {
+		colDotProgram(ctx, k.n, w, k.a, k.tmp, k.y, yield)
 	}
-	return colDotProgram(ctx, k.n, w, k.a, k.tmp, k.y)
 }
 
 func (k *atax) Output(im *memimage.Image) []float32 {
@@ -377,11 +368,12 @@ func (k *bicg) Setup(im *memimage.Image, rng *rand.Rand) {
 	k.annot = annotate(approx.Range{Base: k.a, Size: uint64(n2) * 4})
 }
 
-func (k *bicg) Program(phase, w int, ctx *core.Ctx) iter.Seq[core.Op] {
+func (k *bicg) Program(phase, w int, ctx *core.Ctx, yield func(core.Op) bool) {
 	if phase == 0 {
-		return colDotProgram(ctx, k.n, w, k.a, k.r, k.s)
+		colDotProgram(ctx, k.n, w, k.a, k.r, k.s, yield)
+	} else {
+		rowDotProgram(ctx, k.n, w, k.a, k.p, k.q, false, yield)
 	}
-	return rowDotProgram(ctx, k.n, w, k.a, k.p, k.q, false)
 }
 
 func (k *bicg) Output(im *memimage.Image) []float32 {

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"iter"
 	"math"
 	"math/rand"
 
@@ -77,117 +76,117 @@ func clampF(v, lo, hi float64) float64 {
 	return v
 }
 
-func (k *ray) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		p0 := w * core.WarpSize
-		var o, d [core.WarpSize][3]float64
-		var lum, atten [core.WarpSize]float64
-		var alive [core.WarpSize]bool
-		for l := 0; l < core.WarpSize; l++ {
-			p := p0 + l
-			px, py := p%k.w, p/k.w
-			o[l] = [3]float64{0, 0, -2}
-			dir := [3]float64{
-				(float64(px)/float64(k.w) - 0.5) * 1.6,
-				(float64(py)/float64(k.h) - 0.5) * 1.6,
-				1,
-			}
-			n := math.Sqrt(dot(dir, dir))
-			d[l] = [3]float64{dir[0] / n, dir[1] / n, dir[2] / n}
-			atten[l] = 1
-			alive[l] = true
+func (k *ray) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	p0 := w * core.WarpSize
+	var o, d [core.WarpSize][3]float64
+	var lum, atten [core.WarpSize]float64
+	var alive [core.WarpSize]bool
+	for l := 0; l < core.WarpSize; l++ {
+		p := p0 + l
+		px, py := p%k.w, p/k.w
+		o[l] = [3]float64{0, 0, -2}
+		dir := [3]float64{
+			(float64(px)/float64(k.w) - 0.5) * 1.6,
+			(float64(py)/float64(k.h) - 0.5) * 1.6,
+			1,
 		}
-		if !yield(ctx.Compute(12)) {
-			return
+		n := math.Sqrt(dot(dir, dir))
+		d[l] = [3]float64{dir[0] / n, dir[1] / n, dir[2] / n}
+		atten[l] = 1
+		alive[l] = true
+	}
+	if !yield(ctx.Compute(12)) {
+		return
+	}
+	var envIdx [core.WarpSize]int
+	for b := 0; b < k.bounces; b++ {
+		// Intersect every sphere; the table is tiny and L1 resident
+		// after the first warp.
+		type hit struct {
+			t      float64
+			sphere int
 		}
-		var envIdx [core.WarpSize]int
-		for b := 0; b < k.bounces; b++ {
-			// Intersect every sphere; the table is tiny and L1 resident
-			// after the first warp.
-			type hit struct {
-				t      float64
-				sphere int
+		var hits [core.WarpSize]hit
+		for l := range hits {
+			hits[l].t = math.Inf(1)
+			hits[l].sphere = -1
+		}
+		for s := 0; s < k.spheres; s++ {
+			if !yield(ctx.LoadSeq32(0, k.sph, 8*s, 8)) {
+				return
 			}
-			var hits [core.WarpSize]hit
-			for l := range hits {
-				hits[l].t = math.Inf(1)
-				hits[l].sphere = -1
-			}
-			for s := 0; s < k.spheres; s++ {
-				if !yield(ctx.LoadSeq32(0, k.sph, 8*s, 8)) {
-					return
-				}
-				c := [3]float64{float64(ctx.F32(0, 0)), float64(ctx.F32(0, 1)), float64(ctx.F32(0, 2))}
-				r := float64(ctx.F32(0, 3))
-				for l := 0; l < core.WarpSize; l++ {
-					if !alive[l] {
-						continue
-					}
-					if t, ok := sphereHit(o[l], d[l], c, r); ok && t < hits[l].t {
-						hits[l] = hit{t: t, sphere: s}
-					}
-				}
-				if !yield(ctx.Compute(18)) {
-					return
-				}
-			}
-			// Escaped rays sample the environment map: a 32-lane gather.
-			anyEscape := false
+			sph := ctx.Row(0)
+			c := [3]float64{float64(f32(sph[0])), float64(f32(sph[1])), float64(f32(sph[2]))}
+			r := float64(f32(sph[3]))
 			for l := 0; l < core.WarpSize; l++ {
-				if alive[l] && hits[l].sphere < 0 {
-					envIdx[l] = k.envIndex(d[l])
-					anyEscape = true
-				} else {
-					envIdx[l] = 0
-				}
-			}
-			if anyEscape {
-				if !yield(ctx.LoadGather32(1, k.env, envIdx[:], core.WarpSize)) {
-					return
-				}
-				for l := 0; l < core.WarpSize; l++ {
-					if alive[l] && hits[l].sphere < 0 {
-						lum[l] += atten[l] * float64(ctx.F32(1, l))
-						alive[l] = false
-					}
-				}
-			}
-			// Bounce the surviving rays.
-			for l := 0; l < core.WarpSize; l++ {
-				if !alive[l] || hits[l].sphere < 0 {
+				if !alive[l] {
 					continue
 				}
-				s := hits[l].sphere
-				// Re-derive the sphere from its deterministic parameters is
-				// not possible here, so reflect using the last-loaded sphere
-				// if it is the hit one; otherwise use the geometric normal
-				// from the hit record computed below.
-				_ = s
-				t := hits[l].t
-				for c := 0; c < 3; c++ {
-					o[l][c] += d[l][c] * t
+				if t, ok := sphereHit(o[l], d[l], c, r); ok && t < hits[l].t {
+					hits[l] = hit{t: t, sphere: s}
 				}
-				// Normal from the hit sphere's centre (recomputed from hit
-				// point assumption: pushed slightly along the ray, we use
-				// the incoming direction reflection about the radial axis).
-				n := k.normalAt(hits[l].sphere, o[l])
-				dn := 2 * dot(d[l], n)
-				for c := 0; c < 3; c++ {
-					d[l][c] -= dn * n[c]
-				}
-				lum[l] += atten[l] * 0.12 // surface emission share
-				atten[l] *= 0.65
 			}
-			if !yield(ctx.Compute(30)) {
+			if !yield(ctx.Compute(18)) {
 				return
 			}
 		}
-		var out [core.WarpSize]float32
-		for l := range out {
-			out[l] = float32(lum[l])
+		// Escaped rays sample the environment map: a 32-lane gather.
+		anyEscape := false
+		for l := 0; l < core.WarpSize; l++ {
+			if alive[l] && hits[l].sphere < 0 {
+				envIdx[l] = k.envIndex(d[l])
+				anyEscape = true
+			} else {
+				envIdx[l] = 0
+			}
 		}
-		yield(ctx.StoreSeqF32(k.pix, p0, out[:], core.WarpSize))
+		if anyEscape {
+			if !yield(ctx.LoadGather32(1, k.env, envIdx[:], core.WarpSize)) {
+				return
+			}
+			env := ctx.Row(1)
+			for l := 0; l < core.WarpSize; l++ {
+				if alive[l] && hits[l].sphere < 0 {
+					lum[l] += atten[l] * float64(f32(env[l]))
+					alive[l] = false
+				}
+			}
+		}
+		// Bounce the surviving rays.
+		for l := 0; l < core.WarpSize; l++ {
+			if !alive[l] || hits[l].sphere < 0 {
+				continue
+			}
+			s := hits[l].sphere
+			// Re-derive the sphere from its deterministic parameters is
+			// not possible here, so reflect using the last-loaded sphere
+			// if it is the hit one; otherwise use the geometric normal
+			// from the hit record computed below.
+			_ = s
+			t := hits[l].t
+			for c := 0; c < 3; c++ {
+				o[l][c] += d[l][c] * t
+			}
+			// Normal from the hit sphere's centre (recomputed from hit
+			// point assumption: pushed slightly along the ray, we use
+			// the incoming direction reflection about the radial axis).
+			n := k.normalAt(hits[l].sphere, o[l])
+			dn := 2 * dot(d[l], n)
+			for c := 0; c < 3; c++ {
+				d[l][c] -= dn * n[c]
+			}
+			lum[l] += atten[l] * 0.12 // surface emission share
+			atten[l] *= 0.65
+		}
+		if !yield(ctx.Compute(30)) {
+			return
+		}
 	}
+	var out [core.WarpSize]float32
+	for l := range out {
+		out[l] = float32(lum[l])
+	}
+	yield(ctx.StoreSeqF32(k.pix, p0, out[:], core.WarpSize))
 }
 
 // sphereCenters caches nothing: normals are recomputed from the hit point by

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"iter"
 	"math/rand"
 
 	"lazydram/internal/approx"
@@ -40,39 +39,34 @@ func (k *cons) Setup(im *memimage.Image, rng *rand.Rand) {
 	k.annot = annotate(approx.Range{Base: k.x, Size: uint64(k.n+16) * 4})
 }
 
-func (k *cons) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		i0 := w * core.WarpSize
-		// Two aligned loads cover the 32+8 inputs of this warp's window.
-		if !yield(ctx.Async(ctx.LoadSeq32(0, k.x, i0, core.WarpSize))) {
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(1, k.x, i0+core.WarpSize, 8))) {
-			return
-		}
-		if !yield(ctx.Join()) {
-			return
-		}
-		var win [core.WarpSize + 8]float32
-		for l := 0; l < core.WarpSize; l++ {
-			win[l] = ctx.F32(0, l)
-		}
-		for l := 0; l < 8; l++ {
-			win[core.WarpSize+l] = ctx.F32(1, l)
-		}
-		var out [core.WarpSize]float32
-		for l := 0; l < core.WarpSize; l++ {
-			acc := float32(0)
-			for t := 0; t < 9; t++ {
-				acc += consTaps[t] * win[l+t]
-			}
-			out[l] = acc
-		}
-		if !yield(ctx.Compute(18)) {
-			return
-		}
-		yield(ctx.StoreSeqF32(k.out, i0, out[:], core.WarpSize))
+func (k *cons) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	i0 := w * core.WarpSize
+	// Two aligned loads cover the 32+8 inputs of this warp's window.
+	if !yield(ctx.Async(ctx.LoadSeq32(0, k.x, i0, core.WarpSize))) ||
+		!yield(ctx.Async(ctx.LoadSeq32(1, k.x, i0+core.WarpSize, 8))) ||
+		!yield(ctx.Join()) {
+		return
 	}
+	var win [core.WarpSize + 8]float32
+	lo, hi := ctx.Row(0), ctx.Row(1)
+	for l := 0; l < core.WarpSize; l++ {
+		win[l] = f32(lo[l])
+	}
+	for l := 0; l < 8; l++ {
+		win[core.WarpSize+l] = f32(hi[l])
+	}
+	var out [core.WarpSize]float32
+	for l := 0; l < core.WarpSize; l++ {
+		acc := float32(0)
+		for t := 0; t < 9; t++ {
+			acc += consTaps[t] * win[l+t]
+		}
+		out[l] = acc
+	}
+	if !yield(ctx.Compute(18)) {
+		return
+	}
+	yield(ctx.StoreSeqF32(k.out, i0, out[:], core.WarpSize))
 }
 
 func (k *cons) Output(im *memimage.Image) []float32 {
@@ -124,46 +118,36 @@ var conv3dW = func() (w [3][3][3]float32) {
 // Program: the z+-1 neighbour planes are a full n*n*4-byte stride apart, so
 // every output row touches three widely separated DRAM regions — the
 // row-thrashing shape of the 3D stencils in Table II.
-func (k *conv3d) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		n := k.n
-		wpr := k.warpsPerRow()
-		row := w / wpr
-		z := row/(n-2) + 1
-		y := row%(n-2) + 1
-		x0 := (w%wpr)*core.WarpSize + 1
-		lanes := n - 1 - x0
-		if lanes > core.WarpSize {
-			lanes = core.WarpSize
-		}
-		var acc [core.WarpSize]float32
-		idx := func(zz, yy, xx int) int { return (zz*n+yy)*n + xx }
-		for dz := -1; dz <= 1; dz++ {
-			for dy := -1; dy <= 1; dy++ {
-				base := idx(z+dz, y+dy, x0)
-				if !yield(ctx.Async(ctx.LoadSeq32(0, k.in, base-1, lanes))) {
-					return
-				}
-				if !yield(ctx.Async(ctx.LoadSeq32(1, k.in, base, lanes))) {
-					return
-				}
-				if !yield(ctx.Async(ctx.LoadSeq32(2, k.in, base+1, lanes))) {
-					return
-				}
-				if !yield(ctx.Join()) {
-					return
-				}
-				wt := conv3dW[dz+1][dy+1]
-				for l := 0; l < lanes; l++ {
-					acc[l] += wt[0]*ctx.F32(0, l) + wt[1]*ctx.F32(1, l) + wt[2]*ctx.F32(2, l)
-				}
-				if !yield(ctx.Compute(6)) {
-					return
-				}
+func (k *conv3d) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	n := k.n
+	wpr := k.warpsPerRow()
+	row := w / wpr
+	z := row/(n-2) + 1
+	y := row%(n-2) + 1
+	x0 := (w%wpr)*core.WarpSize + 1
+	lanes := min(n-1-x0, core.WarpSize)
+	var acc [core.WarpSize]float32
+	idx := func(zz, yy, xx int) int { return (zz*n+yy)*n + xx }
+	for dz := -1; dz <= 1; dz++ {
+		for dy := -1; dy <= 1; dy++ {
+			base := idx(z+dz, y+dy, x0)
+			if !yield(ctx.Async(ctx.LoadSeq32(0, k.in, base-1, lanes))) ||
+				!yield(ctx.Async(ctx.LoadSeq32(1, k.in, base, lanes))) ||
+				!yield(ctx.Async(ctx.LoadSeq32(2, k.in, base+1, lanes))) ||
+				!yield(ctx.Join()) {
+				return
+			}
+			wt := conv3dW[dz+1][dy+1]
+			left, mid, right := ctx.Row(0), ctx.Row(1), ctx.Row(2)
+			for l := 0; l < lanes; l++ {
+				acc[l] += wt[0]*f32(left[l]) + wt[1]*f32(mid[l]) + wt[2]*f32(right[l])
+			}
+			if !yield(ctx.Compute(6)) {
+				return
 			}
 		}
-		yield(ctx.StoreSeqF32(k.out, idx(z, y, x0), acc[:], lanes))
 	}
+	yield(ctx.StoreSeqF32(k.out, idx(z, y, x0), acc[:], lanes))
 }
 
 func (k *conv3d) Output(im *memimage.Image) []float32 {
@@ -199,48 +183,35 @@ func (k *srad) Setup(im *memimage.Image, rng *rand.Rand) {
 	k.annot = annotate(approx.Range{Base: k.in, Size: uint64(n) * 4})
 }
 
-func (k *srad) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		wpr := k.warpsPerRow()
-		y := w/wpr + 1
-		x0 := (w%wpr)*core.WarpSize + 1
-		lanes := k.w - 1 - x0
-		if lanes > core.WarpSize {
-			lanes = core.WarpSize
-		}
-		i := y*k.w + x0
-		if !yield(ctx.Async(ctx.LoadSeq32(0, k.in, i, lanes))) { // centre
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(1, k.in, i-k.w, lanes))) { // north
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(2, k.in, i+k.w, lanes))) { // south
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(3, k.in, i-1, lanes))) { // west
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(4, k.in, i+1, lanes))) { // east
-			return
-		}
-		if !yield(ctx.Join()) {
-			return
-		}
-		var out [core.WarpSize]float32
-		const lambda = 0.2
-		for l := 0; l < lanes; l++ {
-			c := ctx.F32(0, l)
-			d := ctx.F32(1, l) + ctx.F32(2, l) + ctx.F32(3, l) + ctx.F32(4, l) - 4*c
-			r := d / c
-			g := 1 / (1 + r*r) // diffusion coefficient
-			out[l] = c + lambda*g*d
-		}
-		if !yield(ctx.Compute(25)) {
-			return
-		}
-		yield(ctx.StoreSeqF32(k.out, i, out[:], lanes))
+func (k *srad) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	wpr := k.warpsPerRow()
+	y := w/wpr + 1
+	x0 := (w%wpr)*core.WarpSize + 1
+	lanes := min(k.w-1-x0, core.WarpSize)
+	i := y*k.w + x0
+	if !yield(ctx.Async(ctx.LoadSeq32(0, k.in, i, lanes))) || // centre
+		!yield(ctx.Async(ctx.LoadSeq32(1, k.in, i-k.w, lanes))) || // north
+		!yield(ctx.Async(ctx.LoadSeq32(2, k.in, i+k.w, lanes))) || // south
+		!yield(ctx.Async(ctx.LoadSeq32(3, k.in, i-1, lanes))) || // west
+		!yield(ctx.Async(ctx.LoadSeq32(4, k.in, i+1, lanes))) || // east
+		!yield(ctx.Join()) {
+		return
 	}
+	var out [core.WarpSize]float32
+	const lambda = 0.2
+	centre, north, south := ctx.Row(0), ctx.Row(1), ctx.Row(2)
+	west, east := ctx.Row(3), ctx.Row(4)
+	for l := 0; l < lanes; l++ {
+		c := f32(centre[l])
+		d := f32(north[l]) + f32(south[l]) + f32(west[l]) + f32(east[l]) - 4*c
+		r := d / c
+		g := 1 / (1 + r*r) // diffusion coefficient
+		out[l] = c + lambda*g*d
+	}
+	if !yield(ctx.Compute(25)) {
+		return
+	}
+	yield(ctx.StoreSeqF32(k.out, i, out[:], lanes))
 }
 
 func (k *srad) Output(im *memimage.Image) []float32 {
@@ -275,50 +246,35 @@ func (k *lps) Setup(im *memimage.Image, rng *rand.Rand) {
 	k.annot = annotate(approx.Range{Base: k.in, Size: uint64(n3) * 4})
 }
 
-func (k *lps) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		n := k.n
-		wpr := k.warpsPerRow()
-		row := w / wpr
-		z := row/(n-2) + 1
-		y := row%(n-2) + 1
-		x0 := (w%wpr)*core.WarpSize + 1
-		lanes := n - 1 - x0
-		if lanes > core.WarpSize {
-			lanes = core.WarpSize
-		}
-		i := (z*n+y)*n + x0
-		if !yield(ctx.Async(ctx.LoadSeq32(0, k.in, i-1, lanes))) { // west
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(1, k.in, i+1, lanes))) { // east
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(2, k.in, i-n, lanes))) { // north
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(3, k.in, i+n, lanes))) { // south
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(4, k.in, i-n*n, lanes))) { // up
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(5, k.in, i+n*n, lanes))) { // down
-			return
-		}
-		if !yield(ctx.Join()) {
-			return
-		}
-		var out [core.WarpSize]float32
-		for l := 0; l < lanes; l++ {
-			out[l] = (ctx.F32(0, l) + ctx.F32(1, l) + ctx.F32(2, l) +
-				ctx.F32(3, l) + ctx.F32(4, l) + ctx.F32(5, l)) / 6
-		}
-		if !yield(ctx.Compute(7)) {
-			return
-		}
-		yield(ctx.StoreSeqF32(k.out, i, out[:], lanes))
+func (k *lps) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	n := k.n
+	wpr := k.warpsPerRow()
+	row := w / wpr
+	z := row/(n-2) + 1
+	y := row%(n-2) + 1
+	x0 := (w%wpr)*core.WarpSize + 1
+	lanes := min(n-1-x0, core.WarpSize)
+	i := (z*n+y)*n + x0
+	if !yield(ctx.Async(ctx.LoadSeq32(0, k.in, i-1, lanes))) || // west
+		!yield(ctx.Async(ctx.LoadSeq32(1, k.in, i+1, lanes))) || // east
+		!yield(ctx.Async(ctx.LoadSeq32(2, k.in, i-n, lanes))) || // north
+		!yield(ctx.Async(ctx.LoadSeq32(3, k.in, i+n, lanes))) || // south
+		!yield(ctx.Async(ctx.LoadSeq32(4, k.in, i-n*n, lanes))) || // up
+		!yield(ctx.Async(ctx.LoadSeq32(5, k.in, i+n*n, lanes))) || // down
+		!yield(ctx.Join()) {
+		return
 	}
+	var out [core.WarpSize]float32
+	west, east, north := ctx.Row(0), ctx.Row(1), ctx.Row(2)
+	south, up, down := ctx.Row(3), ctx.Row(4), ctx.Row(5)
+	for l := 0; l < lanes; l++ {
+		out[l] = (f32(west[l]) + f32(east[l]) + f32(north[l]) +
+			f32(south[l]) + f32(up[l]) + f32(down[l])) / 6
+	}
+	if !yield(ctx.Compute(7)) {
+		return
+	}
+	yield(ctx.StoreSeqF32(k.out, i, out[:], lanes))
 }
 
 func (k *lps) Output(im *memimage.Image) []float32 {

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"iter"
 	"math/rand"
 
 	"lazydram/internal/approx"
@@ -48,36 +47,31 @@ func (k *scp) Setup(im *memimage.Image, rng *rand.Rand) {
 // thousands of concurrent streams and only 96 banks, the interleaving at the
 // memory controller produces the low-RBL activations that give SCP its high
 // Th_RBL sensitivity (Figure 11).
-func (k *scp) Program(_, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		base := w * k.length
-		var acc [core.WarpSize]float32
-		for c := 0; c < k.length; c += core.WarpSize {
-			if !yield(ctx.Async(ctx.LoadSeq32(0, k.a, base+c, core.WarpSize))) {
-				return
-			}
-			if !yield(ctx.Async(ctx.LoadSeq32(1, k.b, base+c, core.WarpSize))) {
-				return
-			}
-			if !yield(ctx.Join()) {
-				return
-			}
-			for l := 0; l < core.WarpSize; l++ {
-				acc[l] += ctx.F32(0, l) * ctx.F32(1, l)
-			}
-			if !yield(ctx.Compute(2)) {
-				return
-			}
-		}
-		sum := float32(0)
-		for l := 0; l < core.WarpSize; l++ {
-			sum += acc[l]
-		}
-		if !yield(ctx.Compute(10)) {
+func (k *scp) Program(_, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	base := w * k.length
+	var acc [core.WarpSize]float32
+	for c := 0; c < k.length; c += core.WarpSize {
+		if !yield(ctx.Async(ctx.LoadSeq32(0, k.a, base+c, core.WarpSize))) ||
+			!yield(ctx.Async(ctx.LoadSeq32(1, k.b, base+c, core.WarpSize))) ||
+			!yield(ctx.Join()) {
 			return
 		}
-		yield(ctx.StoreSeqF32(k.out, w, []float32{sum}, 1))
+		ra, rb := ctx.Row(0), ctx.Row(1)
+		for l := 0; l < core.WarpSize; l++ {
+			acc[l] += f32(ra[l]) * f32(rb[l])
+		}
+		if !yield(ctx.Compute(2)) {
+			return
+		}
 	}
+	sum := float32(0)
+	for l := 0; l < core.WarpSize; l++ {
+		sum += acc[l]
+	}
+	if !yield(ctx.Compute(10)) {
+		return
+	}
+	yield(ctx.StoreSeqF32(k.out, w, []float32{sum}, 1))
 }
 
 func (k *scp) Output(im *memimage.Image) []float32 {
@@ -113,39 +107,32 @@ func (k *fwt) Setup(im *memimage.Image, rng *rand.Rand) {
 // For pair p with stride st: i = 2*(p &^ (st-1)) + (p & (st-1)), j = i + st.
 // Small strides scatter lanes within lines; large strides produce two widely
 // separated streams — the row-thrashing butterfly shape.
-func (k *fwt) Program(stage, w int, ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		st := 1 << stage
-		var ii, jj [core.WarpSize]int
-		for l := 0; l < core.WarpSize; l++ {
-			p := w*core.WarpSize + l
-			i := 2*(p&^(st-1)) + (p & (st - 1))
-			ii[l] = i
-			jj[l] = i + st
-		}
-		if !yield(ctx.Async(ctx.LoadGather32(0, k.data, ii[:], core.WarpSize))) {
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadGather32(1, k.data, jj[:], core.WarpSize))) {
-			return
-		}
-		if !yield(ctx.Join()) {
-			return
-		}
-		var sums, diffs [core.WarpSize]float32
-		for l := 0; l < core.WarpSize; l++ {
-			a, b := ctx.F32(0, l), ctx.F32(1, l)
-			sums[l] = a + b
-			diffs[l] = a - b
-		}
-		if !yield(ctx.Compute(2)) {
-			return
-		}
-		if !yield(ctx.StoreScatterF32(k.data, ii[:], sums[:], core.WarpSize)) {
-			return
-		}
-		yield(ctx.StoreScatterF32(k.data, jj[:], diffs[:], core.WarpSize))
+func (k *fwt) Program(stage, w int, ctx *core.Ctx, yield func(core.Op) bool) {
+	st := 1 << stage
+	var ii, jj [core.WarpSize]int
+	for l := 0; l < core.WarpSize; l++ {
+		p := w*core.WarpSize + l
+		i := 2*(p&^(st-1)) + (p & (st - 1))
+		ii[l] = i
+		jj[l] = i + st
 	}
+	if !yield(ctx.Async(ctx.LoadGather32(0, k.data, ii[:], core.WarpSize))) ||
+		!yield(ctx.Async(ctx.LoadGather32(1, k.data, jj[:], core.WarpSize))) ||
+		!yield(ctx.Join()) {
+		return
+	}
+	var sums, diffs [core.WarpSize]float32
+	ra, rb := ctx.Row(0), ctx.Row(1)
+	for l := 0; l < core.WarpSize; l++ {
+		a, b := f32(ra[l]), f32(rb[l])
+		sums[l] = a + b
+		diffs[l] = a - b
+	}
+	if !yield(ctx.Compute(2)) ||
+		!yield(ctx.StoreScatterF32(k.data, ii[:], sums[:], core.WarpSize)) {
+		return
+	}
+	yield(ctx.StoreScatterF32(k.data, jj[:], diffs[:], core.WarpSize))
 }
 
 func (k *fwt) Output(im *memimage.Image) []float32 {
@@ -204,169 +191,148 @@ func (k *sla) Setup(im *memimage.Image, rng *rand.Rand) {
 	k.annot = annotate(approx.Range{Base: k.data, Size: uint64(k.n) * 4})
 }
 
-func (k *sla) Program(phase, w int, ctx *core.Ctx) iter.Seq[core.Op] {
+func (k *sla) Program(phase, w int, ctx *core.Ctx, yield func(core.Op) bool) {
 	switch phase {
 	case 0:
 		// Block scan: warp w scans its slaChunk elements in 4-line bursts,
 		// storing the inclusive prefix and the block total.
-		return k.blockScan(ctx, w)
+		k.blockScan(ctx, w, yield)
 	case 1:
 		// Super-block scan over aux1 (32 block totals per warp).
-		return scanChunk32(ctx, k.aux1, k.aux1, k.aux2, w)
+		scanChunk32(ctx, k.aux1, k.aux1, k.aux2, w, yield)
 	case 2:
 		// Top-level scan of aux2 by a single warp (small, serial).
-		return k.topScan(ctx)
+		k.topScan(ctx, yield)
 	case 3:
 		// Propagate aux2 offsets into aux1.
-		return addChunkOffset(ctx, k.aux2, k.aux1, w, core.WarpSize)
+		addChunkOffset(ctx, k.aux2, k.aux1, w, core.WarpSize, yield)
 	default:
 		// Propagate aux1 offsets into out: aux1[b] now holds the exclusive
 		// offset of block b.
-		return addBlockOffset(ctx, k.aux1, k.out, w)
+		addBlockOffset(ctx, k.aux1, k.out, w, yield)
 	}
 }
 
 // blockScan scans slaChunk consecutive elements: per iteration it pulls four
 // consecutive lines with async loads (the float4+unroll shape of the CUDA
 // SDK kernel), computes the running prefix, and streams the result out.
-func (k *sla) blockScan(ctx *core.Ctx, w int) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		base := w * slaChunk
-		running := float32(0)
-		const burst = 4 * core.WarpSize
-		var pref [core.WarpSize]float32
-		for c := 0; c < slaChunk; c += burst {
-			for r := 0; r < 4; r++ {
-				if !yield(ctx.Async(ctx.LoadSeq32(r, k.data, base+c+r*core.WarpSize, core.WarpSize))) {
-					return
-				}
-			}
-			if !yield(ctx.Join()) {
+func (k *sla) blockScan(ctx *core.Ctx, w int, yield func(core.Op) bool) {
+	base := w * slaChunk
+	running := float32(0)
+	const burst = 4 * core.WarpSize
+	var pref [core.WarpSize]float32
+	for c := 0; c < slaChunk; c += burst {
+		for r := 0; r < 4; r++ {
+			if !yield(ctx.Async(ctx.LoadSeq32(r, k.data, base+c+r*core.WarpSize, core.WarpSize))) {
 				return
 			}
-			for r := 0; r < 4; r++ {
-				for l := 0; l < core.WarpSize; l++ {
-					running += ctx.F32(r, l)
-					pref[l] = running
-				}
-				if !yield(ctx.Compute(6)) {
-					return
-				}
-				if !yield(ctx.StoreSeqF32(k.out, base+c+r*core.WarpSize, pref[:], core.WarpSize)) {
-					return
-				}
+		}
+		if !yield(ctx.Join()) {
+			return
+		}
+		for r := 0; r < 4; r++ {
+			row := ctx.Row(r)
+			for l := 0; l < core.WarpSize; l++ {
+				running += f32(row[l])
+				pref[l] = running
+			}
+			if !yield(ctx.Compute(6)) ||
+				!yield(ctx.StoreSeqF32(k.out, base+c+r*core.WarpSize, pref[:], core.WarpSize)) {
+				return
 			}
 		}
-		yield(ctx.StoreSeqF32(k.aux1, w, []float32{running}, 1))
 	}
+	yield(ctx.StoreSeqF32(k.aux1, w, []float32{running}, 1))
 }
 
 // scanChunk32 exclusively scans 32 consecutive elements of src into dst and
 // writes the chunk total to sums[w].
-func scanChunk32(ctx *core.Ctx, src, dst, sums uint64, w int) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		if !yield(ctx.LoadSeq32(0, src, w*core.WarpSize, core.WarpSize)) {
-			return
-		}
-		running := float32(0)
-		var pref [core.WarpSize]float32
-		for l := 0; l < core.WarpSize; l++ {
-			pref[l] = running
-			running += ctx.F32(0, l)
-		}
-		if !yield(ctx.Compute(12)) { // log-step shared-memory scan
-			return
-		}
-		if !yield(ctx.StoreSeqF32(dst, w*core.WarpSize, pref[:], core.WarpSize)) {
-			return
-		}
-		yield(ctx.StoreSeqF32(sums, w, []float32{running}, 1))
+func scanChunk32(ctx *core.Ctx, src, dst, sums uint64, w int, yield func(core.Op) bool) {
+	if !yield(ctx.LoadSeq32(0, src, w*core.WarpSize, core.WarpSize)) {
+		return
 	}
+	running := float32(0)
+	var pref [core.WarpSize]float32
+	row := ctx.Row(0)
+	for l := 0; l < core.WarpSize; l++ {
+		pref[l] = running
+		running += f32(row[l])
+	}
+	if !yield(ctx.Compute(12)) || // log-step shared-memory scan
+		!yield(ctx.StoreSeqF32(dst, w*core.WarpSize, pref[:], core.WarpSize)) {
+		return
+	}
+	yield(ctx.StoreSeqF32(sums, w, []float32{running}, 1))
 }
 
 // topScan: one warp serially scans the top-level totals into exclusive
 // offsets.
-func (k *sla) topScan(ctx *core.Ctx) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		n := k.superBlocks()
-		running := float32(0)
-		var excl [core.WarpSize]float32
-		for c := 0; c < n; c += core.WarpSize {
-			lanes := n - c
-			if lanes > core.WarpSize {
-				lanes = core.WarpSize
-			}
-			if !yield(ctx.LoadSeq32(0, k.aux2, c, lanes)) {
-				return
-			}
-			for l := 0; l < lanes; l++ {
-				excl[l] = running
-				running += ctx.F32(0, l)
-			}
-			if !yield(ctx.Compute(12)) {
-				return
-			}
-			if !yield(ctx.StoreSeqF32(k.aux2, c, excl[:], lanes)) {
-				return
-			}
+func (k *sla) topScan(ctx *core.Ctx, yield func(core.Op) bool) {
+	n := k.superBlocks()
+	running := float32(0)
+	var excl [core.WarpSize]float32
+	for c := 0; c < n; c += core.WarpSize {
+		lanes := min(n-c, core.WarpSize)
+		if !yield(ctx.LoadSeq32(0, k.aux2, c, lanes)) {
+			return
+		}
+		row := ctx.Row(0)
+		for l := 0; l < lanes; l++ {
+			excl[l] = running
+			running += f32(row[l])
+		}
+		if !yield(ctx.Compute(12)) ||
+			!yield(ctx.StoreSeqF32(k.aux2, c, excl[:], lanes)) {
+			return
 		}
 	}
 }
 
 // addChunkOffset adds offsets[w] to the 32-element chunk w of dst.
-func addChunkOffset(ctx *core.Ctx, offsets, dst uint64, w, chunk int) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		if !yield(ctx.Async(ctx.LoadSeq32(1, offsets, w, 1))) {
-			return
-		}
-		if !yield(ctx.Async(ctx.LoadSeq32(0, dst, w*chunk, chunk))) {
-			return
-		}
-		if !yield(ctx.Join()) {
-			return
-		}
-		off := ctx.F32(1, 0)
-		var vals [core.WarpSize]float32
-		for l := 0; l < chunk && l < core.WarpSize; l++ {
-			vals[l] = ctx.F32(0, l) + off
-		}
-		if !yield(ctx.Compute(1)) {
-			return
-		}
-		yield(ctx.StoreSeqF32(dst, w*chunk, vals[:], chunk))
+func addChunkOffset(ctx *core.Ctx, offsets, dst uint64, w, chunk int, yield func(core.Op) bool) {
+	if !yield(ctx.Async(ctx.LoadSeq32(1, offsets, w, 1))) ||
+		!yield(ctx.Async(ctx.LoadSeq32(0, dst, w*chunk, chunk))) ||
+		!yield(ctx.Join()) {
+		return
 	}
+	off, row := ctx.F32(1, 0), ctx.Row(0)
+	var vals [core.WarpSize]float32
+	for l := 0; l < chunk && l < core.WarpSize; l++ {
+		vals[l] = f32(row[l]) + off
+	}
+	if !yield(ctx.Compute(1)) {
+		return
+	}
+	yield(ctx.StoreSeqF32(dst, w*chunk, vals[:], chunk))
 }
 
 // addBlockOffset adds aux[w] to the whole slaChunk block w of dst, streaming
 // in 4-line bursts like blockScan.
-func addBlockOffset(ctx *core.Ctx, offsets, dst uint64, w int) iter.Seq[core.Op] {
-	return func(yield func(core.Op) bool) {
-		if !yield(ctx.LoadSeq32(4, offsets, w, 1)) {
-			return
-		}
-		off := ctx.F32(4, 0)
-		base := w * slaChunk
-		const burst = 4 * core.WarpSize
-		var vals [core.WarpSize]float32
-		for c := 0; c < slaChunk; c += burst {
-			for r := 0; r < 4; r++ {
-				if !yield(ctx.Async(ctx.LoadSeq32(r, dst, base+c+r*core.WarpSize, core.WarpSize))) {
-					return
-				}
-			}
-			if !yield(ctx.Join()) {
+func addBlockOffset(ctx *core.Ctx, offsets, dst uint64, w int, yield func(core.Op) bool) {
+	if !yield(ctx.LoadSeq32(4, offsets, w, 1)) {
+		return
+	}
+	off := ctx.F32(4, 0)
+	base := w * slaChunk
+	const burst = 4 * core.WarpSize
+	var vals [core.WarpSize]float32
+	for c := 0; c < slaChunk; c += burst {
+		for r := 0; r < 4; r++ {
+			if !yield(ctx.Async(ctx.LoadSeq32(r, dst, base+c+r*core.WarpSize, core.WarpSize))) {
 				return
 			}
-			for r := 0; r < 4; r++ {
-				for l := 0; l < core.WarpSize; l++ {
-					vals[l] = ctx.F32(r, l) + off
-				}
-				if !yield(ctx.Compute(1)) {
-					return
-				}
-				if !yield(ctx.StoreSeqF32(dst, base+c+r*core.WarpSize, vals[:], core.WarpSize)) {
-					return
-				}
+		}
+		if !yield(ctx.Join()) {
+			return
+		}
+		for r := 0; r < 4; r++ {
+			row := ctx.Row(r)
+			for l := 0; l < core.WarpSize; l++ {
+				vals[l] = f32(row[l]) + off
+			}
+			if !yield(ctx.Compute(1)) ||
+				!yield(ctx.StoreSeqF32(dst, base+c+r*core.WarpSize, vals[:], core.WarpSize)) {
+				return
 			}
 		}
 	}

@@ -96,6 +96,9 @@ func ErrorTolerant(name string) bool {
 
 // ---- shared helpers ---------------------------------------------------
 
+// f32 reads a register lane (see core.Ctx.Row) as float32.
+func f32(u uint32) float32 { return math.Float32frombits(u) }
+
 // allocF32 reserves n float32 elements and returns the base address.
 func allocF32(im *memimage.Image, n int) uint64 {
 	return im.Alloc(uint64(n) * 4)

@@ -15,17 +15,16 @@ func runKernel(t *testing.T, k sim.Kernel, seed int64) (*memimage.Image, []float
 	t.Helper()
 	im := memimage.New(k.MemBytes() + 4*memimage.LineSize)
 	k.Setup(im, rand.New(rand.NewSource(seed)))
-	var ctxOut []float32
 	for ph := 0; ph < k.Phases(); ph++ {
 		for w := 0; w < k.NumWarps(ph); w++ {
 			ctx := &core.Ctx{}
-			for op := range k.Program(ph, w, ctx) {
+			k.Program(ph, w, ctx, func(op core.Op) bool {
 				sim.ApplyOp(im, ctx, op)
-			}
+				return true
+			})
 		}
 	}
-	ctxOut = k.Output(im)
-	return im, ctxOut
+	return im, k.Output(im)
 }
 
 func approxEq(a, b float32, tol float64) bool {
@@ -519,9 +518,9 @@ func TestAllAddressesInBounds(t *testing.T) {
 			stride := warps/64 + 1
 			for w := 0; w < warps; w += stride {
 				ctx := &core.Ctx{}
-				for op := range k.Program(ph, w, ctx) {
+				k.Program(ph, w, ctx, func(op core.Op) bool {
 					if op.Lanes == nil {
-						continue
+						return true
 					}
 					for l := 0; l < 32; l++ {
 						if op.Lanes.Active&(1<<uint(l)) == 0 {
@@ -537,7 +536,8 @@ func TestAllAddressesInBounds(t *testing.T) {
 					}
 					// Apply so data-dependent later phases see real values.
 					sim.ApplyOp(im, ctx, op)
-				}
+					return true
+				})
 			}
 		}
 	}
