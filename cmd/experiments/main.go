@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments [-out results] [-apps GEMM,SCP] [-seed 1] [-workers N] [-shard] [-shard-workers M] [ids...]
+//	experiments [-out results] [-apps GEMM,SCP] [-seed 1] [-workers N] [ids...]
 //
 // With no ids, every experiment runs in paper order. Each experiment writes
 // <out>/<id>.txt plus any binary artifacts (e.g. Fig. 14's PGM images), and
@@ -47,7 +47,6 @@ func main() {
 
 		runlog = flag.String("runlog", "", "write PREFIX.trace.json (Chrome trace), PREFIX.events.jsonl, and PREFIX.sweep.json from the run-lifecycle log")
 
-		shard   = cliflags.AddShard(flag.CommandLine)
 		metrics = cliflags.AddMetrics(flag.CommandLine)
 		prof    = cliflags.AddProfiling(flag.CommandLine)
 	)
@@ -77,8 +76,7 @@ func main() {
 	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
 		ids = exp.IDs()
 	}
-	opts := exp.Options{Seed: *seed, Workers: *workers,
-		ShardPartitions: shard.Enabled, ShardWorkers: shard.Workers}
+	opts := exp.Options{Seed: *seed, Workers: *workers}
 	if *apps != "" {
 		opts.Apps = strings.Split(*apps, ",")
 	}

@@ -54,9 +54,8 @@ func main() {
 		wait    = flag.Duration("wait", 10*time.Minute, "client mode: how long to wait for the result")
 		version = flag.Bool("version", false, "print build provenance and exit")
 
-		job   = cliflags.AddJob(flag.CommandLine)
-		shard = cliflags.AddShard(flag.CommandLine)
-		prof  = cliflags.AddProfiling(flag.CommandLine)
+		job  = cliflags.AddJob(flag.CommandLine)
+		prof = cliflags.AddProfiling(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -76,13 +75,11 @@ func main() {
 	defer stopProf()
 
 	svc := service.New(service.Config{
-		Workers:         *workers,
-		QueueDepth:      *qdepth,
-		CacheBytes:      *cacheMB << 20,
-		CacheDir:        *dir,
-		ShardPartitions: shard.Enabled,
-		ShardWorkers:    shard.Workers,
-		Registry:        obs.NewRegistry(),
+		Workers:    *workers,
+		QueueDepth: *qdepth,
+		CacheBytes: *cacheMB << 20,
+		CacheDir:   *dir,
+		Registry:   obs.NewRegistry(),
 	})
 
 	ln, err := net.Listen("tcp", *addr)

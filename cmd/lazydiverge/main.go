@@ -10,15 +10,14 @@
 //
 // Usage:
 //
-//	lazydiverge -app SCP -scheme baseline [-shard-b] [-fault-b] ...
+//	lazydiverge -app SCP -scheme baseline [-fault-b] ...
 //	lazydiverge -stream-a a.jsonl -stream-b b.jsonl
 //
 // Sides share -app/-seed/-queue/-delay/-thrbl; they differ by the per-side
-// flags: -scheme-b overrides B's scheme, -shard-a/-shard-b pick the tick
-// path, -fault-a/-fault-b enable fault injection (with the shared -fault-*
-// parameters). The second form compares two previously recorded digest
-// streams (lazysim -digest-log) and reports the first divergent interval
-// without lockstep re-execution.
+// flags: -scheme-b overrides B's scheme, -fault-a/-fault-b enable fault
+// injection (with the shared -fault-* parameters). The second form compares
+// two previously recorded digest streams (lazysim -digest-log) and reports
+// the first divergent interval without lockstep re-execution.
 //
 // Exit codes: 0 = no divergence, 1 = divergence found, 2 = usage or input
 // error.
@@ -89,8 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scheme = fs.String("scheme", "baseline", "side A scheduling scheme (and B's default)")
 
 		schemeB = fs.String("scheme-b", "", "side B scheme (default: -scheme)")
-		shardA  = fs.Bool("shard-a", false, "side A ticks partitions on the sharded worker pool")
-		shardB  = fs.Bool("shard-b", false, "side B ticks partitions on the sharded worker pool")
 		faultA  = fs.Bool("fault-a", false, "side A enables the DRAM error model")
 		faultB  = fs.Bool("fault-b", false, "side B enables the DRAM error model")
 
@@ -150,10 +147,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	side := func(shard, faulty bool) (sim.Config, error) {
+	side := func(faulty bool) sim.Config {
 		cfg := sim.DefaultConfig()
 		cfg.MC.QueueSize = *queue
-		cfg.ShardPartitions = shard
 		cfg.Obs.DigestEvery = *every
 		cfg.Obs.DigestCapacity = *capacity
 		if faulty {
@@ -162,10 +158,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cfg.Fault.WeakCellDensity = *faultDensity
 			cfg.Fault.Seed = *faultSeed
 		}
-		return cfg, nil
+		return cfg
 	}
-	cfgA, _ := side(*shardA, *faultA)
-	cfgB, _ := side(*shardB, *faultB)
+	cfgA, cfgB := side(*faultA), side(*faultB)
 
 	simulate := func(cfg sim.Config, sch mc.Scheme) (*sim.Result, error) {
 		kern, err := workloads.New(*app)

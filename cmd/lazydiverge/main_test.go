@@ -18,13 +18,13 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 	return code, out.String(), errb.String()
 }
 
-// TestShardedVsSequentialNoDivergence is the determinism self-test: the two
-// tick paths, with fault injection active on both sides, must produce
-// identical digest streams.
+// TestShardedVsSequentialNoDivergence is the determinism self-test: two
+// identical configurations, with fault injection active on both sides, must
+// produce identical digest streams.
 func TestShardedVsSequentialNoDivergence(t *testing.T) {
 	code, out, errb := runCLI(t,
 		"-app", "SCP", "-scheme", "baseline", "-digest-every", "512",
-		"-fault-a", "-fault-b", "-shard-b")
+		"-fault-a", "-fault-b")
 	if code != exitClean {
 		t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, exitClean, out, errb)
 	}

@@ -318,17 +318,13 @@ const sampleCensusBlock = `{
 	"host": {
 		"sample_every": 64, "core_ticks_sampled": 4096, "core_ns": 8200000,
 		"mem_ticks_sampled": 4150, "mem_ns": 9300000,
-		"probe_ticks_sampled": 4150, "probe_ns": 510000,
-		"workers": [
-			{"worker": 0, "dispatches": 4150, "busy_ns": 6100000, "barrier_ns": 3200000, "busy_frac": 0.65},
-			{"worker": 1, "dispatches": 4150, "busy_ns": 5900000, "barrier_ns": 3400000, "busy_frac": 0.63}
-		]
+		"probe_ticks_sampled": 4150, "probe_ns": 510000
 	}
 }`
 
 // TestReportCensusSection: a -census document renders the cycle-census
 // panels — stall-cause stacked bars, the bank-residency heatmap, the
-// skippable-fraction tile, and the shard phase strip — and stays
+// skippable-fraction tile, and the host phase tiles — and stays
 // self-contained.
 func TestReportCensusSection(t *testing.T) {
 	dir := t.TempDir()
@@ -352,8 +348,7 @@ func TestReportCensusSection(t *testing.T) {
 		"Cycle census", "stall-cause decomposition", "bank state residency",
 		"skippable fraction", "35.3%", "partition-cycle census",
 		"next-event gap histogram", "dms_hold", "ch0·b1",
-		"Ingress backpressure", "Host phase profile", "shard worker phases",
-		"barrier wait",
+		"Ingress backpressure", "Host phase profile", "probe/publish (mean)",
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("census report missing %q", want)

@@ -12,10 +12,6 @@
 //
 // Parallel execution (see DESIGN.md, "Parallel execution"):
 //
-//	-shard           tick memory partitions on a worker pool with a per-cycle
-//	                 barrier; bit-identical to the sequential path
-//	-shard-workers N pool size for -shard (0: GOMAXPROCS, capped at the
-//	                 partition count)
 //	-sweep S1,S2,... multi-run mode: cross every scheme in the list with
 //	                 every app in -app (comma-separated, or "all") and print
 //	                 one summary row per run; runs execute concurrently
@@ -125,7 +121,6 @@ func main() {
 		faultSeed      = flag.Int64("fault-seed", 0, "fault-model RNG seed (0: reuse -seed)")
 		faultRetention = flag.Uint64("fault-retention", 0, "open-row age (memory cycles) past which reads suffer retention flips (0: default)")
 
-		shard   = cliflags.AddShard(flag.CommandLine)
 		digest  = cliflags.AddDigest(flag.CommandLine)
 		metrics = cliflags.AddMetrics(flag.CommandLine)
 		prof    = cliflags.AddProfiling(flag.CommandLine)
@@ -154,8 +149,7 @@ func main() {
 	if *sweep != "" {
 		so := sweepOptions{
 			Seed: *seed, Queue: *queue, Delay: *delay, ThRBL: *thrbl,
-			Workers: *workers, Shard: shard.Enabled, ShardWorkers: shard.Workers,
-			JSON: *jsonOut, RunLogPrefix: *runlog,
+			Workers: *workers, JSON: *jsonOut, RunLogPrefix: *runlog,
 		}
 		if metrics.Addr != "" {
 			reg := obs.NewRegistry()
@@ -177,7 +171,7 @@ func main() {
 		return
 	}
 
-	sch, err := ParseScheme(*scheme, *delay, *thrbl)
+	sch, err := mc.ParseScheme(*scheme, *delay, *thrbl)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -189,8 +183,6 @@ func main() {
 	}
 	cfg := sim.DefaultConfig()
 	cfg.MC.QueueSize = *queue
-	cfg.ShardPartitions = shard.Enabled
-	cfg.ShardWorkers = shard.Workers
 	cfg.Obs = obs.Options{
 		Latency:     *jsonOut,
 		SampleEvery: *sampleN,
@@ -407,8 +399,6 @@ type sweepOptions struct {
 	Queue        int
 	Delay, ThRBL int
 	Workers      int
-	Shard        bool
-	ShardWorkers int
 
 	// JSON switches the output to one rundoc.SweepDoc (rows + sweep summary
 	// block) instead of the text table.
@@ -445,7 +435,7 @@ func runSweep(w io.Writer, appList, schemeList string, o sweepOptions) error {
 		if name == "" {
 			continue
 		}
-		s, err := ParseScheme(name, o.Delay, o.ThRBL)
+		s, err := mc.ParseScheme(name, o.Delay, o.ThRBL)
 		if err != nil {
 			return err
 		}
@@ -459,14 +449,7 @@ func runSweep(w io.Writer, appList, schemeList string, o sweepOptions) error {
 	if o.JSON || o.RunLogPrefix != "" || o.Metrics != nil || o.Progress != nil {
 		rl = obs.NewRunLog(obs.RunLogOptions{Metrics: o.Metrics, Progress: o.Progress})
 	}
-	r := exp.NewRunner(exp.Options{
-		Seed:            o.Seed,
-		Apps:            apps,
-		Workers:         o.Workers,
-		ShardPartitions: o.Shard,
-		ShardWorkers:    o.ShardWorkers,
-		RunLog:          rl,
-	})
+	r := exp.NewRunner(exp.Options{Seed: o.Seed, Apps: apps, Workers: o.Workers, RunLog: rl})
 	v := exp.Variant{QueueSize: o.Queue}
 	var pts []exp.Point
 	for _, app := range apps {
@@ -520,9 +503,4 @@ func runSweep(w io.Writer, appList, schemeList string, o sweepOptions) error {
 		}
 	}
 	return rl.Reconcile()
-}
-
-// ParseScheme maps a scheme name to its configuration.
-func ParseScheme(name string, delay, thrbl int) (mc.Scheme, error) {
-	return mc.ParseScheme(name, delay, thrbl)
 }

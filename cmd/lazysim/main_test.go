@@ -202,16 +202,6 @@ func TestRunSweep(t *testing.T) {
 	}
 }
 
-func TestParseScheme(t *testing.T) {
-	s, err := ParseScheme("static-dms", 64, 8)
-	if err != nil || s.StaticDelay != 64 {
-		t.Fatalf("static-dms: %+v, %v", s, err)
-	}
-	if _, err := ParseScheme("nope", 0, 0); err == nil {
-		t.Fatal("unknown scheme accepted")
-	}
-}
-
 // TestRunSweepJSON drives -sweep -json -runlog end to end: the document must
 // carry the per-run rows in declaration order plus a sweep summary whose
 // counts are the deterministic values for this point set, and the runlog

@@ -147,20 +147,6 @@ func AddJob(fs *flag.FlagSet) *Job {
 	return j
 }
 
-// Shard is the -shard / -shard-workers group.
-type Shard struct {
-	Enabled bool
-	Workers int
-}
-
-// AddShard registers the partition-sharding flags on fs.
-func AddShard(fs *flag.FlagSet) *Shard {
-	s := &Shard{}
-	fs.BoolVar(&s.Enabled, "shard", false, "tick memory partitions on a worker pool (bit-identical to sequential)")
-	fs.IntVar(&s.Workers, "shard-workers", 0, "worker-pool size for -shard (0: GOMAXPROCS, capped at partition count)")
-	return s
-}
-
 // Digest is the -digest-every / -digest-cap / -digest-log group.
 type Digest struct {
 	Every uint64

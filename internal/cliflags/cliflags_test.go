@@ -20,27 +20,14 @@ func TestFlagNamesStable(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	AddProfiling(fs)
 	AddMetrics(fs)
-	AddShard(fs)
 	AddDigest(fs)
 	for _, name := range []string{
 		"pprof", "cpuprofile", "metrics-addr",
-		"shard", "shard-workers",
 		"digest-every", "digest-cap", "digest-log",
 	} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
-	}
-}
-
-func TestShardParsing(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	s := AddShard(fs)
-	if err := fs.Parse([]string{"-shard", "-shard-workers", "4"}); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Enabled || s.Workers != 4 {
-		t.Fatalf("parsed %+v", s)
 	}
 }
 

@@ -34,15 +34,6 @@ type Options struct {
 	// how many goroutines ask for it, and drivers consume results in paper
 	// order regardless of completion order.
 	Workers int
-	// ShardPartitions additionally parallelizes each simulation's cycle loop
-	// (sim.Config.ShardPartitions): partitions tick on a worker pool with a
-	// per-cycle barrier. Bit-identical to the sequential path by
-	// construction; most useful when Workers is small and cores are idle.
-	ShardPartitions bool
-	// ShardWorkers sizes each sharded simulation's partition worker pool
-	// (sim.Config.ShardWorkers; 0 picks GOMAXPROCS, capped at the partition
-	// count). Only consulted when ShardPartitions is set.
-	ShardWorkers int
 	// RunLog, when non-nil, records a lifecycle span for every Run call
 	// (queueing, worker slot, wall-clock, dedup joins) — see obs.RunLog.
 	// Purely observational: it never changes scheduling or results.
@@ -258,8 +249,6 @@ func (r *Runner) simulate(sp *obs.RunSpan, app string, scheme mc.Scheme, v Varia
 		return nil, 0, err
 	}
 	cfg := sim.DefaultConfig()
-	cfg.ShardPartitions = r.opts.ShardPartitions
-	cfg.ShardWorkers = r.opts.ShardWorkers
 	if v.QueueSize > 0 {
 		cfg.MC.QueueSize = v.QueueSize
 	}

@@ -2,13 +2,16 @@ package mc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
 // ParseScheme maps a scheme name to its configuration; delay and thrbl fill
 // the static variants' parameters. Shared by every CLI that takes -scheme.
+// Case is ignored, and every display name Scheme.Name returns parses back:
+// DMS(X) and AMS(T) carry their own parameter.
 func ParseScheme(name string, delay, thrbl int) (Scheme, error) {
-	switch strings.ToLower(name) {
+	switch lower := strings.ToLower(name); lower {
 	case "baseline", "base":
 		return Baseline, nil
 	case "static-dms", "dms":
@@ -23,14 +26,33 @@ func ParseScheme(name string, delay, thrbl int) (Scheme, error) {
 		return s, nil
 	case "dyn-ams":
 		return DynAMS, nil
-	case "static-both", "both":
+	case "static-both", "both", "static-dms+static-ams":
 		s := StaticBoth
 		s.StaticDelay = delay
 		s.StaticThRBL = thrbl
 		return s, nil
-	case "dyn-both":
+	case "dyn-both", "dyn-dms+dyn-ams":
 		return DynBoth, nil
 	default:
+		if x, ok := param(lower, "dms("); ok {
+			return ParseScheme("static-dms", x, thrbl)
+		}
+		if t, ok := param(lower, "ams("); ok {
+			return ParseScheme("static-ams", delay, t)
+		}
 		return Scheme{}, fmt.Errorf("unknown scheme %q", name)
 	}
+}
+
+// param reads the integer of name = prefix + integer + ")".
+func param(name, prefix string) (int, bool) {
+	digits, ok := strings.CutPrefix(name, prefix)
+	if !ok {
+		return 0, false
+	}
+	if digits, ok = strings.CutSuffix(digits, ")"); !ok {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	return n, err == nil
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 )
 
 // This file is the scheduler decision-audit half of the observability layer.
@@ -234,48 +233,6 @@ func (l *AuditLog) Adapt() []AdaptPoint {
 		return nil
 	}
 	return l.adapt
-}
-
-// MergeAuditLogs folds per-partition decision logs into one chronological
-// log. Counters sum exactly; retained ring entries and adaptation points are
-// concatenated in argument order and stably sorted by cycle, so same-cycle
-// events keep partition order — the interleaving the sequential 0..N-1 tick
-// loop records. The merged ring capacity is the sum of the input capacities.
-// Nil inputs are skipped; returns nil when every input is nil.
-func MergeAuditLogs(logs ...*AuditLog) *AuditLog {
-	var ringCap int
-	any := false
-	for _, l := range logs {
-		if l == nil {
-			continue
-		}
-		any = true
-		ringCap += cap(l.ring)
-	}
-	if !any {
-		return nil
-	}
-	if ringCap < 1 {
-		ringCap = 1
-	}
-	out := NewAuditLog(ringCap)
-	var entries []Decision
-	for _, l := range logs {
-		if l == nil {
-			continue
-		}
-		for r := Reason(0); r < NumReasons; r++ {
-			out.counts[r] += l.counts[r]
-		}
-		out.total += l.total
-		entries = append(entries, l.Entries()...)
-		out.adapt = append(out.adapt, l.adapt...)
-		out.adaptDropped += l.adaptDropped
-	}
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Cycle < entries[j].Cycle })
-	sort.SliceStable(out.adapt, func(i, j int) bool { return out.adapt[i].Cycle < out.adapt[j].Cycle })
-	out.ring = append(out.ring, entries...)
-	return out
 }
 
 // ReasonCount is one row of the serialized per-reason breakdown.

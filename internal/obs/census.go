@@ -4,8 +4,8 @@ import "fmt"
 
 // This file implements the cycle census and latency-provenance layer: exact
 // per-request stall-cause attribution, per-bank state-residency accounting,
-// and the partition-cycle census that sizes the planned event-driven
-// skip-ahead loop (ROADMAP item 2).
+// and the partition-cycle census that measures how many memory cycles an
+// event-driven loop could skip.
 //
 // Exactness discipline (DESIGN.md §11): for every retired request the
 // per-cause stall cycles sum *exactly* to its measured queue+service latency,
@@ -14,9 +14,8 @@ import "fmt"
 // by CheckInvariants and by the sim-level integration tests, the same way
 // PR 2 pinned bank-sum==channel-total and PR 3 pinned audited-drops==Dropped.
 //
-// Concurrency: a Census lives in a per-partition Shard and has exactly one
-// writer (that partition's tick path). Merged views are built between cycles
-// or after the run, from the simulation goroutine.
+// Each memory channel has its own Census, written only by that partition's
+// tick path on the simulation goroutine; the machine-level view sums them.
 
 // StallCause is one entry of the stall-attribution taxonomy. Every memory
 // cycle a retired request spent between pending-queue entry and data-burst
@@ -422,10 +421,9 @@ type IngressSummary struct {
 }
 
 // HostPhases reports the host-side phase profiler: sampled wall-clock spent
-// in the coreTick / memTick / probe phases of GPU.Step, and per shard-worker
-// busy vs barrier-wait time. Host timings are nondeterministic by nature and
-// are excluded from lazycmp's gate (CensusSummary.Host is tagged gate:"-"),
-// like wall_ms.
+// in the coreTick / memTick / probe phases of GPU.Step. Host timings are
+// nondeterministic by nature and are excluded from lazycmp's gate
+// (CensusSummary.Host is tagged gate:"-"), like wall_ms.
 type HostPhases struct {
 	SampleEvery uint64 `json:"sample_every"`
 	CoreTicks   uint64 `json:"core_ticks_sampled"`
@@ -434,19 +432,6 @@ type HostPhases struct {
 	MemNS       uint64 `json:"mem_ns"`
 	ProbeTicks  uint64 `json:"probe_ticks_sampled"`
 	ProbeNS     uint64 `json:"probe_ns"`
-	// Workers is present only for sharded runs: per-worker busy time on
-	// sampled memTick dispatches and the barrier wait implied by the
-	// dispatch wall clock.
-	Workers []WorkerPhase `json:"workers,omitempty"`
-}
-
-// WorkerPhase is one shard worker's sampled phase times.
-type WorkerPhase struct {
-	Worker     int     `json:"worker"`
-	Dispatches uint64  `json:"dispatches"`
-	BusyNS     uint64  `json:"busy_ns"`
-	BarrierNS  uint64  `json:"barrier_ns"`
-	BusyFrac   float64 `json:"busy_frac"`
 }
 
 // CensusSummary is the machine-level serializable census digest attached to
@@ -469,7 +454,7 @@ type CensusSummary struct {
 	SkippableFrac float64 `json:"skippable_frac"`
 
 	// Next-event-gap histogram: maximal non-advancing runs, the jumps an
-	// event-driven loop could take (ROADMAP item 2 sizing).
+	// event-driven loop could take.
 	GapCount uint64       `json:"gap_count"`
 	GapMean  float64      `json:"gap_mean"`
 	GapP50   uint64       `json:"gap_p50"`

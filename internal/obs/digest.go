@@ -165,8 +165,8 @@ type ComponentDigest struct {
 }
 
 // DigestLog is the bounded stream of digest records for one run. It is
-// written only from the simulation goroutine at barrier-quiesced points; it
-// is not safe for concurrent use.
+// written only from the simulation goroutine; it is not safe for concurrent
+// use.
 type DigestLog struct {
 	every   uint64
 	recs    []DigestRecord

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -148,7 +149,7 @@ func TestOptionsDigestEnables(t *testing.T) {
 	if !(Options{DigestEvery: 4096}).Enabled() {
 		t.Fatal("DigestEvery does not enable the collector")
 	}
-	c := NewCollector(Options{DigestEvery: 4096})
+	c := NewCollector(Options{DigestEvery: 4096}, 1)
 	if c == nil || c.Digest == nil {
 		t.Fatal("collector missing digest log")
 	}
@@ -174,4 +175,29 @@ func TestPartDigestSumCoversEveryField(t *testing.T) {
 			t.Fatalf("variant %d did not change the partition sum", i)
 		}
 	}
+}
+
+// FuzzReadDigestJSONL: no input panics the reader, and a stream it accepts
+// re-encodes through DigestLog.WriteJSONL and reads back equal.
+func FuzzReadDigestJSONL(f *testing.F) {
+	f.Add([]byte(`{"cycle":1024,"machine":1,"chain":2,"cores":3,"icnt":4,"parts":[{"part":0,"dram":5,"mc":6,"l2":7,"heaps":8,"traffic":9,"stats":10}]}` + "\n"))
+	f.Add([]byte(""))
+	f.Add([]byte(`{"cycle":1}` + "\n" + `{"cycle":`))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		recs, err := ReadDigestJSONL(bytes.NewReader(stream))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := (&DigestLog{recs: recs, cap: max(len(recs), 1)}).WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadDigestJSONL(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded stream rejected: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(recs, again) {
+			t.Fatalf("stream changed on re-encoding:\n%+v\n%+v", recs, again)
+		}
+	})
 }

@@ -87,16 +87,6 @@ func (t *Tracer) Hist(s Stage) *Histogram {
 	return &t.hists[s]
 }
 
-// Merge folds other's histograms into t. Nil-safe on both sides.
-func (t *Tracer) Merge(other *Tracer) {
-	if t == nil || other == nil {
-		return
-	}
-	for s := Stage(0); s < numStages; s++ {
-		t.hists[s].Merge(&other.hists[s])
-	}
-}
-
 // Stages summarizes every stage that recorded at least one sample.
 func (t *Tracer) Stages() []StageSummary {
 	if t == nil {
@@ -192,321 +182,109 @@ func (o Options) Enabled() bool {
 // Collector owns the per-run observability state. A nil *Collector (the
 // disabled case) is valid everywhere.
 //
-// Partition-local state (DRAM command trace, scheduler audit, quality logs,
-// the memory-side latency histograms) lives in per-partition Shards created
-// by EnsureShards, so that memory partitions can tick concurrently without
-// any cross-partition synchronization: each shard has exactly one writer.
-// The serializable views (Telemetry, MergedAudit, MergedTrace, ...) fold the
-// shards back together in channel order with stable cycle sorting, which is
-// the same order the sequential tick loop produces — so sharded and
-// unsharded execution emit byte-identical digests by construction.
+// Everything here is written on the simulation goroutine: the memory
+// partitions tick in order 0..N-1 on it, so one ring, one log and one
+// tracer record exactly the order of events the machine produced. Only the
+// census is kept per channel, because its summary reports each channel.
 type Collector struct {
-	// Tracer records the SM/interconnect-side lifecycle stages, which are
-	// only observed from the simulator's serial sections.
+	// Tracer records every lifecycle stage, SM side and partition side
+	// alike; a histogram's counts add in any order.
 	Tracer  *Tracer
 	Sampler *Sampler
 	Metrics *Registry
-	// Digest is the state-digest flight recorder (nil unless DigestEvery is
-	// set). It is machine-level, not sharded: records are built and appended
-	// only from the simulation goroutine at barrier-quiesced points.
-	Digest *DigestLog
-
-	opts   Options
-	shards []*Shard
-}
-
-// Shard is the slice of observability state owned by exactly one memory
-// partition. During a simulation only that partition's tick path writes to
-// it (possibly from a worker goroutine); merged views are built after the
-// run, or between cycles from the main goroutine once the per-cycle barrier
-// has quiesced every worker.
-type Shard struct {
-	Tracer *Tracer
-	Trace  *CmdTrace
-	Audit  *AuditLog
+	// Trace is the DRAM command ring and Audit the scheduler decision log,
+	// each at its full configured capacity.
+	Trace *CmdTrace
+	Audit *AuditLog
 	// Quality scores AMS-dropped lines; FaultQuality scores fault-corrupted
 	// lines (corrupted vs pristine bytes), kept separate so the two error
 	// sources stay distinguishable.
 	Quality      *QualityLog
 	FaultQuality *QualityLog
-	// Census is the partition's cycle-census state (nil unless
-	// Options.Census).
-	Census *Census
+	// Digest is the state-digest flight recorder (nil unless DigestEvery is
+	// set).
+	Digest *DigestLog
+
+	perChannel []*Census
 }
 
-// NewCollector builds a collector for the options, or nil when everything is
-// disabled. Call EnsureShards before handing shards to partitions.
-func NewCollector(o Options) *Collector {
+// NewCollector builds a collector for the options and a machine of the
+// given number of memory channels, or nil when everything is disabled.
+func NewCollector(o Options, channels int) *Collector {
 	if !o.Enabled() {
 		return nil
 	}
-	c := &Collector{opts: o}
+	c := &Collector{Metrics: o.Metrics}
 	if o.Latency {
 		c.Tracer = &Tracer{}
 	}
 	if o.SampleEvery > 0 {
 		c.Sampler = NewSampler(o.SampleEvery)
 	}
+	if o.TraceCapacity > 0 {
+		c.Trace = NewCmdTrace(o.TraceCapacity)
+	}
+	if o.AuditCapacity > 0 {
+		c.Audit = NewAuditLog(o.AuditCapacity)
+	}
+	if o.Quality {
+		c.Quality = NewQualityLog(o.QualityWorst)
+	}
+	if o.FaultQuality {
+		c.FaultQuality = NewQualityLog(o.QualityWorst)
+	}
 	if o.DigestEvery > 0 {
 		c.Digest = NewDigestLog(o.DigestEvery, o.DigestCapacity)
 	}
-	c.Metrics = o.Metrics
+	if o.Census {
+		for range channels {
+			c.perChannel = append(c.perChannel, NewCensus())
+		}
+	}
 	return c
 }
 
-// EnsureShards creates the n per-partition shards (idempotent for the same
-// n). Bounded capacities (trace ring, audit ring) are divided evenly across
-// shards so total retention matches the configured budget regardless of the
-// partition count. Nil-safe.
-func (c *Collector) EnsureShards(n int) {
-	if c == nil || len(c.shards) == n {
-		return
-	}
-	if n <= 0 {
-		panic("obs: shard count must be positive")
-	}
-	div := func(total int) int {
-		per := total / n
-		if per < 1 {
-			per = 1
-		}
-		return per
-	}
-	c.shards = make([]*Shard, n)
-	for i := range c.shards {
-		s := &Shard{}
-		if c.opts.Latency {
-			s.Tracer = &Tracer{}
-		}
-		if c.opts.TraceCapacity > 0 {
-			s.Trace = NewCmdTrace(div(c.opts.TraceCapacity))
-		}
-		if c.opts.AuditCapacity > 0 {
-			s.Audit = NewAuditLog(div(c.opts.AuditCapacity))
-		}
-		if c.opts.Quality {
-			s.Quality = NewQualityLog(c.opts.QualityWorst)
-		}
-		if c.opts.FaultQuality {
-			s.FaultQuality = NewQualityLog(c.opts.QualityWorst)
-		}
-		if c.opts.Census {
-			s.Census = NewCensus()
-		}
-		c.shards[i] = s
-	}
-}
-
-// Shard returns partition i's shard; EnsureShards must have been called
-// with a count > i. Nil-safe (returns nil, and a nil *Shard hands out nil
-// feature pointers via its nil-safe accessors below).
-func (c *Collector) Shard(i int) *Shard {
-	if c == nil || i >= len(c.shards) {
+// Census returns channel i's cycle census (nil when the census is off or
+// the collector is nil).
+func (c *Collector) Census(i int) *Census {
+	if c == nil || i >= len(c.perChannel) {
 		return nil
 	}
-	return c.shards[i]
+	return c.perChannel[i]
 }
 
-// Nil-safe shard accessors, so a disabled collector (nil shard) threads nil
-// feature pointers exactly like the pre-shard collector did.
-
-// ShardTracer returns the shard's tracer (nil-safe).
-func (s *Shard) ShardTracer() *Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.Tracer
-}
-
-// ShardTrace returns the shard's DRAM command ring (nil-safe).
-func (s *Shard) ShardTrace() *CmdTrace {
-	if s == nil {
-		return nil
-	}
-	return s.Trace
-}
-
-// ShardAudit returns the shard's decision log (nil-safe).
-func (s *Shard) ShardAudit() *AuditLog {
-	if s == nil {
-		return nil
-	}
-	return s.Audit
-}
-
-// ShardQuality returns the shard's AMS quality log (nil-safe).
-func (s *Shard) ShardQuality() *QualityLog {
-	if s == nil {
-		return nil
-	}
-	return s.Quality
-}
-
-// ShardFaultQuality returns the shard's fault quality log (nil-safe).
-func (s *Shard) ShardFaultQuality() *QualityLog {
-	if s == nil {
-		return nil
-	}
-	return s.FaultQuality
-}
-
-// ShardCensus returns the shard's cycle census (nil-safe).
-func (s *Shard) ShardCensus() *Census {
-	if s == nil {
-		return nil
-	}
-	return s.Census
-}
-
-// MergedTracer folds the SM-side tracer and every shard's memory-side
-// tracer into one fresh Tracer (nil when lifecycle tracing is off).
-func (c *Collector) MergedTracer() *Tracer {
-	if c == nil || !c.opts.Latency {
-		return nil
-	}
-	out := &Tracer{}
-	out.Merge(c.Tracer)
-	for _, s := range c.shards {
-		out.Merge(s.Tracer)
-	}
-	return out
-}
-
-// MergedTrace folds the per-shard DRAM command rings into one chronological
-// trace (nil when tracing is off). See MergeCmdTraces for the ordering
-// contract.
-func (c *Collector) MergedTrace() *CmdTrace {
-	if c == nil || c.opts.TraceCapacity == 0 {
-		return nil
-	}
-	traces := make([]*CmdTrace, len(c.shards))
-	for i, s := range c.shards {
-		traces[i] = s.Trace
-	}
-	return MergeCmdTraces(traces...)
-}
-
-// MergedAudit folds the per-shard decision logs into one chronological log
-// (nil when the audit is off). See MergeAuditLogs for the ordering contract.
-func (c *Collector) MergedAudit() *AuditLog {
-	if c == nil || c.opts.AuditCapacity == 0 {
-		return nil
-	}
-	logs := make([]*AuditLog, len(c.shards))
-	for i, s := range c.shards {
-		logs[i] = s.Audit
-	}
-	return MergeAuditLogs(logs...)
-}
-
-// MergedQuality folds the per-shard AMS quality logs (nil when off).
-func (c *Collector) MergedQuality() *QualityLog {
-	if c == nil || !c.opts.Quality {
-		return nil
-	}
-	out := NewQualityLog(c.opts.QualityWorst)
-	for _, s := range c.shards {
-		out.Merge(s.Quality)
-	}
-	return out
-}
-
-// MergedFaultQuality folds the per-shard fault quality logs (nil when off).
-func (c *Collector) MergedFaultQuality() *QualityLog {
-	if c == nil || !c.opts.FaultQuality {
-		return nil
-	}
-	out := NewQualityLog(c.opts.QualityWorst)
-	for _, s := range c.shards {
-		out.Merge(s.FaultQuality)
-	}
-	return out
-}
-
-// MergedCensus folds the per-shard censuses elementwise into one fresh
+// MergedCensus folds the per-channel censuses elementwise into one fresh
 // Census (nil when the census is off).
 func (c *Collector) MergedCensus() *Census {
-	if c == nil || !c.opts.Census {
+	if c == nil || len(c.perChannel) == 0 {
 		return nil
 	}
 	out := NewCensus()
-	for _, s := range c.shards {
-		out.Merge(s.Census)
+	for _, cen := range c.perChannel {
+		out.Merge(cen)
 	}
 	return out
 }
 
-// CensusEnabled reports whether the cycle census is collecting.
-func (c *Collector) CensusEnabled() bool { return c != nil && c.opts.Census }
-
-// AuditCount sums one reason's exact counter across shards. Callers must
-// only read between cycles (barrier-quiesced state); see the package note on
-// shards.
-func (c *Collector) AuditCount(r Reason) uint64 {
-	if c == nil {
-		return 0
-	}
-	var n uint64
-	for _, s := range c.shards {
-		n += s.Audit.Count(r)
-	}
-	return n
-}
-
-// AuditEnabled reports whether the decision audit is collecting.
-func (c *Collector) AuditEnabled() bool { return c != nil && c.opts.AuditCapacity > 0 }
-
-// QualityEnabled reports whether AMS quality scoring is collecting.
-func (c *Collector) QualityEnabled() bool { return c != nil && c.opts.Quality }
-
-// QualityCounters sums the live quality statistics across shards: scored
-// lines, scored words, the running mean relative error, and the maximum
-// relative error. Barrier-quiesced reads only, like AuditCount.
-func (c *Collector) QualityCounters() (lines, words uint64, meanRel, maxRel float64) {
-	if c == nil {
-		return 0, 0, 0, 0
-	}
-	var relSum float64
-	for _, s := range c.shards {
-		q := s.Quality
-		if q == nil {
-			continue
-		}
-		lines += q.Lines()
-		words += q.Words()
-		relSum += q.MeanRel() * float64(q.Words())
-		if m := q.MaxRel(); m > maxRel {
-			maxRel = m
-		}
-	}
-	if words > 0 {
-		meanRel = relSum / float64(words)
-	}
-	return lines, words, meanRel, maxRel
-}
-
 // Telemetry snapshots the collector into its serializable form (nil for a
-// nil collector), merging the per-partition shards deterministically.
+// nil collector).
 func (c *Collector) Telemetry() *Telemetry {
 	if c == nil {
 		return nil
 	}
-	t := &Telemetry{Stages: c.MergedTracer().Stages()}
+	t := &Telemetry{Stages: c.Tracer.Stages()}
 	if c.Sampler != nil {
 		t.SampleEvery = c.Sampler.Every()
 		t.Series = c.Sampler.Samples()
 	}
-	if tr := c.MergedTrace(); tr != nil {
-		t.TraceCmds = tr.Total()
-		t.TraceDropped = tr.Dropped()
-	}
-	t.Audit = c.MergedAudit().Summary()
-	t.Quality = c.MergedQuality().Summary()
+	t.TraceCmds = c.Trace.Total()
+	t.TraceDropped = c.Trace.Dropped()
+	t.Audit = c.Audit.Summary()
+	t.Quality = c.Quality.Summary()
 	t.Digest = c.Digest.Summary()
-	if c.opts.Census {
-		sum := c.MergedCensus().Summary()
-		for i, s := range c.shards {
-			sum.Channels = append(sum.Channels, s.Census.ChannelSummary(i))
+	if sum := c.MergedCensus().Summary(); sum != nil {
+		for i, cen := range c.perChannel {
+			sum.Channels = append(sum.Channels, cen.ChannelSummary(i))
 		}
 		t.Census = sum
 	}

@@ -190,7 +190,7 @@ func TestNilSafety(t *testing.T) {
 	if c.Telemetry() != nil {
 		t.Error("nil collector produced telemetry")
 	}
-	if NewCollector(Options{}) != nil {
+	if NewCollector(Options{}, 4) != nil {
 		t.Error("disabled options produced a collector")
 	}
 }
@@ -265,5 +265,44 @@ func TestJSONLTrace(t *testing.T) {
 	}
 	if line.Cmd != "WR" || line.Row != 99 || line.Channel != 2 || line.Bank != 5 {
 		t.Errorf("unexpected line: %+v", line)
+	}
+}
+
+// TestCollectorOneSetOfLogs checks that the collector keeps one command ring
+// and one decision log at their full configured capacity, one tracer for both
+// sides, and one census per channel that the telemetry reports per channel.
+func TestCollectorOneSetOfLogs(t *testing.T) {
+	c := NewCollector(Options{Latency: true, TraceCapacity: 8, AuditCapacity: 8, Quality: true, Census: true}, 4)
+	if c.Trace == nil || c.Audit == nil || c.Quality == nil || c.Tracer == nil {
+		t.Fatalf("collector missing enabled features: %+v", c)
+	}
+	for i := 0; i < 9; i++ {
+		c.Trace.Add(CmdRD, i%4, 0, 1, uint64(i))
+	}
+	c.Audit.Record(Decision{Cycle: 5, Channel: 2, Reason: ReasonAMSDrop})
+	c.Tracer.Observe(StageTotal, 100)
+	c.Tracer.Observe(StageDRAM, 9)
+	c.Census(3).Requests++
+
+	tel := c.Telemetry()
+	if tel.TraceCmds != 9 || tel.TraceDropped != 1 {
+		t.Errorf("trace totals = %d/%d, want 9/1 from one ring of 8", tel.TraceCmds, tel.TraceDropped)
+	}
+	if tel.Audit == nil || tel.Audit.AMSDrops != 1 || tel.Audit.RingCapacity != 8 {
+		t.Errorf("audit digest = %+v, want one drop in a ring of 8", tel.Audit)
+	}
+	if len(tel.Stages) != 2 {
+		t.Errorf("stages = %+v, want total + dram.service", tel.Stages)
+	}
+	if tel.Census == nil || len(tel.Census.Channels) != 4 || tel.Census.Requests != 1 ||
+		tel.Census.Channels[3].Requests != 1 {
+		t.Errorf("census = %+v, want four channels and channel 3's request", tel.Census)
+	}
+	if c.Census(4) != nil {
+		t.Error("census for a channel the machine does not have")
+	}
+	var nc *Collector
+	if nc.Census(0) != nil || nc.MergedCensus() != nil {
+		t.Error("nil collector handed out a census")
 	}
 }

@@ -240,41 +240,6 @@ func (q *QualityLog) noteWorst(w WorstOffender) {
 	}
 }
 
-// Merge adds o's samples into h.
-func (h *ErrHist) Merge(o *ErrHist) {
-	h.zero += o.zero
-	h.under += o.under
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
-// Merge folds o's scores into q. Counters and histograms sum exactly; o's
-// retained worst offenders are replayed through q's list in cycle order
-// (stable, so same-cycle entries keep caller order), which makes repeated
-// shard-order merges deterministic. Nil-safe on both sides.
-func (q *QualityLog) Merge(o *QualityLog) {
-	if q == nil || o == nil {
-		return
-	}
-	q.lines += o.lines
-	q.words += o.words
-	q.skippedWords += o.skippedWords
-	q.abs.Merge(&o.abs)
-	q.rel.Merge(&o.rel)
-	cand := append(append([]WorstOffender(nil), q.worst...), o.worst...)
-	sort.SliceStable(cand, func(i, j int) bool { return cand[i].Cycle < cand[j].Cycle })
-	q.worst = q.worst[:0]
-	for _, w := range cand {
-		q.noteWorst(w)
-	}
-}
-
 // Lines returns the number of dropped lines scored.
 func (q *QualityLog) Lines() uint64 {
 	if q == nil {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // CmdKind is a DRAM command class.
@@ -45,10 +44,6 @@ type Cmd struct {
 type CmdTrace struct {
 	buf   []Cmd
 	total uint64
-	// preDropped counts commands dropped before this ring existed; it is
-	// non-zero only on traces built by MergeCmdTraces, where it carries the
-	// source rings' drop counts so Total/Dropped stay exact after the merge.
-	preDropped uint64
 }
 
 // NewCmdTrace creates a trace ring with the given capacity (in commands);
@@ -77,7 +72,7 @@ func (t *CmdTrace) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.total + t.preDropped
+	return t.total
 }
 
 // Dropped returns how many commands were overwritten after the ring wrapped
@@ -86,11 +81,10 @@ func (t *CmdTrace) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	d := t.preDropped
 	if t.total > uint64(len(t.buf)) {
-		d += t.total - uint64(len(t.buf))
+		return t.total - uint64(len(t.buf))
 	}
-	return d
+	return 0
 }
 
 // Commands returns the retained commands in issue order (oldest first).
@@ -110,35 +104,6 @@ func (t *CmdTrace) Commands() []Cmd {
 	copy(out, t.buf[start:])
 	copy(out[cap64-start:], t.buf[:start])
 	return out
-}
-
-// MergeCmdTraces folds per-partition trace rings into one chronological
-// trace. Retained commands are concatenated in argument order and stably
-// sorted by cycle, so commands issued on the same cycle keep partition
-// order — exactly the interleaving the sequential 0..N-1 tick loop records.
-// Nil inputs are skipped; the result's Total and Dropped equal the sums over
-// the inputs. Returns nil when every input is nil.
-func MergeCmdTraces(traces ...*CmdTrace) *CmdTrace {
-	var cmds []Cmd
-	var total uint64
-	any := false
-	for _, t := range traces {
-		if t == nil {
-			continue
-		}
-		any = true
-		total += t.Total()
-		cmds = append(cmds, t.Commands()...)
-	}
-	if !any {
-		return nil
-	}
-	sort.SliceStable(cmds, func(i, j int) bool { return cmds[i].Cycle < cmds[j].Cycle })
-	if len(cmds) == 0 {
-		// Keep a 1-slot buffer so the invariant "buf is non-empty" holds.
-		return &CmdTrace{buf: make([]Cmd, 1), preDropped: total}
-	}
-	return &CmdTrace{buf: cmds, total: uint64(len(cmds)), preDropped: total - uint64(len(cmds))}
 }
 
 // WriteChromeTrace writes the retained commands as a Chrome trace_event JSON

@@ -661,30 +661,6 @@ func writeHostPhases(b *strings.Builder, hp *obs.HostPhases) {
 		{"mem tick (mean)", perTick(hp.MemNS, hp.MemTicks)},
 		{"probe/publish (mean)", perTick(hp.ProbeNS, hp.ProbeTicks)},
 	})
-	if len(hp.Workers) == 0 {
-		return
-	}
-	// Shard phase strip: each worker's sampled dispatch time split into busy
-	// (ticking its partitions) and barrier wait (dispatch wall minus busy).
-	rows := make([]stackRow, 0, len(hp.Workers))
-	var trows [][]string
-	for _, w := range hp.Workers {
-		rows = append(rows, stackRow{
-			Label: fmt.Sprintf("worker %d", w.Worker),
-			Segs: []stackSeg{
-				{Name: "busy", Value: float64(w.BusyNS) / 1e6, Class: "s1"},
-				{Name: "barrier wait", Value: float64(w.BarrierNS) / 1e6, Class: "s2"},
-			},
-		})
-		trows = append(trows, []string{
-			fmt.Sprintf("worker %d", w.Worker), fnum(float64(w.Dispatches)),
-			fnum(float64(w.BusyNS) / 1e6), fnum(float64(w.BarrierNS) / 1e6),
-			fmt.Sprintf("%.0f%%", 100*w.BusyFrac),
-		})
-	}
-	b.WriteString(`<div class="legend"><span><i class="s1"></i>busy</span><span><i class="s2"></i>barrier wait</span></div>` + "\n")
-	mini(b, "shard worker phases (ms across sampled dispatches)", stackedBar(rows))
-	writeTable(b, []string{"worker", "dispatches", "busy (ms)", "barrier (ms)", "busy"}, trows)
 }
 
 // --- two-document comparison ------------------------------------------------

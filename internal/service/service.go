@@ -35,9 +35,6 @@ type Config struct {
 	CacheBytes int64
 	// CacheDir enables the disk spill tier ("" disables).
 	CacheDir string
-	// ShardPartitions / ShardWorkers pass through to exp.Options.
-	ShardPartitions bool
-	ShardWorkers    int
 	// Registry, when non-nil, receives the daemon and sweep metric families
 	// (serve it via the handler's /metrics and /vars).
 	Registry *obs.Registry
@@ -83,12 +80,7 @@ func New(cfg Config) *Service {
 	}
 	met := obs.NewDaemonMetrics(cfg.Registry)
 	runlog := obs.NewRunLog(obs.RunLogOptions{Metrics: cfg.Registry})
-	runner := exp.NewRunner(exp.Options{
-		Workers:         cfg.Workers,
-		ShardPartitions: cfg.ShardPartitions,
-		ShardWorkers:    cfg.ShardWorkers,
-		RunLog:          runlog,
-	})
+	runner := exp.NewRunner(exp.Options{Workers: cfg.Workers, RunLog: runlog})
 	s := &Service{
 		cfg:    cfg,
 		runner: runner,

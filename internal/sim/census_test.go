@@ -165,22 +165,13 @@ func TestCensusSigmaInvariant(t *testing.T) {
 }
 
 // TestCensusShardedMatchesSequential: the census must be bit-identical
-// between the sequential tick loop and the sharded pool — the per-shard
-// single-writer discipline plus deterministic merge order make the sharded
-// census equal by construction, and this pins it. Host phase times are
-// wall-clock and are the one legitimately nondeterministic block.
+// between a serial run and one whose SM phase is sharded over the
+// two-worker pool on every cycle. Host phase times are wall-clock and are
+// the one legitimately nondeterministic block.
 func TestCensusShardedMatchesSequential(t *testing.T) {
-	opts := func(shard bool) func(*sim.Config) {
-		return func(cfg *sim.Config) {
-			cfg.Obs = obs.Options{Census: true, Latency: true}
-			if shard {
-				cfg.ShardPartitions = true
-				cfg.ShardWorkers = 4
-			}
-		}
-	}
-	seq := simulate(t, "SCP", mc.DynBoth, opts(false))
-	shd := simulate(t, "SCP", mc.DynBoth, opts(true))
+	opts := func(cfg *sim.Config) { cfg.Obs = obs.Options{Census: true, Latency: true} }
+	seq := simulate(t, "SCP", mc.DynBoth, opts)
+	shd := simulateParallelSMs(t, "SCP", mc.DynBoth, opts)
 	a, b := seq.Telemetry.Census, shd.Telemetry.Census
 	if a == nil || b == nil {
 		t.Fatal("census missing")
@@ -189,18 +180,15 @@ func TestCensusShardedMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		aj, _ := json.Marshal(a)
 		bj, _ := json.Marshal(b)
-		t.Fatalf("sharded census differs from sequential:\nseq: %s\nshd: %s", aj, bj)
+		t.Fatalf("parallel-SM census differs from serial:\nseq: %s\npar: %s", aj, bj)
 	}
 }
 
 // TestCensusHostPhases: the host-side profiler must attach sampled phase
-// wall-times, and for sharded runs a per-worker busy/barrier split whose
-// busy time never exceeds the sampled dispatch wall-clock.
+// wall-times, with one probe sample per sampled memory tick.
 func TestCensusHostPhases(t *testing.T) {
 	res := simulate(t, "SCP", mc.DynBoth, func(cfg *sim.Config) {
 		cfg.Obs = obs.Options{Census: true}
-		cfg.ShardPartitions = true
-		cfg.ShardWorkers = 2
 	})
 	cen := res.Telemetry.Census
 	if cen == nil || cen.Host == nil {
@@ -213,25 +201,12 @@ func TestCensusHostPhases(t *testing.T) {
 	if h.MemTicks != h.ProbeTicks {
 		t.Errorf("mem samples %d != probe samples %d", h.MemTicks, h.ProbeTicks)
 	}
-	if len(h.Workers) != 2 {
-		t.Fatalf("worker phases: got %d, want 2", len(h.Workers))
-	}
-	for _, w := range h.Workers {
-		if w.Dispatches != h.MemTicks {
-			t.Errorf("worker %d timed %d dispatches, want %d", w.Worker, w.Dispatches, h.MemTicks)
-		}
-		if w.BusyNS > h.MemNS {
-			t.Errorf("worker %d busy %dns exceeds dispatch wall %dns", w.Worker, w.BusyNS, h.MemNS)
-		}
-		if w.BusyFrac < 0 || w.BusyFrac > 1 {
-			t.Errorf("worker %d busy_frac %g out of range", w.Worker, w.BusyFrac)
-		}
-	}
 }
 
 // TestCensusMetricsScrapeDuringRun scrapes the live registry concurrently
-// with a sharded census-enabled run; under -race this proves the
-// publish/scrape boundary is atomic-only and the census families render.
+// with a census-enabled run whose SM phase runs on the pool every cycle;
+// under -race this proves the publish/scrape boundary is atomic-only and the
+// census families render.
 func TestCensusMetricsScrapeDuringRun(t *testing.T) {
 	reg := obs.NewRegistry()
 	done := make(chan struct{})
@@ -256,10 +231,8 @@ func TestCensusMetricsScrapeDuringRun(t *testing.T) {
 			}
 		}
 	}()
-	simulate(t, "SCP", mc.DynBoth, func(cfg *sim.Config) {
+	simulateParallelSMs(t, "SCP", mc.DynBoth, func(cfg *sim.Config) {
 		cfg.Obs = obs.Options{Census: true, Metrics: reg, MetricsEvery: 64}
-		cfg.ShardPartitions = true
-		cfg.ShardWorkers = 4
 	})
 	close(done)
 	wg.Wait()
@@ -272,5 +245,24 @@ func TestCensusMetricsScrapeDuringRun(t *testing.T) {
 		if !strings.Contains(string(last), fam) {
 			t.Errorf("final scrape missing census family %s", fam)
 		}
+	}
+}
+
+// TestPublishMetricsAllocatesNothing: with the census, audit and quality
+// logs on, a live-metrics publish sums the per-channel state into the
+// gauges in place; it must not allocate, as a merged census per publish
+// (228 KB each) did.
+func TestPublishMetricsAllocatesNothing(t *testing.T) {
+	g := prepare(t, "SCP", mc.DynBoth, func(cfg *sim.Config) {
+		cfg.Obs = obs.Options{Census: true, AuditCapacity: 1024, Quality: true, Metrics: obs.NewRegistry()}
+	})
+	defer g.Close()
+	for g.CoreCycle() < 20000 {
+		if _, err := g.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { sim.PublishMetrics(g) }); n != 0 {
+		t.Fatalf("a publish allocated %v times", n)
 	}
 }

@@ -95,19 +95,6 @@ type Config struct {
 	// MaxCoreCycles aborts runaway simulations.
 	MaxCoreCycles uint64
 
-	// ShardPartitions ticks the memory partitions on a persistent pool of
-	// worker goroutines with a bulk-synchronous barrier per cycle instead of
-	// the sequential partition loop. Partitions interact only through the
-	// interconnect at serial core-tick boundaries and touch channel-disjoint
-	// lines of the shared memory image, and all per-partition observability
-	// state is sharded per partition in both modes, so the sharded path
-	// produces byte-identical results to the sequential one (see DESIGN.md
-	// "Parallel execution").
-	ShardPartitions bool
-	// ShardWorkers bounds the partition worker pool when ShardPartitions is
-	// set (0 picks GOMAXPROCS, capped at the partition count).
-	ShardWorkers int
-
 	// Obs selects the observability features for the run (lifecycle tracing,
 	// time-series sampling, DRAM command trace). The zero value disables
 	// everything and leaves the hot loop untouched.

@@ -16,8 +16,8 @@ import (
 // progress heaps, rolling traffic, stats), a cores digest over every resident
 // SM, and an interconnect digest over both crossbars' in-flight packets —
 // folded bank → channel → partition → machine. Everything here runs on the
-// simulation goroutine at barrier-quiesced points, so it reads partition
-// state without locking.
+// simulation goroutine outside the SM phase, so it reads machine state
+// without locking.
 
 // digestReq folds a request-network payload: a transaction on its way to a
 // partition. A store's words are hashed as a per-word list (see
@@ -188,7 +188,7 @@ func (g *GPU) digestRecord() obs.DigestRecord {
 
 // MachineDigest computes the machine-level digest of the GPU's current
 // architectural state — the same fold the flight recorder samples. Callable
-// between Steps (the state is quiesced there in both tick modes).
+// between Steps.
 func (g *GPU) MachineDigest() uint64 { return g.digestRecord().Machine }
 
 // ComponentDigests returns every node of the digest hierarchy with its path

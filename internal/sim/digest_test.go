@@ -29,25 +29,24 @@ func prepare(t *testing.T, app string, scheme mc.Scheme, mutate ...func(*sim.Con
 
 // TestStepMatchesRun is the stepwise-execution gate: driving a GPU one Step at
 // a time must be bit-identical to Run — same outputs, same statistics, same
-// digest stream and final machine digest — in both tick modes, because
-// cmd/lazydiverge's lockstep bisection depends on Step being Run's exact loop
-// body.
+// digest stream and final machine digest — with the SM phase serial and
+// sharded over the two-worker pool, because cmd/lazydiverge's lockstep
+// bisection depends on Step being Run's exact loop body.
 func TestStepMatchesRun(t *testing.T) {
-	shard := func(cfg *sim.Config) {
-		cfg.ShardPartitions = true
-		cfg.ShardWorkers = 4
-	}
 	for _, mode := range []struct {
 		name   string
-		mutate []func(*sim.Config)
+		forced bool
 	}{
-		{"sequential", []func(*sim.Config){digestOn}},
-		{"sharded", []func(*sim.Config){digestOn, shard}},
+		{"sequential", false},
+		{"sharded", true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			run := simulate(t, "SCP", mc.Baseline, mode.mutate...)
+			run := simulate(t, "SCP", mc.Baseline, digestOn)
 
-			g := prepare(t, "SCP", mc.Baseline, mode.mutate...)
+			g := prepare(t, "SCP", mc.Baseline, digestOn)
+			if mode.forced {
+				sim.SetParallelSMs(g)
+			}
 			defer g.Close()
 			steps := 0
 			for {
@@ -90,8 +89,9 @@ func TestStepMatchesRun(t *testing.T) {
 }
 
 // TestDigestShardedMatchesSequential gates the lazydiverge premise: the digest
-// stream — not just the end-of-run results — must be identical between the
-// sharded and sequential tick paths, including with fault injection active.
+// stream — not just the end-of-run results — must be identical between a
+// serial run and one whose SM phase is sharded over the two-worker pool,
+// including with fault injection active.
 func TestDigestShardedMatchesSequential(t *testing.T) {
 	faultOn := func(cfg *sim.Config) {
 		cfg.Fault.Enabled = true
@@ -99,10 +99,7 @@ func TestDigestShardedMatchesSequential(t *testing.T) {
 		cfg.Fault.WeakCellDensity = 1e-6
 	}
 	seq := simulate(t, "SCP", mc.DynBoth, digestOn, faultOn)
-	par := simulate(t, "SCP", mc.DynBoth, digestOn, faultOn, func(cfg *sim.Config) {
-		cfg.ShardPartitions = true
-		cfg.ShardWorkers = 4
-	})
+	par := simulateParallelSMs(t, "SCP", mc.DynBoth, digestOn, faultOn)
 	if seq.Digest == nil || par.Digest == nil {
 		t.Fatal("digest logs missing")
 	}

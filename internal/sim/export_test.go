@@ -15,3 +15,6 @@ func SetParallelSMs(g *GPU) { g.forcePar = true }
 
 // ParallelSMPhases returns the number of SM phases g ran on its pool.
 func ParallelSMPhases(g *GPU) uint64 { return g.parPhases }
+
+// PublishMetrics runs one live-metrics publish of g's current state.
+func PublishMetrics(g *GPU) { g.publishMetrics() }

@@ -86,10 +86,10 @@ type GPU struct {
 	l1Misses   uint64
 
 	// Observability state; col is nil (and tr/sampler with it) when disabled,
-	// so the hot loop pays a single nil check per hook. tr is the SM-side
-	// tracer, only observed from the serial sections; everything a partition
-	// records goes to its private obs shard. met publishes live metrics into
-	// the run's registry for concurrent scraping.
+	// so the hot loop pays a single nil check per hook. tr is the lifecycle
+	// tracer the SM side shares with the partitions; both observe it on the
+	// simulation goroutine only. met publishes live metrics into the run's
+	// registry for concurrent scraping.
 	col     *obs.Collector
 	tr      *obs.Tracer
 	sampler *obs.Sampler
@@ -97,12 +97,10 @@ type GPU struct {
 	prev    sampleState
 	dig     *obs.DigestLog // flight recorder; nil unless Obs.DigestEvery > 0
 
-	// pool runs partition ticks (shard: Config.ShardPartitions with more
-	// than one worker) and, while smPar is set, the SM phase: each due SM's
-	// reply and Advance. It starts on the first Step that needs it and
-	// stops with the run.
-	pool  *shardPool
-	shard bool
+	// pool runs the SM phase while smPar is set: each due SM's reply and
+	// Advance. It starts on the first cycle that needs it and stops with
+	// the run.
+	pool *smPool
 	// state is 0 before the first Step, 1 while the run counts in
 	// liveRuns, 2 once it has shut down.
 	state uint8
@@ -159,12 +157,8 @@ func NewGPU(cfg Config, scheme mc.Scheme, kern Kernel, im *memimage.Image) *GPU 
 		// every fault run can report where its corruption landed.
 		g.cfg.Obs.FaultQuality = true
 	}
-	g.col = obs.NewCollector(g.cfg.Obs)
 	nParts := cfg.AddrMap.NumChannels
-	// Observability state is sharded per partition unconditionally: the
-	// sequential and sharded tick paths then write the exact same per-shard
-	// structures, so their merged digests are identical by construction.
-	g.col.EnsureShards(nParts)
+	g.col = obs.NewCollector(g.cfg.Obs, nParts)
 	if g.col != nil {
 		g.tr = g.col.Tracer
 		g.sampler = g.col.Sampler
@@ -175,13 +169,12 @@ func NewGPU(cfg Config, scheme mc.Scheme, kern Kernel, im *memimage.Image) *GPU 
 		}
 	}
 	for p := 0; p < nParts; p++ {
-		g.partitions = append(g.partitions, newPartition(p, &g.cfg, im, annot, scheme, g.col.Shard(p)))
+		g.partitions = append(g.partitions, newPartition(p, &g.cfg, im, annot, scheme, g.col))
 	}
 	g.reqNet = icnt.New(g.cfg.icntConfig(nParts))
 	g.replyNet = icnt.New(g.cfg.icntConfig(cfg.NumSMs))
 	g.replies = make([]*core.MemReq, cfg.NumSMs)
 	g.due = make([]int32, 0, cfg.NumSMs)
-	g.shard = cfg.ShardPartitions && g.shardWorkers() > 1
 	if g.cfg.Obs.Census {
 		g.host = &hostProf{}
 	}
@@ -249,21 +242,13 @@ func (g *GPU) Step() (done bool, err error) {
 		if timed {
 			t0 = time.Now()
 		}
-		if g.shard {
-			g.pool.begin(len(g.partitions))
-			g.pool.addRange(len(g.partitions))
-			g.pool.dispatch(phaseMem, g.memCycle, timed)
-		} else {
-			for _, p := range g.partitions {
-				p.memTick(g.memCycle)
-			}
+		for _, p := range g.partitions {
+			p.memTick(g.memCycle)
 		}
 		if timed {
 			g.host.addMem(time.Since(t0))
 		}
 		g.memCycle++
-		// Probes below run on this goroutine strictly after the barrier
-		// (or the sequential loop), so they read quiesced state only.
 		if timed {
 			t0 = time.Now()
 		}
@@ -363,23 +348,10 @@ func (g *GPU) retireSMs() {
 // lockstep pair) keep to one core each.
 var liveRuns atomic.Int32
 
-// start counts the run in liveRuns and starts the shard pool.
+// start counts the run in liveRuns.
 func (g *GPU) start() {
 	g.state = 1
 	liveRuns.Add(1)
-	if g.shard {
-		g.pool = newShardPool(g.shardWorkers(), g.runItem)
-	}
-}
-
-// shardWorkers is the partition pool size: Config.ShardWorkers, 0 picking
-// GOMAXPROCS, capped at the partition count.
-func (g *GPU) shardWorkers() int {
-	w := g.cfg.ShardWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(w, len(g.partitions)))
 }
 
 // shutdown stops the pool's helpers and releases every SM's warp
@@ -395,38 +367,11 @@ func (g *GPU) shutdown() {
 	}
 }
 
-// runItem runs one pool item: SM i's local work, or partition i's tick.
-func (g *GPU) runItem(kind phaseKind, i int, now uint64) {
-	switch kind {
-	case phaseSM:
-		g.advanceSM(i, now)
-	case phaseMem:
-		g.partitions[i].memTick(now)
-	case phaseCore:
-		g.partitions[i].coreTick(now)
-	}
-}
-
 func (g *GPU) coreTick() {
 	now := g.coreCycle
 	// 1. Partitions release due L2-hit replies and push replies to the net.
-	// The partition half (draining each hit heap into its own outReplies) is
-	// independent per partition, so it shards across the pool; the reply
-	// sends touch the shared reply network and stay serial, in partition
-	// order — the same order the sequential loop sends in, since a
-	// partition's coreTick never reads another partition's state.
-	if g.shard {
-		g.pool.begin(len(g.partitions))
-		g.pool.addRange(len(g.partitions))
-		g.pool.dispatch(phaseCore, now, false)
-		for _, p := range g.partitions {
-			p.sendReply(g.replyNet, now)
-		}
-	} else {
-		for _, p := range g.partitions {
-			p.coreTick(now)
-			p.sendReply(g.replyNet, now)
-		}
+	for _, p := range g.partitions {
+		p.coreTick(g.replyNet, now)
 	}
 	// 2. Reply network delivers to SMs, visiting the ports that hold a
 	// packet in SM order; the SM handles the reply in step 3 (advanceSM).
@@ -494,11 +439,6 @@ const (
 // smMargin is the share a trial window must save to switch modes.
 const smMargin = 0.05
 
-// smWorkers is the number of workers the SM phase runs on, also on a larger
-// shard pool: two is the only size its gain and its trial constants were
-// measured at.
-const smWorkers = 2
-
 // smMinActing is the fewest SMs a window must average acting per cycle for
 // the pool to be tried. Below it a window's SM work is mostly LSU retries,
 // and trials only cost: MVT and ATAX average 12.7 acting SMs, SCP 3.4,
@@ -532,13 +472,12 @@ func (g *GPU) tickSMs(now uint64) {
 	switch n := len(g.due); {
 	case n > 1 || n == 1 && g.forcePar:
 		if g.pool == nil {
-			g.pool = newShardPool(smWorkers, g.runItem)
+			g.pool = newSMPool(g.advanceSM)
 		}
-		g.pool.begin(smWorkers)
 		for _, s := range g.due {
 			g.pool.add(int(s))
 		}
-		g.pool.dispatch(phaseSM, now, false)
+		g.pool.dispatch(now)
 		g.parPhases++
 	case n == 1:
 		g.advanceSM(int(g.due[0]), now)
@@ -608,12 +547,10 @@ func (g *GPU) sendReq(now uint64) func(*core.MemReq) bool {
 // queue occupancy, DMS delay, and AMS Th_RBL are instantaneous.
 //
 // Concurrency contract: probeSample (like publishMetrics and collect) runs
-// on the simulation goroutine strictly between pool barriers, so every
-// per-partition counter it reads is quiesced — the shard workers are parked
-// in their task channels and the barrier's WaitGroup gave this goroutine
-// happens-before visibility of all their writes. Live /metrics scrapes never
-// call into here; they read only the atomic registry values publishMetrics
-// stores.
+// on the simulation goroutine outside the SM phase, which is the only work
+// the pool runs, so everything it reads is quiesced. Live /metrics scrapes
+// never call into here; they read only the atomic registry values
+// publishMetrics stores.
 func (g *GPU) probeSample(window uint64) obs.Sample {
 	insts := g.insts
 	for _, s := range g.sms {
@@ -717,11 +654,11 @@ func (g *GPU) collect() *Result {
 	if g.col != nil {
 		g.sampler.Flush(g.memCycle, g.probeSample)
 		res.Telemetry = g.col.Telemetry()
-		res.Trace = g.col.MergedTrace()
-		res.Audit = g.col.MergedAudit()
+		res.Trace = g.col.Trace
+		res.Audit = g.col.Audit
 		res.Digest = g.col.Digest
-		if res.Telemetry != nil && res.Telemetry.Census != nil {
-			res.Telemetry.Census.Host = g.host.phases(g.shardPool())
+		if res.Telemetry.Census != nil {
+			res.Telemetry.Census.Host = g.host.phases()
 		}
 	}
 	if g.cfg.Fault.Enabled {
@@ -735,14 +672,6 @@ func (g *GPU) collect() *Result {
 		g.publishMetrics() // final state, after the run has drained
 	}
 	return res
-}
-
-// shardPool returns the pool when it ticks partitions, else nil.
-func (g *GPU) shardPool() *shardPool {
-	if !g.shard {
-		return nil
-	}
-	return g.pool
 }
 
 // faultSummary merges the per-channel injector summaries into the run-level
@@ -772,7 +701,7 @@ func (g *GPU) faultSummary() *obs.FaultSummary {
 		Digest:         agg.Digest,
 	}
 	if g.col != nil {
-		fs.Quality = g.col.MergedFaultQuality().Summary()
+		fs.Quality = g.col.FaultQuality.Summary()
 	}
 	return fs
 }

@@ -44,10 +44,6 @@ func TestSMHorizonEquivalence(t *testing.T) {
 		}
 	}
 	runs = append(runs,
-		run{"SCP/" + mc.DynBoth.Name() + "/shard", "SCP", mc.DynBoth, []func(*sim.Config){obsOn, func(cfg *sim.Config) {
-			cfg.ShardPartitions = true
-			cfg.ShardWorkers = 2
-		}}},
 		run{"SCP/" + mc.DynBoth.Name() + "/fault", "SCP", mc.DynBoth, []func(*sim.Config){obsOn, func(cfg *sim.Config) {
 			cfg.Fault.Enabled = true
 			cfg.Fault.BusBER = 1e-6

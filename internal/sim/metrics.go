@@ -43,6 +43,7 @@ type gpuMetrics struct {
 	cenPart  []*obs.Metric // advancing, timing_wait, idle
 	cenReqs, cenLat, cenSkip,
 	cenGapP50, cenGapP99 *obs.Metric
+	cenGaps *obs.Histogram // publishCensus's scratch
 }
 
 func newGPUMetrics(reg *obs.Registry, app, scheme string, nch, nbanks int, every uint64, census bool) *gpuMetrics {
@@ -111,6 +112,7 @@ func newGPUMetrics(reg *obs.Registry, app, scheme string, nch, nbanks int, every
 		m.cenSkip = reg.Gauge("lazysim_census_skippable_frac", "Fraction of partition cycles an event-driven memory model could skip")
 		m.cenGapP50 = reg.Gauge("lazysim_census_gap_p50", "Median next-event gap (maximal skippable run) in memory cycles")
 		m.cenGapP99 = reg.Gauge("lazysim_census_gap_p99", "99th-percentile next-event gap in memory cycles")
+		m.cenGaps = &obs.Histogram{}
 	}
 
 	for c := 0; c < nch; c++ {
@@ -208,43 +210,62 @@ func (g *GPU) publishMetrics() {
 	m.delay.Set(float64(delay))
 	m.thRBL.Set(float64(th))
 
-	// The audit and quality counters live in per-partition obs shards; the
-	// collector sums them here. Like the rest of publishMetrics this runs on
-	// the simulation goroutine between pool barriers (quiesced state), and
-	// scrapers only ever read the atomic metrics written below.
-	if g.col.AuditEnabled() {
+	if a := g.col.Audit; a != nil {
 		for r, metric := range m.auditReasons {
-			metric.Set(float64(g.col.AuditCount(obs.Reason(r))))
+			metric.Set(float64(a.Count(obs.Reason(r))))
 		}
 	}
-	if g.col.QualityEnabled() {
-		lines, words, meanRel, maxRel := g.col.QualityCounters()
-		m.qualLines.Set(float64(lines))
-		m.qualWords.Set(float64(words))
-		m.qualMeanRel.Set(meanRel)
-		m.qualMaxRel.Set(maxRel)
+	if q := g.col.Quality; q != nil {
+		m.qualLines.Set(float64(q.Lines()))
+		m.qualWords.Set(float64(q.Words()))
+		m.qualMeanRel.Set(q.MeanRel())
+		m.qualMaxRel.Set(q.MaxRel())
 	}
-	if m.cenStall != nil && g.col.CensusEnabled() {
-		cen := g.col.MergedCensus()
-		for c := range m.cenStall {
-			m.cenStall[c].Set(float64(cen.Stall[c]))
+	if m.cenStall != nil {
+		m.publishCensus(g.partitions)
+	}
+}
+
+// publishCensus sums the per-channel censuses into the census families in
+// place. The gap percentiles read the channels' gap histograms merged into
+// a scratch histogram the metrics own, so a publish allocates nothing.
+func (m *gpuMetrics) publishCensus(parts []*partition) {
+	var stall [obs.NumStallCauses]uint64
+	var states [obs.NumBankStates]uint64
+	var part, adv, wait, idle, reqs, lat uint64
+	*m.cenGaps = obs.Histogram{}
+	for _, p := range parts {
+		c := p.cen
+		for i, n := range c.Stall {
+			stall[i] += n
 		}
-		var states [obs.NumBankStates]uint64
-		for _, row := range cen.Residency {
+		for _, row := range c.Residency {
 			for st, n := range row {
 				states[st] += n
 			}
 		}
-		for st := range m.cenState {
-			m.cenState[st].Set(float64(states[st]))
-		}
-		m.cenPart[0].Set(float64(cen.Advancing))
-		m.cenPart[1].Set(float64(cen.TimingWait))
-		m.cenPart[2].Set(float64(cen.Idle))
-		m.cenReqs.Set(float64(cen.Requests))
-		m.cenLat.Set(float64(cen.LatencyCycles))
-		m.cenSkip.Set(cen.SkippableFrac())
-		m.cenGapP50.Set(float64(cen.GapHist.Percentile(50)))
-		m.cenGapP99.Set(float64(cen.GapHist.Percentile(99)))
+		part += c.PartCycles
+		adv += c.Advancing
+		wait += c.TimingWait
+		idle += c.Idle
+		reqs += c.Requests
+		lat += c.LatencyCycles
+		m.cenGaps.Merge(&c.GapHist)
 	}
+	for c, metric := range m.cenStall {
+		metric.Set(float64(stall[c]))
+	}
+	for st, metric := range m.cenState {
+		metric.Set(float64(states[st]))
+	}
+	m.cenPart[0].Set(float64(adv))
+	m.cenPart[1].Set(float64(wait))
+	m.cenPart[2].Set(float64(idle))
+	m.cenReqs.Set(float64(reqs))
+	m.cenLat.Set(float64(lat))
+	if part > 0 {
+		m.cenSkip.Set(float64(wait+idle) / float64(part))
+	}
+	m.cenGapP50.Set(float64(m.cenGaps.Percentile(50)))
+	m.cenGapP99.Set(float64(m.cenGaps.Percentile(99)))
 }

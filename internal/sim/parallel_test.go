@@ -10,12 +10,12 @@ import (
 	"lazydram/internal/sim"
 )
 
-// TestShardedMatchesSequential is the cycle-layer determinism gate: the
-// sharded tick path (Config.ShardPartitions with a multi-worker pool) must
-// produce byte-identical results to the sequential partition loop — same
-// Output, same aggregate and per-channel statistics, same fault digest, and
-// the same flattened telemetry (latency stages, time series, trace and audit
-// rings, quality digests).
+// TestShardedMatchesSequential is the cycle-layer determinism gate: with
+// every cycle's SM phase sharded over the two-worker pool, a run must be
+// byte-identical to the serial one — same Output, same aggregate and
+// per-channel statistics, same fault digest, and the same flattened
+// telemetry (latency stages, time series, trace and audit rings, quality
+// digests).
 func TestShardedMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full app x scheme matrix in -short mode")
@@ -36,14 +36,20 @@ func TestShardedMatchesSequential(t *testing.T) {
 					cfg.Fault.WeakCellDensity = 1e-6
 				}
 				seq := simulate(t, app, scheme, obsOn)
-				par := simulate(t, app, scheme, obsOn, func(cfg *sim.Config) {
-					cfg.ShardPartitions = true
-					cfg.ShardWorkers = 4
-				})
+				par := simulateParallelSMs(t, app, scheme, obsOn)
 				assertResultsIdentical(t, seq, par)
 			})
 		}
 	}
+}
+
+// simulateParallelSMs is simulate with every cycle's SM phase forced onto
+// the two-worker pool.
+func simulateParallelSMs(t *testing.T, app string, scheme mc.Scheme, mutate ...func(*sim.Config)) *sim.Result {
+	t.Helper()
+	g := prepare(t, app, scheme, mutate...)
+	sim.SetParallelSMs(g)
+	return runGPU(t, g)
 }
 
 // assertResultsIdentical compares every deterministic field of two results.
@@ -52,7 +58,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 func assertResultsIdentical(t *testing.T, seq, par *sim.Result) {
 	t.Helper()
 	if !outputBitsEqual(seq.Output, par.Output) {
-		t.Errorf("outputs differ between sequential and sharded runs")
+		t.Errorf("outputs differ between serial and parallel-SM runs")
 	}
 	if !reflect.DeepEqual(seq.Run, par.Run) {
 		t.Errorf("run statistics differ:\nseq: %+v\npar: %+v", seq.Run, par.Run)

@@ -140,29 +140,27 @@ type partition struct {
 	// bytes (after fault corruption) and every write-back's bytes are folded
 	// in as they happen, so a single corrupted line perturbs every later
 	// digest sample even after the line itself is evicted. Folded only when
-	// digestOn (Config.Obs.DigestEvery > 0); written exclusively from the
-	// partition's own tick path, read at barrier-quiesced sample points.
+	// digestOn (Config.Obs.DigestEvery > 0); written by the partition's own
+	// tick path and read at sample points.
 	traffic  uint64
 	digestOn bool
 }
 
-// newPartition wires partition id. shard is the partition's private slice of
-// observability state (nil when observability is off): everything the
-// partition records during its tick paths goes there and only there, so
-// partitions can tick concurrently without sharing any obs structure.
-func newPartition(id int, cfg *Config, im *memimage.Image, annot *approx.Annotations, scheme mc.Scheme, shard *obs.Shard) *partition {
+// newPartition wires partition id to the run's observability state (col is
+// nil when observability is off).
+func newPartition(id int, cfg *Config, im *memimage.Image, annot *approx.Annotations, scheme mc.Scheme, col *obs.Collector) *partition {
 	p := &partition{id: id, cfg: cfg, im: im, annot: annot}
 	p.traffic = obs.FoldSeed()
 	p.digestOn = cfg.Obs.DigestEvery > 0
 	p.l2 = cache.New(cfg.L2)
 	p.mshr = cache.NewMSHR(cfg.L2MSHREntries, cfg.L2MSHRTargets)
 	p.dchan = dram.NewChannel(cfg.DRAM, &p.st)
-	if shard != nil {
-		p.tr = shard.ShardTracer()
-		p.qual = shard.ShardQuality()
-		p.fq = shard.ShardFaultQuality()
-		p.cen = shard.ShardCensus()
-		p.dchan.SetTrace(shard.ShardTrace(), id)
+	if col != nil {
+		p.tr = col.Tracer
+		p.qual = col.Quality
+		p.fq = col.FaultQuality
+		p.cen = col.Census(id)
+		p.dchan.SetTrace(col.Trace, id)
 	}
 	switch cfg.VPKind {
 	case "zero":
@@ -180,8 +178,8 @@ func newPartition(id int, cfg *Config, im *memimage.Image, annot *approx.Annotat
 	if p.cen != nil {
 		p.ctrl.SetCensus(p.cen)
 	}
-	if shard != nil {
-		p.ctrl.SetAudit(shard.ShardAudit(), id)
+	if col != nil {
+		p.ctrl.SetAudit(col.Audit, id)
 	}
 	if cfg.Fault.Enabled {
 		p.inj = fault.NewInjector(cfg.Fault, id, cfg.DRAM.RowBytes, &p.st)
@@ -328,18 +326,15 @@ func (p *partition) finishFill(readyAt uint64, it doneItem) {
 	p.mshr.Release(e)
 }
 
-// coreTick advances the partition's core-clock side: releasing L2 hits whose
-// latency elapsed.
-func (p *partition) coreTick(now uint64) {
+// coreTick advances the partition's core-clock side at core cycle now: it
+// releases the L2 hits whose latency elapsed, then offers the oldest
+// outgoing reply to the reply network and dequeues it once the network
+// accepted it; a refused reply stays at the head and is offered again next
+// cycle.
+func (p *partition) coreTick(net *icnt.Network, now uint64) {
 	for p.hits.due(now) {
 		p.outReplies = append(p.outReplies, p.hits.pop().v)
 	}
-}
-
-// sendReply offers the oldest outgoing reply to the reply network at core
-// cycle now and dequeues it once the network accepted it; a refused reply
-// stays at the head and is offered again next cycle.
-func (p *partition) sendReply(net *icnt.Network, now uint64) {
 	if len(p.outReplies) == 0 {
 		return
 	}
