@@ -79,7 +79,7 @@ func TestMetricsServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig()
-	cfg.Obs = obs.Options{Metrics: reg, MetricsEvery: 256}
+	cfg.Obs = obs.Options{Metrics: reg}
 	res, err := sim.Simulate(kern, cfg, mc.DynBoth, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -15,11 +15,17 @@ type Predictor interface {
 	// Observe feeds the predictor an exact line on its way into the L2, so
 	// history-based predictors can learn. May be a no-op.
 	Observe(addr uint64, data *[cache.LineSize]byte)
+	// Counts returns the lines predicted so far and how many of them fell
+	// back to zero bytes for want of history.
+	Counts() (predictions, fallbacks uint64)
 }
 
 // Observe makes VPUnit a Predictor; the nearest-line design reads the L2
 // directly, so it learns nothing extra from fills.
 func (v *VPUnit) Observe(uint64, *[cache.LineSize]byte) {}
+
+// Counts returns the predictions made and the zero-line fallbacks.
+func (v *VPUnit) Counts() (predictions, fallbacks uint64) { return v.Predictions, v.Fallbacks }
 
 var _ Predictor = (*VPUnit)(nil)
 
@@ -40,6 +46,9 @@ func (z *ZeroPredictor) Predict(uint64) [cache.LineSize]byte {
 
 // Observe is a no-op.
 func (*ZeroPredictor) Observe(uint64, *[cache.LineSize]byte) {}
+
+// Counts returns the predictions made; zero prediction has no fallback.
+func (z *ZeroPredictor) Counts() (predictions, fallbacks uint64) { return z.Predictions, 0 }
 
 // lastValueBuckets is the number of address-hashed history slots of
 // LastValuePredictor.
@@ -72,6 +81,11 @@ func (p *LastValuePredictor) Observe(addr uint64, data *[cache.LineSize]byte) {
 	p.lines[b] = *data
 	p.valid[b] = true
 	p.observed++
+}
+
+// Counts returns the predictions made and the zero-line fallbacks.
+func (p *LastValuePredictor) Counts() (predictions, fallbacks uint64) {
+	return p.Predictions, p.Fallbacks
 }
 
 // Predict returns the bucket's last observed line, or zeros before any

@@ -32,12 +32,12 @@ import (
 // issue sites fold cenColMask/cenActMask into the dirty set, and (d) a
 // change of the refresh flag or the DMS delay (re-classify all). censusTick
 // therefore touches only dirty or expired banks and charges whole spans at
-// their close; censusTickRef keeps the cycle-by-cycle evaluation as the
-// executable specification, and TestCensusSpanEquivalence pins the two to
-// identical output. Open spans are closed by censusRetire (the span's head
-// is about to fold its charges) and by CensusFinish at end of run; mid-run
-// readers (live metrics) see totals that lag by at most the open span, like
-// any between-sample gauge.
+// their close. The cycle-by-cycle evaluation is kept as the executable
+// specification in census_equiv_test.go (censusTickRef), and
+// TestCensusSpanEquivalence pins the two to identical output. Open spans
+// are closed by censusRetire (the span's head is about to fold its charges)
+// and by CensusFinish at end of run; mid-run readers (live metrics) see
+// totals that lag by at most the open span, like any between-sample gauge.
 
 // cenOpen marks a span with no self-expiry: only a dirty mark or a flush
 // can close it.
@@ -78,7 +78,7 @@ type cenSpan struct {
 // horizon, and no refresh transition provably extends every open span, and
 // costs three compares (skipped cycles are bulk-accounted into BankCycles
 // by the next pass or by CensusFinish). Delay changes mark every bank dirty
-// at the Tick site, so they need no compare here; the reference modes keep
+// at the Tick site, so they need no compare here; the reference hook keeps
 // cenNextUntil at its zero value so every cycle takes the pass.
 func (c *Controller) censusTick(now uint64, refreshing bool) {
 	if c.cenDirty == 0 && now < c.cenNextUntil && refreshing == c.cenRefreshing {
@@ -91,8 +91,8 @@ func (c *Controller) censusTick(now uint64, refreshing bool) {
 // account, then re-classifies exactly the dirty and horizon-expired banks.
 func (c *Controller) censusPass(now uint64, refreshing bool) {
 	delay := uint64(c.Delay())
-	if c.cenRef || c.cenWide {
-		c.censusTickRef(now, delay, refreshing)
+	if c.cenRef != nil {
+		c.cenRef(now, delay, refreshing)
 		return
 	}
 	if c.cenTicked == cenOpen {
@@ -186,9 +186,10 @@ func (c *Controller) cenFlush(b int, now uint64) {
 }
 
 // cenClassify opens a new span for bank b at cycle now: it classifies the
-// bank exactly like one censusTickRef pass would, records the horizon under
-// which that classification stays valid, and joins the channel-sensitivity
-// mask matching the cause (the preceding cenFlush cleared both masks).
+// bank exactly like one pass of the per-cycle reference would, records the
+// horizon under which that classification stays valid, and joins the
+// channel-sensitivity mask matching the cause (the preceding cenFlush
+// cleared both masks).
 func (c *Controller) cenClassify(b int, now, delay uint64, refreshing bool) {
 	s := &c.cenSpans[b]
 	bq := &c.banks[b]
@@ -245,42 +246,6 @@ func (c *Controller) CensusFinish(end uint64) {
 	for b := range c.cenSpans {
 		c.cenFlush(b, end)
 	}
-}
-
-// censusTickRef is the cycle-by-cycle reference census: one classification
-// and one charge per bank per cycle. It is the executable specification the
-// span path is tested against (TestCensusSpanEquivalence) and runs only
-// under the cenRef test hook.
-func (c *Controller) censusTickRef(now, delay uint64, refreshing bool) {
-	for b := range c.banks {
-		// The same head view issue() schedules from: rows being drained by
-		// an AMS row drop are skipped; their requests get their whole wait
-		// attributed as queued at drop time. head() reuses last cycle's scan
-		// when the bank's queue hasn't mutated.
-		r := c.banks[b].head()
-		var cause obs.StallCause
-		if r != nil {
-			cause, _, _ = c.classifyHead(r, b, now, delay, refreshing)
-			r.stall[cause]++
-		}
-		switch {
-		case b == c.cenBank:
-			c.cen.BankCycle(b, obs.BankServing)
-		case r != nil:
-			if cause == obs.StallDMSHold {
-				c.cen.BankCycle(b, obs.BankDMSHeld)
-			} else {
-				c.cen.BankCycle(b, obs.BankTimingWait)
-			}
-		case c.ch.OpenRow(b) != dram.NoRow:
-			c.cen.BankCycle(b, obs.BankOpenIdle)
-		case !c.ch.ActBankReady(b, now):
-			c.cen.BankCycle(b, obs.BankPrecharging)
-		default:
-			c.cen.BankCycle(b, obs.BankIdle)
-		}
-	}
-	c.cen.TickBanks()
 }
 
 // classifyHead attributes one blocked cycle of bank b's scheduling head r to
@@ -376,5 +341,5 @@ func (c *Controller) censusRetire(r *Request, now, ready uint64, dropped bool) {
 		vec[obs.StallCAS] += service - burst
 		vec[obs.StallBurst] += burst
 	}
-	c.cen.Retire(r.Coord.Bank, queue+service, &vec)
+	c.cen.Retire(queue+service, &vec)
 }

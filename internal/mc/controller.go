@@ -196,19 +196,16 @@ type Controller struct {
 	cenDirty   uint64
 	cenColMask uint64
 	cenActMask uint64
-	// cenAllMask has one bit per bank; cenWide marks controllers with more
-	// banks than mask bits, which fall back to the per-cycle reference
-	// census.
+	// cenAllMask has one bit per bank.
 	cenAllMask   uint64
-	cenWide      bool
 	cenNextUntil uint64
 	// cenTicked is one past the last cycle settled into BankCycles (cenOpen
 	// until the first pass); quiescent cycles are accounted in bulk when the
 	// next pass — or CensusFinish — observes the gap.
 	cenTicked uint64
-	// cenRef switches censusTick to the per-cycle reference implementation;
-	// only the span-equivalence test sets it.
-	cenRef bool
+	// cenRef, when set, replaces the span census with a per-cycle
+	// reference pass; only the span-equivalence test sets it.
+	cenRef func(now, delay uint64, refreshing bool)
 	// activity counts controller progress events (pushes, issued commands,
 	// drops); together with the refresh counter it lets the partition census
 	// detect cycles where provably nothing changed. Maintained
@@ -290,18 +287,19 @@ func (c *Controller) SetFaults(inj *fault.Injector) { c.inj = inj }
 // SetCensus attaches the cycle census: the controller then charges every
 // pending bank head's wait cycles to a stall cause, classifies every
 // bank-cycle's residency state, and folds retired requests into the exact
-// stall decomposition. A nil census disables the hooks.
+// stall decomposition. A nil census disables the hooks. The census tracks
+// its banks in one 64-bit mask, so it panics on a channel with more banks.
 func (c *Controller) SetCensus(cen *obs.Census) {
-	c.cen = cen
-	cen.EnsureBanks(len(c.banks))
-	c.cenSpans = make([]cenSpan, len(c.banks))
-	c.cenUntil = make([]uint64, len(c.banks))
-	c.cenTicked = ^uint64(0)
-	if n := len(c.banks); n > 64 {
-		c.cenWide = true
-	} else {
-		c.cenAllMask = ^uint64(0) >> uint(64-n)
+	n := len(c.banks)
+	if n > 64 {
+		panic(fmt.Sprintf("mc: the census supports at most 64 banks per channel, got %d", n))
 	}
+	c.cen = cen
+	cen.EnsureBanks(n)
+	c.cenSpans = make([]cenSpan, n)
+	c.cenUntil = make([]uint64, n)
+	c.cenTicked = ^uint64(0)
+	c.cenAllMask = ^uint64(0) >> uint(64-n)
 }
 
 // touch records a mutation of bank b's queue that can change what the

@@ -91,7 +91,7 @@ func TestIssueHorizonEquivalence(t *testing.T) {
 						t.Fatalf("%s: audit log differs: %d vs %d decisions", name, got.audit.Total(), want.audit.Total())
 					}
 					if !reflect.DeepEqual(want.census, got.census) {
-						t.Fatalf("%s: census differs:\n scan:    %v\n horizon: %v", name, want.census.Stall, got.census.Stall)
+						t.Fatalf("%s: census differs:\n scan:    %v\n horizon: %v", name, stallTotals(want.census), stallTotals(got.census))
 					}
 				}
 			}

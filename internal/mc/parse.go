@@ -9,8 +9,18 @@ import (
 // ParseScheme maps a scheme name to its configuration; delay and thrbl fill
 // the static variants' parameters. Shared by every CLI that takes -scheme.
 // Case is ignored, and every display name Scheme.Name returns parses back:
-// DMS(X) and AMS(T) carry their own parameter.
+// DMS(X) and AMS(T) carry their own parameter. A negative delay or Th_RBL
+// is rejected: a negative delay would wrap to a hold of nearly 2^64 cycles.
 func ParseScheme(name string, delay, thrbl int) (Scheme, error) {
+	s, err := parseScheme(name, delay, thrbl)
+	if err == nil && (s.StaticDelay < 0 || s.StaticThRBL < 0) {
+		return Scheme{}, fmt.Errorf("scheme %q: negative parameter (delay %d, Th_RBL %d)",
+			name, s.StaticDelay, s.StaticThRBL)
+	}
+	return s, err
+}
+
+func parseScheme(name string, delay, thrbl int) (Scheme, error) {
 	switch lower := strings.ToLower(name); lower {
 	case "baseline", "base":
 		return Baseline, nil
@@ -35,10 +45,10 @@ func ParseScheme(name string, delay, thrbl int) (Scheme, error) {
 		return DynBoth, nil
 	default:
 		if x, ok := param(lower, "dms("); ok {
-			return ParseScheme("static-dms", x, thrbl)
+			return parseScheme("static-dms", x, thrbl)
 		}
 		if t, ok := param(lower, "ams("); ok {
-			return ParseScheme("static-ams", delay, t)
+			return parseScheme("static-ams", delay, t)
 		}
 		return Scheme{}, fmt.Errorf("unknown scheme %q", name)
 	}

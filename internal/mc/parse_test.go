@@ -25,9 +25,42 @@ func TestParseScheme(t *testing.T) {
 	}
 }
 
+// TestParseSchemeRejectsNegativeParameters: a negative delay or Th_RBL,
+// passed as an argument or carried in the name, must not parse. A negative
+// delay once wrapped to a hold of nearly 2^64 cycles, so the run held every
+// row miss until the cycle limit.
+func TestParseSchemeRejectsNegativeParameters(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		delay, thrbl int
+	}{
+		{"dms(-5)", 128, 8},
+		{"ams(-3)", 128, 8},
+		{"static-dms", -5, 8},
+		{"dms", -1, 8},
+		{"static-ams", 128, -1},
+		{"static-both", -5, 8},
+		{"both", 128, -2},
+	} {
+		if s, err := mc.ParseScheme(tc.name, tc.delay, tc.thrbl); err == nil {
+			t.Errorf("ParseScheme(%q, %d, %d) accepted as %+v", tc.name, tc.delay, tc.thrbl, s)
+		}
+	}
+	// A parameter the variant does not use is not checked.
+	for _, name := range []string{"baseline", "dyn-dms", "dyn-both", "dms(5)"} {
+		if _, err := mc.ParseScheme(name, 128, -1); err != nil {
+			t.Errorf("%s with an unused negative Th_RBL: %v", name, err)
+		}
+	}
+	if _, err := mc.ParseScheme("ams(5)", -1, 8); err != nil {
+		t.Errorf("ams(5) with an unused negative delay: %v", err)
+	}
+}
+
 // FuzzParseScheme: no input panics; an accepted name is accepted in any
-// letter case with the same result; and the accepted scheme's display name
-// parses back to it under the scheme's own parameters.
+// letter case with the same result; an accepted scheme's parameters are
+// non-negative; and its display name parses back to it under the scheme's
+// own parameters.
 func FuzzParseScheme(f *testing.F) {
 	f.Add("dyn-both", 128, 8)
 	f.Add("Static-DMS", 64, 8)
@@ -39,6 +72,9 @@ func FuzzParseScheme(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if s.StaticDelay < 0 || s.StaticThRBL < 0 {
+			t.Fatalf("%q (delay %d, Th_RBL %d) accepted with a negative parameter: %+v", name, delay, thrbl, s)
 		}
 		for _, spelled := range []string{strings.ToUpper(name), strings.ToLower(name)} {
 			if got, err := mc.ParseScheme(spelled, delay, thrbl); err != nil || got != s {

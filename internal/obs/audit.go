@@ -135,9 +135,7 @@ type AuditLog struct {
 	counts [NumReasons]uint64
 	total  uint64
 
-	ring    []Decision
-	next    int
-	wrapped bool
+	ring ring[Decision]
 
 	adapt        []AdaptPoint
 	adaptDropped uint64
@@ -149,7 +147,7 @@ func NewAuditLog(capacity int) *AuditLog {
 	if capacity <= 0 {
 		panic("obs: audit capacity must be positive")
 	}
-	return &AuditLog{ring: make([]Decision, 0, capacity)}
+	return &AuditLog{ring: ring[Decision]{limit: capacity}}
 }
 
 // Record logs one decision. Nil-safe and allocation-free after the ring has
@@ -160,16 +158,7 @@ func (l *AuditLog) Record(d Decision) {
 	}
 	l.counts[d.Reason]++
 	l.total++
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, d)
-		return
-	}
-	l.ring[l.next] = d
-	l.next++
-	if l.next == len(l.ring) {
-		l.next = 0
-	}
-	l.wrapped = true
+	l.ring.add(d)
 }
 
 // Tally counts one decision without retaining ring detail. Hot per-cycle
@@ -219,12 +208,7 @@ func (l *AuditLog) Entries() []Decision {
 	if l == nil {
 		return nil
 	}
-	if !l.wrapped {
-		return append([]Decision(nil), l.ring...)
-	}
-	out := make([]Decision, 0, len(l.ring))
-	out = append(out, l.ring[l.next:]...)
-	return append(out, l.ring[:l.next]...)
+	return l.ring.items()
 }
 
 // Adapt returns the adaptation trace.
@@ -270,8 +254,8 @@ func (l *AuditLog) Summary() *AuditSummary {
 	}
 	s := &AuditSummary{
 		Total:            l.total,
-		RingCapacity:     cap(l.ring),
-		RingDropped:      l.total - uint64(len(l.ring)),
+		RingCapacity:     l.ring.limit,
+		RingDropped:      l.total - uint64(len(l.ring.buf)),
 		DMSDelayHolds:    l.counts[ReasonDMSDelayHold],
 		DMSDelayExpiries: l.counts[ReasonDMSDelayExpired],
 		AMSDrops:         l.counts[ReasonAMSDrop],

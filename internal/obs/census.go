@@ -124,16 +124,15 @@ func (s BankState) String() string { return bankStateNames[s] }
 // Census is one memory partition's cycle-census state: the stall-attribution
 // decomposition, the bank residency matrix, and the partition-cycle census
 // with its next-event-gap histogram. Single writer (the owning partition's
-// tick path); merged between cycles by the collector.
+// tick path); readers (the summary, the live-metrics publish) sum the
+// channels' censuses on the simulation goroutine when they read them.
 type Census struct {
 	// Stall attribution. LatencyCycles sums every retired request's measured
-	// queue+service latency; the Stall vector decomposes exactly the same
-	// cycles by cause (Attributed() == LatencyCycles is the Σ-invariant).
+	// queue+service latency; the per-cause histograms below decompose
+	// exactly the same cycles by cause (Attributed() == LatencyCycles is the
+	// Σ-invariant).
 	Requests      uint64
 	LatencyCycles uint64
-	Stall         [NumStallCauses]uint64
-	// BankStall decomposes Stall per bank ([bank][cause]).
-	BankStall [][NumStallCauses]uint64
 
 	// Residency classifies every observed bank-cycle: BankCycles counts the
 	// census passes (elapsed memory cycles), and for every bank the row of
@@ -148,7 +147,6 @@ type Census struct {
 	Advancing  uint64
 	TimingWait uint64
 	Idle       uint64
-	gapRun     uint64
 
 	// Ingress backpressure, counted in request-retry core cycles at the
 	// partition boundary. These sit upstream of the pending queue and are
@@ -164,24 +162,22 @@ type Census struct {
 	// path inside a couple of cache lines.
 
 	// StallHist records the distribution over requests of cycles spent in
-	// each cause.
+	// each cause; StallHist[c].Sum() is the cause's total.
 	StallHist [NumStallCauses]Histogram
 	// GapHist records the lengths of maximal runs of non-advancing cycles:
 	// the jumps an event-driven skip-ahead loop could take.
 	GapHist Histogram
 }
 
-// NewCensus returns an empty census; per-bank matrices grow on EnsureBanks.
+// NewCensus returns an empty census; the residency matrix grows on
+// EnsureBanks.
 func NewCensus() *Census { return &Census{} }
 
-// EnsureBanks sizes the per-bank matrices for n banks (grow-only).
+// EnsureBanks sizes the residency matrix for n banks (grow-only).
 func (c *Census) EnsureBanks(n int) {
-	if c == nil || n <= len(c.BankStall) {
+	if c == nil || n <= len(c.Residency) {
 		return
 	}
-	bs := make([][NumStallCauses]uint64, n)
-	copy(bs, c.BankStall)
-	c.BankStall = bs
 	rs := make([][NumBankStates]uint64, n)
 	copy(rs, c.Residency)
 	c.Residency = rs
@@ -191,8 +187,8 @@ func (c *Census) EnsureBanks(n int) {
 // Σ-invariant is Attributed() == LatencyCycles.
 func (c *Census) Attributed() uint64 {
 	var n uint64
-	for _, v := range c.Stall {
-		n += v
+	for i := range c.StallHist {
+		n += c.StallHist[i].Sum()
 	}
 	return n
 }
@@ -201,69 +197,30 @@ func (c *Census) Attributed() uint64 {
 // measured queue+service latency and cycles the per-cause charge vector,
 // which must sum to lat (the controller constructs it that way; violations
 // surface via CheckInvariants).
-func (c *Census) Retire(bank int, lat uint64, cycles *[NumStallCauses]uint64) {
+func (c *Census) Retire(lat uint64, cycles *[NumStallCauses]uint64) {
 	c.Requests++
 	c.LatencyCycles += lat
 	for cause, n := range cycles {
-		if n == 0 {
-			continue
+		if n > 0 {
+			c.StallHist[cause].Observe(n)
 		}
-		c.Stall[cause] += n
-		if bank < len(c.BankStall) {
-			c.BankStall[bank][cause] += n
-		}
-		c.StallHist[cause].Observe(n)
 	}
 }
 
-// BankCycle classifies bank b's current cycle; call once per bank per census
-// pass, then TickBanks once to close the pass.
-func (c *Census) BankCycle(b int, s BankState) {
-	if b < len(c.Residency) {
-		c.Residency[b][s]++
-	}
-}
-
-// AddBankCycles charges n cycles of state s to bank b at once; the span-based
-// census uses it to close a whole run of identically-classified cycles in one
-// call.
+// AddBankCycles charges n cycles of state s to bank b at once; the census
+// spans close a whole run of identically-classified cycles in one call.
 func (c *Census) AddBankCycles(b int, s BankState, n uint64) {
 	if b < len(c.Residency) {
 		c.Residency[b][s] += n
 	}
 }
 
-// TickBanks closes one bank census pass (one elapsed memory cycle).
-func (c *Census) TickBanks() { c.BankCycles++ }
-
-// AddCycles closes n bank census passes at once; the span-based census uses
-// it to settle a run of quiescent cycles in bulk.
+// AddCycles closes n bank census passes (elapsed memory cycles) at once.
 func (c *Census) AddCycles(n uint64) { c.BankCycles += n }
 
-// TickPartition classifies one partition memory cycle. idle is only
-// consulted when the cycle did not advance.
-func (c *Census) TickPartition(advancing, idle bool) {
-	c.PartCycles++
-	if advancing {
-		c.Advancing++
-		if c.gapRun > 0 {
-			c.GapHist.Observe(c.gapRun)
-			c.gapRun = 0
-		}
-		return
-	}
-	if idle {
-		c.Idle++
-	} else {
-		c.TimingWait++
-	}
-	c.gapRun++
-}
-
 // CloseGap folds one maximal non-advancing run of n cycles into the
-// partition census in bulk: the batched partition path counts runs locally
-// and folds them here only when a gap closes, instead of paying a
-// TickPartition call per cycle.
+// partition census: the partition counts runs locally and folds them here
+// only when a gap closes.
 func (c *Census) CloseGap(n uint64, idle bool) {
 	if n == 0 {
 		return
@@ -283,34 +240,17 @@ func (c *Census) AddAdvancing(n uint64) {
 	c.Advancing += n
 }
 
-// FlushGap closes the trailing non-advancing run; call once at end of run.
-func (c *Census) FlushGap() {
-	if c == nil {
-		return
-	}
-	if c.gapRun > 0 {
-		c.GapHist.Observe(c.gapRun)
-		c.gapRun = 0
-	}
-}
-
 // Merge folds o into c elementwise (bank i of o into bank i of c). Nil-safe
 // on both sides.
 func (c *Census) Merge(o *Census) {
 	if c == nil || o == nil {
 		return
 	}
-	c.EnsureBanks(len(o.BankStall))
+	c.EnsureBanks(len(o.Residency))
 	c.Requests += o.Requests
 	c.LatencyCycles += o.LatencyCycles
-	for i := range o.Stall {
-		c.Stall[i] += o.Stall[i]
+	for i := range o.StallHist {
 		c.StallHist[i].Merge(&o.StallHist[i])
-	}
-	for b := range o.BankStall {
-		for i := range o.BankStall[b] {
-			c.BankStall[b][i] += o.BankStall[b][i]
-		}
 	}
 	c.BankCycles += o.BankCycles
 	for b := range o.Residency {
@@ -323,7 +263,6 @@ func (c *Census) Merge(o *Census) {
 	c.TimingWait += o.TimingWait
 	c.Idle += o.Idle
 	c.GapHist.Merge(&o.GapHist)
-	c.gapRun += o.gapRun
 	c.MSHRFull += o.MSHRFull
 	c.MergeLimit += o.MergeLimit
 	c.QueueFull += o.QueueFull
@@ -332,8 +271,7 @@ func (c *Census) Merge(o *Census) {
 // CheckInvariants verifies the census exactness identities: the stall
 // decomposition sums to the measured latency, every bank's residency row
 // sums to the elapsed bank-cycles, and the partition cycle classes partition
-// the elapsed cycles. A run must call FlushGap first for the gap histogram's
-// sample count to cover every non-advancing cycle.
+// the elapsed cycles, each non-advancing cycle inside one closed gap.
 func (c *Census) CheckInvariants() error {
 	if c == nil {
 		return nil
@@ -353,7 +291,7 @@ func (c *Census) CheckInvariants() error {
 	if got := c.Advancing + c.TimingWait + c.Idle; got != c.PartCycles {
 		return fmt.Errorf("census: partition classes sum %d != partition cycles %d", got, c.PartCycles)
 	}
-	if got := c.GapHist.Sum() + c.gapRun; got != c.TimingWait+c.Idle {
+	if got := c.GapHist.Sum(); got != c.TimingWait+c.Idle {
 		return fmt.Errorf("census: gap histogram covers %d cycles, want %d non-advancing", got, c.TimingWait+c.Idle)
 	}
 	return nil
@@ -501,11 +439,11 @@ func (c *Census) Summary() *CensusSummary {
 	}
 	total := s.AttributedCycles
 	for cause := StallCause(0); cause < NumStallCauses; cause++ {
-		cyc := c.Stall[cause]
+		h := &c.StallHist[cause]
+		cyc := h.Sum()
 		if cyc == 0 {
 			continue
 		}
-		h := &c.StallHist[cause]
 		row := StallSummary{
 			Cause:    cause.String(),
 			Cycles:   cyc,
@@ -560,8 +498,8 @@ func (c *Census) ChannelSummary(channel int) ChannelCensus {
 	out.SkippableFrac = c.SkippableFrac()
 	out.StallCycles = make(map[string]uint64)
 	for cause := StallCause(0); cause < NumStallCauses; cause++ {
-		if c.Stall[cause] > 0 {
-			out.StallCycles[cause.String()] = c.Stall[cause]
+		if n := c.StallHist[cause].Sum(); n > 0 {
+			out.StallCycles[cause.String()] = n
 		}
 	}
 	for b := range c.Residency {

@@ -7,21 +7,21 @@ import (
 )
 
 // retire charges a request with the given per-cause vector and latency.
-func retire(c *Census, bank int, charges map[StallCause]uint64) {
+func retire(c *Census, charges map[StallCause]uint64) {
 	var vec [NumStallCauses]uint64
 	var lat uint64
 	for cause, n := range charges {
 		vec[cause] = n
 		lat += n
 	}
-	c.Retire(bank, lat, &vec)
+	c.Retire(lat, &vec)
 }
 
 func TestCensusRetireInvariant(t *testing.T) {
 	c := NewCensus()
 	c.EnsureBanks(2)
-	retire(c, 0, map[StallCause]uint64{StallQueued: 5, StallTRCD: 12, StallCAS: 12, StallBurst: 2})
-	retire(c, 1, map[StallCause]uint64{StallDMSHold: 128, StallVP: 2})
+	retire(c, map[StallCause]uint64{StallQueued: 5, StallTRCD: 12, StallCAS: 12, StallBurst: 2})
+	retire(c, map[StallCause]uint64{StallDMSHold: 128, StallVP: 2})
 	if c.Requests != 2 {
 		t.Fatalf("requests = %d", c.Requests)
 	}
@@ -31,13 +31,13 @@ func TestCensusRetireInvariant(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if c.BankStall[0][StallTRCD] != 12 || c.BankStall[1][StallDMSHold] != 128 {
-		t.Fatal("per-bank stall attribution wrong")
+	if c.StallHist[StallTRCD].Sum() != 12 || c.StallHist[StallDMSHold].Sum() != 128 {
+		t.Fatal("per-cause stall attribution wrong")
 	}
 	// A latency that does not match its charge vector must be caught.
 	var bad [NumStallCauses]uint64
 	bad[StallQueued] = 3
-	c.Retire(0, 7, &bad)
+	c.Retire(7, &bad)
 	if err := c.CheckInvariants(); err == nil {
 		t.Fatal("mismatched retire not caught by CheckInvariants")
 	}
@@ -46,17 +46,16 @@ func TestCensusRetireInvariant(t *testing.T) {
 func TestCensusResidencyInvariant(t *testing.T) {
 	c := NewCensus()
 	c.EnsureBanks(2)
-	for i := 0; i < 10; i++ {
-		c.BankCycle(0, BankServing)
-		c.BankCycle(1, BankIdle)
-		c.TickBanks()
-	}
+	c.AddBankCycles(0, BankServing, 4)
+	c.AddBankCycles(0, BankOpenIdle, 6)
+	c.AddBankCycles(1, BankIdle, 10)
+	c.AddCycles(10)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// A skipped bank classification must be caught.
-	c.BankCycle(0, BankOpenIdle)
-	c.TickBanks()
+	c.AddBankCycles(0, BankOpenIdle, 1)
+	c.AddCycles(1)
 	if err := c.CheckInvariants(); err == nil {
 		t.Fatal("missing bank classification not caught")
 	}
@@ -64,15 +63,12 @@ func TestCensusResidencyInvariant(t *testing.T) {
 
 func TestCensusGapRuns(t *testing.T) {
 	c := NewCensus()
-	// advancing, 3 timing-waits, advancing, 2 idles, end (flush).
-	c.TickPartition(true, false)
-	for i := 0; i < 3; i++ {
-		c.TickPartition(false, false)
-	}
-	c.TickPartition(true, false)
-	c.TickPartition(false, true)
-	c.TickPartition(false, true)
-	c.FlushGap()
+	// advancing, 3 timing-waits, advancing, 2 idles.
+	c.AddAdvancing(1)
+	c.CloseGap(3, false)
+	c.AddAdvancing(1)
+	c.CloseGap(2, true)
+	c.CloseGap(0, true) // an empty run is not a gap
 	if c.PartCycles != 7 || c.Advancing != 2 || c.TimingWait != 3 || c.Idle != 2 {
 		t.Fatalf("census = %+v", c)
 	}
@@ -98,22 +94,21 @@ func TestCensusMerge(t *testing.T) {
 	a, b := NewCensus(), NewCensus()
 	a.EnsureBanks(1)
 	b.EnsureBanks(2)
-	retire(a, 0, map[StallCause]uint64{StallQueued: 4})
-	retire(b, 1, map[StallCause]uint64{StallTRP: 6})
+	retire(a, map[StallCause]uint64{StallQueued: 4})
+	retire(b, map[StallCause]uint64{StallTRP: 6})
 	for _, c := range []*Census{a, b} {
-		c.BankCycle(0, BankServing)
-		c.TickBanks()
-		c.TickPartition(true, false)
-		c.TickPartition(false, false)
-		c.FlushGap()
+		c.AddBankCycles(0, BankServing, 1)
+		c.AddCycles(1)
+		c.AddAdvancing(1)
+		c.CloseGap(1, false)
 	}
-	b.BankCycle(1, BankIdle) // bank 1 exists only in b; complete its row
+	b.AddBankCycles(1, BankIdle, 1) // bank 1 exists only in b; complete its row
 	a.Merge(b)
 	if a.Requests != 2 || a.LatencyCycles != 10 {
 		t.Fatalf("merged totals: %d req, %d cycles", a.Requests, a.LatencyCycles)
 	}
-	if len(a.BankStall) != 2 || a.BankStall[1][StallTRP] != 6 {
-		t.Fatal("merge did not grow/fold bank matrices")
+	if len(a.Residency) != 2 || a.Residency[1][BankIdle] != 1 || a.StallHist[StallTRP].Sum() != 6 {
+		t.Fatal("merge did not grow/fold the residency matrix and stall histograms")
 	}
 	if a.PartCycles != 4 || a.Advancing != 2 || a.TimingWait != 2 {
 		t.Fatalf("merged partition census: %+v", a)
@@ -125,7 +120,6 @@ func TestCensusMerge(t *testing.T) {
 	var nilC *Census
 	nilC.Merge(a)
 	a.Merge(nil)
-	nilC.FlushGap()
 	if err := nilC.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +128,10 @@ func TestCensusMerge(t *testing.T) {
 func TestCensusSummary(t *testing.T) {
 	c := NewCensus()
 	c.EnsureBanks(1)
-	retire(c, 0, map[StallCause]uint64{StallQueued: 10, StallTRCD: 30, StallCAS: 50, StallBurst: 10})
-	c.BankCycle(0, BankServing)
-	c.TickBanks()
-	c.TickPartition(true, false)
+	retire(c, map[StallCause]uint64{StallQueued: 10, StallTRCD: 30, StallCAS: 50, StallBurst: 10})
+	c.AddBankCycles(0, BankServing, 1)
+	c.AddCycles(1)
+	c.AddAdvancing(1)
 	s := c.Summary()
 	if s.InvariantError != "" {
 		t.Fatalf("unexpected invariant error: %s", s.InvariantError)
@@ -168,7 +162,7 @@ func TestCensusSummary(t *testing.T) {
 		}
 	}
 	// A broken census must surface its violation in the artifact.
-	c.Stall[StallQueued]++
+	c.StallHist[StallQueued].Observe(1)
 	if bad := c.Summary(); bad.InvariantError == "" {
 		t.Fatal("summary of broken census carries no invariant error")
 	}
@@ -181,10 +175,10 @@ func TestCensusSummary(t *testing.T) {
 func TestCensusChannelSummary(t *testing.T) {
 	c := NewCensus()
 	c.EnsureBanks(2)
-	retire(c, 1, map[StallCause]uint64{StallTRAS: 7})
-	c.BankCycle(0, BankOpenIdle)
-	c.BankCycle(1, BankPrecharging)
-	c.TickBanks()
+	retire(c, map[StallCause]uint64{StallTRAS: 7})
+	c.AddBankCycles(0, BankOpenIdle, 1)
+	c.AddBankCycles(1, BankPrecharging, 1)
+	c.AddCycles(1)
 	ch := c.ChannelSummary(3)
 	if ch.Channel != 3 || ch.Requests != 1 || ch.LatencyCycles != 7 {
 		t.Fatalf("channel summary: %+v", ch)

@@ -168,15 +168,10 @@ type ComponentDigest struct {
 // written only from the simulation goroutine; it is not safe for concurrent
 // use.
 type DigestLog struct {
-	every   uint64
-	recs    []DigestRecord
-	cap     int
-	start   int // ring: index of the oldest record when full
-	full    bool
-	samples uint64
-	dropped uint64
-	chain   uint64
-	final   uint64
+	every uint64
+	recs  ring[DigestRecord]
+	chain uint64
+	final uint64
 }
 
 // NewDigestLog creates a digest log sampling every `every` memory cycles,
@@ -188,7 +183,7 @@ func NewDigestLog(every uint64, capacity int) *DigestLog {
 	if capacity <= 0 {
 		capacity = DefaultDigestCapacity
 	}
-	return &DigestLog{every: every, cap: capacity, chain: fnvOffset64}
+	return &DigestLog{every: every, recs: ring[DigestRecord]{limit: capacity}, chain: fnvOffset64}
 }
 
 // Every returns the sampling interval in memory cycles (0 for a nil log).
@@ -205,31 +200,17 @@ func (l *DigestLog) Record(rec DigestRecord) {
 	if l == nil {
 		return
 	}
-	l.samples++
 	l.chain = FoldU64(l.chain, rec.Machine)
 	rec.Chain = l.chain
-	if !l.full && len(l.recs) < l.cap {
-		l.recs = append(l.recs, rec)
-		if len(l.recs) == l.cap {
-			l.full = true
-		}
-		return
-	}
-	l.full = true
-	l.dropped++
-	l.recs[l.start] = rec
-	l.start = (l.start + 1) % l.cap
+	l.recs.add(rec)
 }
 
 // Records returns the retained records, oldest first (a copy).
 func (l *DigestLog) Records() []DigestRecord {
-	if l == nil || len(l.recs) == 0 {
+	if l == nil {
 		return nil
 	}
-	out := make([]DigestRecord, 0, len(l.recs))
-	out = append(out, l.recs[l.start:]...)
-	out = append(out, l.recs[:l.start]...)
-	return out
+	return l.recs.items()
 }
 
 // Intervals returns how many samples were recorded (including dropped ones).
@@ -237,7 +218,7 @@ func (l *DigestLog) Intervals() uint64 {
 	if l == nil {
 		return 0
 	}
-	return l.samples
+	return l.recs.total
 }
 
 // Dropped returns how many records the bounded ring overwrote.
@@ -245,7 +226,7 @@ func (l *DigestLog) Dropped() uint64 {
 	if l == nil {
 		return 0
 	}
-	return l.dropped
+	return l.recs.dropped()
 }
 
 // Chain returns the rolling chain digest over every recorded machine digest.
@@ -280,8 +261,8 @@ func (l *DigestLog) Summary() *DigestSummary {
 	}
 	return &DigestSummary{
 		Every:     l.every,
-		Intervals: l.samples,
-		Dropped:   l.dropped,
+		Intervals: l.recs.total,
+		Dropped:   l.recs.dropped(),
 		Final:     hex64(l.final),
 		Chain:     hex64(l.chain),
 		FinalHi:   uint32(l.final >> 32),

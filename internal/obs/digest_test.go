@@ -189,7 +189,11 @@ func FuzzReadDigestJSONL(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := (&DigestLog{recs: recs, cap: max(len(recs), 1)}).WriteJSONL(&buf); err != nil {
+		l := NewDigestLog(1, max(len(recs), 1))
+		for _, rec := range recs {
+			l.recs.add(rec)
+		}
+		if err := l.WriteJSONL(&buf); err != nil {
 			t.Fatal(err)
 		}
 		again, err := ReadDigestJSONL(&buf)

@@ -141,17 +141,12 @@ type Options struct {
 	// per-bank command counters, energy estimates) for concurrent scraping
 	// via the registry's Prometheus/expvar handlers.
 	Metrics *Registry
-	// MetricsEvery is the publication interval for Metrics in memory cycles
-	// (0 picks a default).
-	MetricsEvery uint64
 	// AuditCapacity bounds the scheduler decision-audit ring (0 disables the
 	// decision log). Per-reason counters stay exact regardless of ring wrap.
 	AuditCapacity int
 	// Quality enables approximation-quality telemetry: every AMS-dropped
 	// line's predicted bytes are scored against the functional ground truth.
 	Quality bool
-	// QualityWorst bounds the worst-offenders list (0 picks a default).
-	QualityWorst int
 	// FaultQuality enables injected-fault error telemetry: every
 	// fault-corrupted line is scored against its pristine bytes in a second
 	// QualityLog, kept separate from the AMS-drop log so the two error
@@ -228,10 +223,10 @@ func NewCollector(o Options, channels int) *Collector {
 		c.Audit = NewAuditLog(o.AuditCapacity)
 	}
 	if o.Quality {
-		c.Quality = NewQualityLog(o.QualityWorst)
+		c.Quality = NewQualityLog(worstOffenders)
 	}
 	if o.FaultQuality {
-		c.FaultQuality = NewQualityLog(o.QualityWorst)
+		c.FaultQuality = NewQualityLog(worstOffenders)
 	}
 	if o.DigestEvery > 0 {
 		c.Digest = NewDigestLog(o.DigestEvery, o.DigestCapacity)
@@ -253,19 +248,6 @@ func (c *Collector) Census(i int) *Census {
 	return c.perChannel[i]
 }
 
-// MergedCensus folds the per-channel censuses elementwise into one fresh
-// Census (nil when the census is off).
-func (c *Collector) MergedCensus() *Census {
-	if c == nil || len(c.perChannel) == 0 {
-		return nil
-	}
-	out := NewCensus()
-	for _, cen := range c.perChannel {
-		out.Merge(cen)
-	}
-	return out
-}
-
 // Telemetry snapshots the collector into its serializable form (nil for a
 // nil collector).
 func (c *Collector) Telemetry() *Telemetry {
@@ -282,11 +264,16 @@ func (c *Collector) Telemetry() *Telemetry {
 	t.Audit = c.Audit.Summary()
 	t.Quality = c.Quality.Summary()
 	t.Digest = c.Digest.Summary()
-	if sum := c.MergedCensus().Summary(); sum != nil {
-		for i, cen := range c.perChannel {
-			sum.Channels = append(sum.Channels, cen.ChannelSummary(i))
+	if len(c.perChannel) > 0 {
+		// The machine-level census folds the channels elementwise.
+		merged := NewCensus()
+		for _, cen := range c.perChannel {
+			merged.Merge(cen)
 		}
-		t.Census = sum
+		t.Census = merged.Summary()
+		for i, cen := range c.perChannel {
+			t.Census.Channels = append(t.Census.Channels, cen.ChannelSummary(i))
+		}
 	}
 	return t
 }

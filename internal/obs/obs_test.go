@@ -302,7 +302,7 @@ func TestCollectorOneSetOfLogs(t *testing.T) {
 		t.Error("census for a channel the machine does not have")
 	}
 	var nc *Collector
-	if nc.Census(0) != nil || nc.MergedCensus() != nil {
+	if nc.Census(0) != nil || nc.Telemetry() != nil {
 		t.Error("nil collector handed out a census")
 	}
 }

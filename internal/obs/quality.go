@@ -31,7 +31,7 @@ const (
 	errHistMaxExp  = 4
 	errHistDecades = errHistMaxExp - errHistMinExp
 
-	defaultWorstOffenders = 16
+	worstOffenders = 16
 )
 
 // ErrHist is a log-decade histogram for non-negative error magnitudes.
@@ -162,12 +162,8 @@ type QualityLog struct {
 	worst    []WorstOffender // sorted by MeanRel descending
 }
 
-// NewQualityLog creates a log keeping up to worstCap worst offenders
-// (<=0 picks the default).
+// NewQualityLog creates a log keeping up to worstCap worst offenders.
 func NewQualityLog(worstCap int) *QualityLog {
-	if worstCap <= 0 {
-		worstCap = defaultWorstOffenders
-	}
 	return &QualityLog{worstCap: worstCap}
 }
 

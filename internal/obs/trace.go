@@ -42,8 +42,7 @@ type Cmd struct {
 // entries are overwritten, so the trace always holds the most recent window
 // of activity. A nil *CmdTrace discards everything.
 type CmdTrace struct {
-	buf   []Cmd
-	total uint64
+	ring ring[Cmd]
 }
 
 // NewCmdTrace creates a trace ring with the given capacity (in commands);
@@ -52,19 +51,18 @@ func NewCmdTrace(capacity int) *CmdTrace {
 	if capacity <= 0 {
 		panic("obs: trace capacity must be positive")
 	}
-	return &CmdTrace{buf: make([]Cmd, capacity)}
+	return &CmdTrace{ring: ring[Cmd]{limit: capacity}}
 }
 
-// Add appends one command; nil-safe and allocation-free.
+// Add appends one command; nil-safe.
 func (t *CmdTrace) Add(kind CmdKind, channel, bank int, row int64, cycle uint64) {
 	if t == nil {
 		return
 	}
-	t.buf[t.total%uint64(len(t.buf))] = Cmd{
+	t.ring.add(Cmd{
 		Cycle: cycle, Row: row,
 		Channel: int16(channel), Bank: int16(bank), Kind: kind,
-	}
-	t.total++
+	})
 }
 
 // Total returns how many commands were ever offered (nil-safe).
@@ -72,7 +70,7 @@ func (t *CmdTrace) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.total
+	return t.ring.total
 }
 
 // Dropped returns how many commands were overwritten after the ring wrapped
@@ -81,29 +79,15 @@ func (t *CmdTrace) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	if t.total > uint64(len(t.buf)) {
-		return t.total - uint64(len(t.buf))
-	}
-	return 0
+	return t.ring.dropped()
 }
 
 // Commands returns the retained commands in issue order (oldest first).
 func (t *CmdTrace) Commands() []Cmd {
-	if t == nil || t.total == 0 {
+	if t == nil {
 		return nil
 	}
-	n := t.total
-	cap64 := uint64(len(t.buf))
-	if n <= cap64 {
-		out := make([]Cmd, n)
-		copy(out, t.buf[:n])
-		return out
-	}
-	out := make([]Cmd, cap64)
-	start := t.total % cap64 // oldest retained entry
-	copy(out, t.buf[start:])
-	copy(out[cap64-start:], t.buf[:start])
-	return out
+	return t.ring.items()
 }
 
 // WriteChromeTrace writes the retained commands as a Chrome trace_event JSON

@@ -232,6 +232,9 @@ func TestSubmitValidation(t *testing.T) {
 		{Scheme: "baseline"},
 		{App: testApp, Scheme: "no-such-scheme"},
 		{App: testApp, Scheme: "baseline", Seed: -4},
+		{App: testApp, Scheme: "dms(-5)"},
+		{App: testApp, Scheme: "AMS(-3)"},
+		{App: testApp, Scheme: "static-dms", Delay: -5},
 	} {
 		if _, code, err := s.Submit(spec); err == nil || code != http.StatusBadRequest {
 			t.Errorf("spec %+v: code %d err %v, want 400", spec, code, err)

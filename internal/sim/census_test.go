@@ -232,7 +232,7 @@ func TestCensusMetricsScrapeDuringRun(t *testing.T) {
 		}
 	}()
 	simulateParallelSMs(t, "SCP", mc.DynBoth, func(cfg *sim.Config) {
-		cfg.Obs = obs.Options{Census: true, Metrics: reg, MetricsEvery: 64}
+		cfg.Obs = obs.Options{Census: true, Metrics: reg}
 	})
 	close(done)
 	wg.Wait()

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"strings"
 
-	"lazydram/internal/approx"
 	"lazydram/internal/cache"
 	"lazydram/internal/core"
 	"lazydram/internal/obs"
@@ -106,16 +105,9 @@ func (p *partition) digestHeaps(h *obs.Hasher) {
 		h.Bool(r.Approx)
 		h.Bytes(r.Data[:])
 	}
-	switch vp := p.vp.(type) {
-	case *approx.VPUnit:
-		h.U64(vp.Predictions)
-		h.U64(vp.Fallbacks)
-	case *approx.ZeroPredictor:
-		h.U64(vp.Predictions)
-	case *approx.LastValuePredictor:
-		h.U64(vp.Predictions)
-		h.U64(vp.Fallbacks)
-	}
+	pred, fb := p.vp.Counts()
+	h.U64(pred)
+	h.U64(fb)
 }
 
 // dumpHeaps renders the heads of the partition's progress queues for

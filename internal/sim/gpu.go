@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lazydram/internal/approx"
 	"lazydram/internal/core"
 	"lazydram/internal/energy"
 	"lazydram/internal/fault"
@@ -165,7 +164,7 @@ func NewGPU(cfg Config, scheme mc.Scheme, kern Kernel, im *memimage.Image) *GPU 
 		g.dig = g.col.Digest
 		if g.col.Metrics != nil {
 			g.met = newGPUMetrics(g.col.Metrics, kern.Name(), scheme.Name(),
-				nParts, cfg.DRAM.NumBanks, cfg.Obs.MetricsEvery, cfg.Obs.Census)
+				nParts, cfg.DRAM.NumBanks, cfg.Obs.Census)
 		}
 	}
 	for p := 0; p < nParts; p++ {
@@ -258,7 +257,7 @@ func (g *GPU) Step() (done bool, err error) {
 		if g.dig != nil && g.memCycle%g.dig.Every() == 0 {
 			g.dig.Record(g.digestRecord())
 		}
-		if g.met != nil && g.memCycle%g.met.every == 0 {
+		if g.met != nil && g.memCycle%metricsEvery == 0 {
 			g.publishMetrics()
 		}
 		if timed {
@@ -552,40 +551,49 @@ func (g *GPU) sendReq(now uint64) func(*core.MemReq) bool {
 // never call into here; they read only the atomic registry values
 // publishMetrics stores.
 func (g *GPU) probeSample(window uint64) obs.Sample {
-	insts := g.insts
-	for _, s := range g.sms {
-		insts += s.Insts()
-	}
-	var busy, acts, occ uint64
-	delay, th := 0, 0
-	for _, p := range g.partitions {
-		busy += p.st.DataBusBusy
-		acts += p.st.Activations
-		occ += uint64(p.ctrl.Pending())
-		if d := p.ctrl.Delay(); d > delay {
-			delay = d
-		}
-		if t := p.ctrl.ThRBL(); t > th {
-			th = t
-		}
-	}
+	t := g.totals()
 	nch := uint64(len(g.partitions))
 	s := obs.Sample{
 		MemCycle:    g.memCycle,
 		CoreCycle:   g.coreCycle,
-		QueueOcc:    float64(occ) / float64(nch),
-		Activations: acts - g.prev.acts,
-		Delay:       delay,
-		ThRBL:       th,
+		QueueOcc:    float64(t.occ) / float64(nch),
+		Activations: t.acts - g.prev.acts,
+		Delay:       t.delay,
+		ThRBL:       t.thRBL,
 	}
 	if dc := g.coreCycle - g.prev.core; dc > 0 {
-		s.IPC = float64(insts-g.prev.insts) / float64(dc)
+		s.IPC = float64(t.insts-g.prev.insts) / float64(dc)
 	}
 	if window > 0 {
-		s.BWUtil = float64(busy-g.prev.busy) / float64(window*nch)
+		s.BWUtil = float64(t.busy-g.prev.busy) / float64(window*nch)
 	}
-	g.prev = sampleState{insts: insts, core: g.coreCycle, busy: busy, acts: acts}
+	g.prev = sampleState{insts: t.insts, core: g.coreCycle, busy: t.busy, acts: t.acts}
 	return s
+}
+
+// machineTotals is the machine-wide state the sampler and the live metrics
+// both read: retired instructions, data-bus busy cycles, activations and
+// pending requests summed over the machine, and the largest in-force DMS
+// delay and AMS Th_RBL across channels.
+type machineTotals struct {
+	insts, busy, acts, occ uint64
+	delay, thRBL           int
+}
+
+// totals walks the SMs and partitions once for machineTotals.
+func (g *GPU) totals() machineTotals {
+	t := machineTotals{insts: g.insts}
+	for _, s := range g.sms {
+		t.insts += s.Insts()
+	}
+	for _, p := range g.partitions {
+		t.busy += p.st.DataBusBusy
+		t.acts += p.st.Activations
+		t.occ += uint64(p.ctrl.Pending())
+		t.delay = max(t.delay, p.ctrl.Delay())
+		t.thRBL = max(t.thRBL, p.ctrl.ThRBL())
+	}
+	return t
 }
 
 func (g *GPU) done() bool {
@@ -627,24 +635,13 @@ func (g *GPU) collect() *Result {
 		l2 := p.l2.Stats()
 		r.L2Accesses += l2.Accesses
 		r.L2Misses += l2.Misses
-		switch vp := p.vp.(type) {
-		case *approx.VPUnit:
-			res.VPPredictions += vp.Predictions
-			res.VPFallbacks += vp.Fallbacks
-		case *approx.ZeroPredictor:
-			res.VPPredictions += vp.Predictions
-		case *approx.LastValuePredictor:
-			res.VPPredictions += vp.Predictions
-			res.VPFallbacks += vp.Fallbacks
-		}
-		if d := p.ctrl.Delay(); d > r.FinalDelay {
-			r.FinalDelay = d
-		}
-		if t := p.ctrl.ThRBL(); t > r.FinalThRBL {
-			r.FinalThRBL = t
-		}
+		pred, fb := p.vp.Counts()
+		res.VPPredictions += pred
+		res.VPFallbacks += fb
 		p.flush()
 	}
+	t := g.totals()
+	r.FinalDelay, r.FinalThRBL = t.delay, t.thRBL
 	prof := g.cfg.Energy
 	r.RowEnergy = prof.RowEnergyNJ(&r.Mem)
 	r.MemEnergy = prof.MemEnergyNJ(&r.Mem, g.memCycle, g.cfg.MemClockMHz*1e6, len(g.partitions))

@@ -4,18 +4,59 @@ import (
 	"strconv"
 
 	"lazydram/internal/obs"
+	"lazydram/internal/stats"
 )
 
-// defaultMetricsEvery is the live-metrics publication interval in memory
-// cycles when Options.MetricsEvery is 0.
-const defaultMetricsEvery = 1024
+// metricsEvery is the live-metrics publication interval in memory cycles.
+const metricsEvery = 1024
+
+// channelFamilies are the live per-channel metric families, labeled
+// "channel", each read from its partition at every publish.
+var channelFamilies = [...]struct {
+	name, help string
+	kind       obs.MetricKind
+	value      func(p *partition) float64
+}{
+	{"lazysim_channel_activations_total", "Row activations per channel", obs.KindCounter,
+		func(p *partition) float64 { return float64(p.st.Activations) }},
+	{"lazysim_channel_reads_total", "DRAM column reads per channel", obs.KindCounter,
+		func(p *partition) float64 { return float64(p.st.Reads) }},
+	{"lazysim_channel_writes_total", "DRAM column writes per channel", obs.KindCounter,
+		func(p *partition) float64 { return float64(p.st.Writes) }},
+	{"lazysim_channel_ams_drops_total", "AMS-dropped read requests per channel", obs.KindCounter,
+		func(p *partition) float64 { return float64(p.st.Dropped) }},
+	{"lazysim_channel_queue_occupancy", "Pending-queue occupancy per channel (instantaneous)", obs.KindGauge,
+		func(p *partition) float64 { return float64(p.ctrl.Pending()) }},
+}
+
+// bankFamilies are the live per-bank metric families, labeled "channel"
+// and "bank", each read from the bank's counters at every publish; actNJ is
+// the energy profile's per-activation row energy.
+var bankFamilies = [...]struct {
+	name, help string
+	kind       obs.MetricKind
+	value      func(b *stats.Bank, actNJ float64) float64
+}{
+	{"lazysim_bank_activations_total", "Row activations per channel and bank", obs.KindCounter,
+		func(b *stats.Bank, _ float64) float64 { return float64(b.Activations) }},
+	{"lazysim_bank_row_hits_total", "Row-buffer hits per channel and bank", obs.KindCounter,
+		func(b *stats.Bank, _ float64) float64 { return float64(b.RowHits) }},
+	{"lazysim_bank_row_misses_total", "Row-buffer misses per channel and bank", obs.KindCounter,
+		func(b *stats.Bank, _ float64) float64 { return float64(b.RowMisses) }},
+	{"lazysim_bank_row_conflicts_total", "Row-buffer conflicts per channel and bank", obs.KindCounter,
+		func(b *stats.Bank, _ float64) float64 { return float64(b.RowConflicts) }},
+	{"lazysim_bank_dms_delay_cycles_total", "Cycles the bank's oldest miss was held by the DMS age gate", obs.KindCounter,
+		func(b *stats.Bank, _ float64) float64 { return float64(b.DMSDelayCycles) }},
+	{"lazysim_bank_ams_drops_total", "AMS-dropped read requests per channel and bank", obs.KindCounter,
+		func(b *stats.Bank, _ float64) float64 { return float64(b.AMSDrops) }},
+	{"lazysim_bank_row_energy_nj", "Row energy per channel and bank under the configured profile", obs.KindGauge,
+		func(b *stats.Bank, actNJ float64) float64 { return float64(b.Activations) * actNJ }},
+}
 
 // gpuMetrics caches the registry children the GPU publishes into, so the
 // periodic publish is a walk over flat slices of atomic stores and the
 // scrape side never touches simulation state.
 type gpuMetrics struct {
-	every uint64
-
 	coreCycles *obs.Metric
 	memCycles  *obs.Metric
 	insts      *obs.Metric
@@ -26,10 +67,10 @@ type gpuMetrics struct {
 	thRBL      *obs.Metric
 	rowEnergy  *obs.Metric
 
-	chActs, chReads, chWrites, chDrops, chQueue []*obs.Metric
-
-	bankActs, bankHits, bankMisses, bankConfl,
-	bankDelay, bankDrops, bankRowE [][]*obs.Metric
+	// channel[c][i] is channel c's child of channelFamilies[i];
+	// bank[c][b][i] is bank b's child of bankFamilies[i].
+	channel [][len(channelFamilies)]*obs.Metric
+	bank    [][][len(bankFamilies)]*obs.Metric
 
 	auditReasons []*obs.Metric // indexed by obs.Reason
 	qualLines, qualWords,
@@ -46,12 +87,8 @@ type gpuMetrics struct {
 	cenGaps *obs.Histogram // publishCensus's scratch
 }
 
-func newGPUMetrics(reg *obs.Registry, app, scheme string, nch, nbanks int, every uint64, census bool) *gpuMetrics {
-	if every == 0 {
-		every = defaultMetricsEvery
-	}
+func newGPUMetrics(reg *obs.Registry, app, scheme string, nch, nbanks int, census bool) *gpuMetrics {
 	m := &gpuMetrics{
-		every:      every,
 		coreCycles: reg.Counter("lazysim_core_cycles_total", "Core clock cycles simulated"),
 		memCycles:  reg.Counter("lazysim_mem_cycles_total", "Memory clock cycles simulated"),
 		insts:      reg.Counter("lazysim_instructions_total", "Warp instructions retired"),
@@ -76,20 +113,23 @@ func newGPUMetrics(reg *obs.Registry, app, scheme string, nch, nbanks int, every
 	m.qualMeanRel = reg.Gauge("lazysim_quality_mean_rel_error", "Mean per-word relative error of value-predicted lines")
 	m.qualMaxRel = reg.Gauge("lazysim_quality_max_rel_error", "Largest per-word relative error of value-predicted lines")
 
-	chActs := reg.Register("lazysim_channel_activations_total", "Row activations per channel", obs.KindCounter, "channel")
-	chReads := reg.Register("lazysim_channel_reads_total", "DRAM column reads per channel", obs.KindCounter, "channel")
-	chWrites := reg.Register("lazysim_channel_writes_total", "DRAM column writes per channel", obs.KindCounter, "channel")
-	chDrops := reg.Register("lazysim_channel_ams_drops_total", "AMS-dropped read requests per channel", obs.KindCounter, "channel")
-	chQueue := reg.Register("lazysim_channel_queue_occupancy", "Pending-queue occupancy per channel (instantaneous)", obs.KindGauge, "channel")
-
-	bankLabels := []string{"channel", "bank"}
-	bActs := reg.Register("lazysim_bank_activations_total", "Row activations per channel and bank", obs.KindCounter, bankLabels...)
-	bHits := reg.Register("lazysim_bank_row_hits_total", "Row-buffer hits per channel and bank", obs.KindCounter, bankLabels...)
-	bMiss := reg.Register("lazysim_bank_row_misses_total", "Row-buffer misses per channel and bank", obs.KindCounter, bankLabels...)
-	bConf := reg.Register("lazysim_bank_row_conflicts_total", "Row-buffer conflicts per channel and bank", obs.KindCounter, bankLabels...)
-	bDelay := reg.Register("lazysim_bank_dms_delay_cycles_total", "Cycles the bank's oldest miss was held by the DMS age gate", obs.KindCounter, bankLabels...)
-	bDrops := reg.Register("lazysim_bank_ams_drops_total", "AMS-dropped read requests per channel and bank", obs.KindCounter, bankLabels...)
-	bRowE := reg.Register("lazysim_bank_row_energy_nj", "Row energy per channel and bank under the configured profile", obs.KindGauge, bankLabels...)
+	// Register returns the family registered first, so each family gets
+	// its children in channel-major order.
+	m.channel = make([][len(channelFamilies)]*obs.Metric, nch)
+	m.bank = make([][][len(bankFamilies)]*obs.Metric, nch)
+	for c := range nch {
+		cl := strconv.Itoa(c)
+		for i, f := range channelFamilies {
+			m.channel[c][i] = reg.Register(f.name, f.help, f.kind, "channel").With(cl)
+		}
+		m.bank[c] = make([][len(bankFamilies)]*obs.Metric, nbanks)
+		for b := range nbanks {
+			bl := strconv.Itoa(b)
+			for i, f := range bankFamilies {
+				m.bank[c][b][i] = reg.Register(f.name, f.help, f.kind, "channel", "bank").With(cl, bl)
+			}
+		}
+	}
 
 	if census {
 		stall := reg.Register("lazysim_census_stall_cycles_total",
@@ -114,33 +154,6 @@ func newGPUMetrics(reg *obs.Registry, app, scheme string, nch, nbanks int, every
 		m.cenGapP99 = reg.Gauge("lazysim_census_gap_p99", "99th-percentile next-event gap in memory cycles")
 		m.cenGaps = &obs.Histogram{}
 	}
-
-	for c := 0; c < nch; c++ {
-		cl := strconv.Itoa(c)
-		m.chActs = append(m.chActs, chActs.With(cl))
-		m.chReads = append(m.chReads, chReads.With(cl))
-		m.chWrites = append(m.chWrites, chWrites.With(cl))
-		m.chDrops = append(m.chDrops, chDrops.With(cl))
-		m.chQueue = append(m.chQueue, chQueue.With(cl))
-		var acts, hits, misses, confl, delays, drops, rowE []*obs.Metric
-		for b := 0; b < nbanks; b++ {
-			bl := strconv.Itoa(b)
-			acts = append(acts, bActs.With(cl, bl))
-			hits = append(hits, bHits.With(cl, bl))
-			misses = append(misses, bMiss.With(cl, bl))
-			confl = append(confl, bConf.With(cl, bl))
-			delays = append(delays, bDelay.With(cl, bl))
-			drops = append(drops, bDrops.With(cl, bl))
-			rowE = append(rowE, bRowE.With(cl, bl))
-		}
-		m.bankActs = append(m.bankActs, acts)
-		m.bankHits = append(m.bankHits, hits)
-		m.bankMisses = append(m.bankMisses, misses)
-		m.bankConfl = append(m.bankConfl, confl)
-		m.bankDelay = append(m.bankDelay, delays)
-		m.bankDrops = append(m.bankDrops, drops)
-		m.bankRowE = append(m.bankRowE, rowE)
-	}
 	return m
 }
 
@@ -149,66 +162,36 @@ func newGPUMetrics(reg *obs.Registry, app, scheme string, nch, nbanks int, every
 // concurrently.
 func (g *GPU) publishMetrics() {
 	m := g.met
-	insts := g.insts
-	for _, s := range g.sms {
-		insts += s.Insts()
-	}
+	t := g.totals()
 	m.coreCycles.Set(float64(g.coreCycle))
 	m.memCycles.Set(float64(g.memCycle))
-	m.insts.Set(float64(insts))
+	m.insts.Set(float64(t.insts))
 	if g.coreCycle > 0 {
-		m.ipc.Set(float64(insts) / float64(g.coreCycle))
+		m.ipc.Set(float64(t.insts) / float64(g.coreCycle))
 	}
 
-	var busy, acts, occ uint64
-	delay, th := 0, 0
 	actNJ := g.cfg.Energy.ActNJ
-	var rowNJ float64
 	for ci, p := range g.partitions {
-		busy += p.st.DataBusBusy
-		acts += p.st.Activations
-		occ += uint64(p.ctrl.Pending())
-		if d := p.ctrl.Delay(); d > delay {
-			delay = d
+		for i, f := range channelFamilies {
+			m.channel[ci][i].Set(f.value(p))
 		}
-		if t := p.ctrl.ThRBL(); t > th {
-			th = t
-		}
-		if ci < len(m.chActs) {
-			m.chActs[ci].Set(float64(p.st.Activations))
-			m.chReads[ci].Set(float64(p.st.Reads))
-			m.chWrites[ci].Set(float64(p.st.Writes))
-			m.chDrops[ci].Set(float64(p.st.Dropped))
-			m.chQueue[ci].Set(float64(p.ctrl.Pending()))
-		}
-		if ci < len(m.bankActs) {
-			banks := m.bankActs[ci]
-			for bi := range p.st.Banks {
-				if bi >= len(banks) {
-					break
-				}
-				b := &p.st.Banks[bi]
-				banks[bi].Set(float64(b.Activations))
-				m.bankHits[ci][bi].Set(float64(b.RowHits))
-				m.bankMisses[ci][bi].Set(float64(b.RowMisses))
-				m.bankConfl[ci][bi].Set(float64(b.RowConflicts))
-				m.bankDelay[ci][bi].Set(float64(b.DMSDelayCycles))
-				m.bankDrops[ci][bi].Set(float64(b.AMSDrops))
-				m.bankRowE[ci][bi].Set(float64(b.Activations) * actNJ)
+		for bi, row := range m.bank[ci] {
+			b := &p.st.Banks[bi]
+			for i, f := range bankFamilies {
+				row[i].Set(f.value(b, actNJ))
 			}
 		}
 	}
-	rowNJ = float64(acts) * actNJ
-	m.rowEnergy.Set(rowNJ)
+	m.rowEnergy.Set(float64(t.acts) * actNJ)
 	nch := uint64(len(g.partitions))
 	if nch > 0 {
-		m.queueOcc.Set(float64(occ) / float64(nch))
+		m.queueOcc.Set(float64(t.occ) / float64(nch))
 		if g.memCycle > 0 {
-			m.bwutil.Set(float64(busy) / float64(g.memCycle*nch))
+			m.bwutil.Set(float64(t.busy) / float64(g.memCycle*nch))
 		}
 	}
-	m.delay.Set(float64(delay))
-	m.thRBL.Set(float64(th))
+	m.delay.Set(float64(t.delay))
+	m.thRBL.Set(float64(t.thRBL))
 
 	if a := g.col.Audit; a != nil {
 		for r, metric := range m.auditReasons {
@@ -236,8 +219,8 @@ func (m *gpuMetrics) publishCensus(parts []*partition) {
 	*m.cenGaps = obs.Histogram{}
 	for _, p := range parts {
 		c := p.cen
-		for i, n := range c.Stall {
-			stall[i] += n
+		for i := range c.StallHist {
+			stall[i] += c.StallHist[i].Sum()
 		}
 		for _, row := range c.Residency {
 			for st, n := range row {

@@ -113,7 +113,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 func TestBankAttributionEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	res := simulate(t, "SCP", mc.DynBoth, func(cfg *sim.Config) {
-		cfg.Obs = obs.Options{Metrics: reg, MetricsEvery: 256}
+		cfg.Obs = obs.Options{Metrics: reg}
 	})
 
 	if len(res.Channels) != res.Run.Mem.NumChannels {

@@ -443,5 +443,4 @@ func (p *partition) drainStats(end uint64) {
 		p.cen.AddAdvancing(p.advRun)
 		p.advRun = 0
 	}
-	p.cen.FlushGap()
 }
