@@ -5,8 +5,8 @@
 // streams to find the first divergent sampling interval. It then re-runs both
 // simulations in lockstep — one core cycle at a time via sim.GPU.Step — over
 // that interval to pinpoint the exact memory cycle of first divergence and
-// the deepest divergent component path, and dumps a focused state diff of
-// that component from both machines.
+// the deepest divergent component path. It then dumps that component's
+// labeled fields from both machines and reports the fields that differ.
 //
 // Usage:
 //
@@ -68,9 +68,18 @@ type report struct {
 	// every divergent node of the digest hierarchy.
 	Deepest    string   `json:"deepest,omitempty"`
 	Components []string `json:"components,omitempty"`
-	DumpA      string   `json:"dump_a,omitempty"`
-	DumpB      string   `json:"dump_b,omitempty"`
-	Note       string   `json:"note,omitempty"`
+	// Fields lists the fields of Deepest whose values differ between the
+	// sides, matched by name across the two dumps.
+	Fields []fieldDiff `json:"fields,omitempty"`
+	Note   string      `json:"note,omitempty"`
+}
+
+// fieldDiff is one differing field of the deepest divergent component. A
+// field only one side has reads "" on the other.
+type fieldDiff struct {
+	Field string `json:"field"`
+	A     string `json:"a"`
+	B     string `json:"b"`
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -342,7 +351,7 @@ func lockstepNarrow(rep *report, app string, cfgA, cfgB sim.Config, schA, schB m
 
 // reportDivergentStep fills the exact-cycle fields from two GPUs stopped at
 // the first divergent step: every divergent component path, the deepest one,
-// and its focused state dump from both sides.
+// and the fields in which its dumps on the two sides differ.
 func reportDivergentStep(rep *report, gA, gB *sim.GPU, note string) {
 	rep.ExactCycle = gA.MemCycle()
 	rep.ExactCoreCycle = gA.CoreCycle()
@@ -365,9 +374,34 @@ func reportDivergentStep(rep *report, gA, gB *sim.GPU, note string) {
 	}
 	rep.Deepest = deepest
 	if deepest != "" {
-		rep.DumpA = gA.StateDump(deepest)
-		rep.DumpB = gB.StateDump(deepest)
+		dumpA, _ := gA.StateDump(deepest)
+		dumpB, _ := gB.StateDump(deepest)
+		rep.Fields = diffFields(dumpA, dumpB)
 	}
+}
+
+// diffFields matches two dumps' "name=value" lines by name and returns the
+// fields whose values differ, in A's order and then B's.
+func diffFields(dumpA, dumpB string) []fieldDiff {
+	var names []string
+	vals := [2]map[string]string{{}, {}}
+	for side, dump := range []string{dumpA, dumpB} {
+		for _, line := range strings.Split(dump, "\n") {
+			if name, v, ok := strings.Cut(line, "="); ok {
+				names = append(names, name)
+				vals[side][name] = v
+			}
+		}
+	}
+	var out []fieldDiff
+	for _, name := range names {
+		if a, b := vals[0][name], vals[1][name]; a != b {
+			out = append(out, fieldDiff{Field: name, A: a, B: b})
+			delete(vals[0], name) // report each field once
+			delete(vals[1], name)
+		}
+	}
+	return out
 }
 
 // pathDepth orders component paths by specificity: each dot and bracket adds
@@ -466,9 +500,8 @@ func emit(rep *report, jsonOut bool, stdout, stderr io.Writer) {
 			len(rep.Components), strings.Join(rep.Components, ", "))
 		fmt.Fprintf(stdout, "  deepest: %s\n", rep.Deepest)
 	}
-	if rep.DumpA != "" {
-		fmt.Fprintf(stdout, "--- A %s\n%s", rep.Deepest, rep.DumpA)
-		fmt.Fprintf(stdout, "--- B %s\n%s", rep.Deepest, rep.DumpB)
+	for _, f := range rep.Fields {
+		fmt.Fprintf(stdout, "  field %s: A=%s B=%s\n", f.Field, f.A, f.B)
 	}
 	if rep.Note != "" {
 		fmt.Fprintf(stdout, "  note: %s\n", rep.Note)

@@ -64,8 +64,19 @@ func TestFaultDivergencePinpointed(t *testing.T) {
 	if len(rep.Components) == 0 {
 		t.Errorf("no divergent components listed")
 	}
-	if rep.DumpA == "" || rep.DumpB == "" {
-		t.Errorf("state dumps missing: A=%q B=%q", rep.DumpA, rep.DumpB)
+	// The deepest node is the heaps of partition 0, where the first faulty
+	// read waits: the report must name the fault count of its done entry.
+	if rep.Deepest != "partition[0].heaps" {
+		t.Errorf("Deepest = %q, want partition[0].heaps", rep.Deepest)
+	}
+	var faults *fieldDiff
+	for i := range rep.Fields {
+		if rep.Fields[i].Field == "done[0].faults" {
+			faults = &rep.Fields[i]
+		}
+	}
+	if faults == nil || faults.A == faults.B {
+		t.Errorf("fields = %+v, want done[0].faults with A != B", rep.Fields)
 	}
 	if rep.Meta.Build.GoVersion == "" {
 		t.Errorf("meta.build missing from report")

@@ -65,6 +65,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -166,6 +167,9 @@ func main() {
 		}
 		if err := runSweep(os.Stdout, *app, *sweep, so); err != nil {
 			fmt.Fprintln(os.Stderr, err)
+			if errors.As(err, new(sweepListError)) {
+				os.Exit(2)
+			}
 			os.Exit(1)
 		}
 		return
@@ -412,6 +416,10 @@ type sweepOptions struct {
 	Progress io.Writer
 }
 
+// sweepListError is a bad -sweep scheme or an empty -app or -sweep list,
+// found before any run starts; like any usage error it exits 2.
+type sweepListError struct{ error }
+
 // runSweep is the -sweep multi-run mode: the cross product of the
 // comma-separated app list (or "all") and scheme list executes on an
 // exp.Runner worker pool, and one summary row per run prints in declaration
@@ -437,12 +445,12 @@ func runSweep(w io.Writer, appList, schemeList string, o sweepOptions) error {
 		}
 		s, err := mc.ParseScheme(name, o.Delay, o.ThRBL)
 		if err != nil {
-			return err
+			return sweepListError{err}
 		}
 		schemes = append(schemes, s)
 	}
 	if len(apps) == 0 || len(schemes) == 0 {
-		return fmt.Errorf("sweep: need at least one app and one scheme")
+		return sweepListError{fmt.Errorf("sweep: need at least one app and one scheme")}
 	}
 
 	var rl *obs.RunLog

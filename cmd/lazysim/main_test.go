@@ -63,6 +63,26 @@ func TestObservabilityBindFailuresExitNonzero(t *testing.T) {
 	}
 }
 
+// TestSweepListErrorsExitUsage asserts that a bad -sweep scheme or an empty
+// app or scheme list exits 2, like the single-run path's usage errors,
+// before any run starts.
+func TestSweepListErrorsExitUsage(t *testing.T) {
+	for _, tc := range [][]string{
+		{"-app", "SCP", "-sweep", "nope"},
+		{"-app", "SCP", "-sweep", "dms(-5)"},
+		{"-app", "SCP", "-sweep", ","},
+		{"-app", ",", "-sweep", "baseline"},
+	} {
+		cmd := exec.Command(os.Args[0], tc...)
+		cmd.Env = append(os.Environ(), "LAZYSIM_BE_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Errorf("args %v: err = %v (output %q), want exit code 2", tc, err, out)
+		}
+	}
+}
+
 // TestMetricsServerEndToEnd drives the same path as -metrics-addr: bind an
 // ephemeral port, run a real simulation publishing into the registry, and
 // scrape /metrics and /vars over HTTP while and after it runs.

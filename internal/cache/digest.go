@@ -1,9 +1,7 @@
 package cache
 
 import (
-	"cmp"
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -11,49 +9,32 @@ import (
 )
 
 // DigestInto folds the cache's tag/flag/LRU state and access tick into h, in
-// set/way order. Line data bytes are deliberately NOT hashed: hashing every
-// resident byte per sample would dominate the digest-sampling overhead
-// budget, and data divergence is already covered by the partitions' rolling
-// traffic digests, which fold every fill and write-back as it happens.
+// set/way order: a valid line as its tag<<2 | approx<<1 | dirty word and its
+// LRU stamp, an invalid one as the single word 1<<63. Line data bytes are
+// deliberately NOT hashed: hashing every resident byte per sample would
+// dominate the digest-sampling overhead budget, and data divergence is
+// already covered by the partitions' rolling traffic digests, which fold
+// every fill and write-back as it happens.
 func (c *Cache) DigestInto(h *obs.Hasher) {
-	h.U64(c.tick)
+	h.U64("tick", c.tick)
 	for i := range c.sets {
 		l := &c.sets[i]
-		if !l.valid {
-			h.U64(1 << 63)
-			continue
+		h.Enter("line", i)
+		if l.valid {
+			flags := uint64(0)
+			if l.dirty {
+				flags |= 1
+			}
+			if l.approx {
+				flags |= 2
+			}
+			h.U64("tagFlags", l.tag<<2|flags)
+			h.U64("lru", l.lru)
+		} else {
+			h.U64("invalid", 1<<63)
 		}
-		flags := uint64(0)
-		if l.dirty {
-			flags |= 1
-		}
-		if l.approx {
-			flags |= 2
-		}
-		h.U64(l.tag<<2 | flags)
-		h.U64(l.lru)
+		h.Leave()
 	}
-}
-
-// DumpState renders a compact cache summary for lazydiverge's state diffs:
-// the access tick plus valid/dirty/approx line counts.
-func (c *Cache) DumpState() string {
-	var valid, dirty, approx int
-	for i := range c.sets {
-		l := &c.sets[i]
-		if !l.valid {
-			continue
-		}
-		valid++
-		if l.dirty {
-			dirty++
-		}
-		if l.approx {
-			approx++
-		}
-	}
-	return fmt.Sprintf("tick=%d valid=%d dirty=%d approx=%d lines=%d\n",
-		c.tick, valid, dirty, approx, len(c.sets))
 }
 
 // HashStoreWords folds a store's words into h as the (addr, val, n) word list
@@ -64,10 +45,13 @@ func (c *Cache) DumpState() string {
 // StoreSeqF32, and FWT's scatters, whose indices strictly increase per warp.
 func HashStoreWords(h *obs.Hasher, line uint64, mask uint32, data *[LineSize]byte) {
 	for ; mask != 0; mask &= mask - 1 {
-		off := 4 * uint64(bits.TrailingZeros32(mask))
-		h.U64(line + off)
-		h.U64(uint64(binary.LittleEndian.Uint32(data[off:])))
-		h.Int(4)
+		w := bits.TrailingZeros32(mask)
+		off := 4 * uint64(w)
+		h.Enter("word", w)
+		h.U64("addr", line+off)
+		h.U64("val", uint64(binary.LittleEndian.Uint32(data[off:])))
+		h.Int("n", 4)
+		h.Leave()
 	}
 }
 
@@ -77,29 +61,34 @@ func HashStoreWords(h *obs.Hasher, line uint64, mask uint32, data *[LineSize]byt
 // upstream pointers), while pending stores contribute their full contents
 // as one word list (see HashStoreWords).
 func (m *MSHR) DigestInto(h *obs.Hasher) {
-	h.Int(m.n)
+	h.Int("len", m.n)
 	if m.n == 0 {
 		return
 	}
-	es := make([]*MSHREntry, 0, m.n)
+	lines := make([]uint64, 0, m.n)
 	for _, s := range m.slots {
 		if s.e != nil {
-			es = append(es, s.e)
+			lines = append(lines, s.line)
 		}
 	}
-	slices.SortFunc(es, func(a, b *MSHREntry) int { return cmp.Compare(a.LineAddr, b.LineAddr) })
-	for _, e := range es {
-		h.U64(e.LineAddr)
-		h.Int(len(e.Targets))
+	slices.Sort(lines)
+	for k, line := range lines {
+		e := m.Lookup(line)
+		h.Enter("entry", k)
+		h.U64("line", e.LineAddr)
+		h.Int("targets", len(e.Targets))
 		words := 0
 		for i := range e.Stores {
 			words += bits.OnesCount32(e.Stores[i].Mask)
 		}
-		h.Int(words)
+		h.Int("words", words)
 		for i := range e.Stores {
+			h.Enter("store", i)
 			HashStoreWords(h, e.LineAddr, e.Stores[i].Mask, &e.Stores[i].Data)
+			h.Leave()
 		}
-		h.Bool(e.HasStore)
-		h.Bool(e.Issued)
+		h.Bool("hasStore", e.HasStore)
+		h.Bool("issued", e.Issued)
+		h.Leave()
 	}
 }

@@ -1,11 +1,6 @@
 package dram
 
-import (
-	"fmt"
-	"strings"
-
-	"lazydram/internal/obs"
-)
+import "lazydram/internal/obs"
 
 // DigestBank folds bank b's complete timing and row state into h: the open
 // row, every per-bank timing scoreboard, and the current activation's
@@ -13,17 +8,17 @@ import (
 // time the same commands identically.
 func (c *Channel) DigestBank(b int, h *obs.Hasher) {
 	bk := &c.banks[b]
-	h.I64(bk.OpenRow)
-	h.U64(bk.nextAct)
-	h.U64(bk.nextRead)
-	h.U64(bk.nextWrite)
-	h.U64(bk.nextPre)
-	h.U64(bk.openedAt)
-	h.Int(bk.served)
-	h.Int(bk.servedReads)
-	h.Bool(bk.readOnly)
-	h.Bool(bk.demandClosed)
-	h.Bool(bk.conflictAct)
+	h.I64("openRow", bk.OpenRow)
+	h.U64("nextAct", bk.nextAct)
+	h.U64("nextRead", bk.nextRead)
+	h.U64("nextWrite", bk.nextWrite)
+	h.U64("nextPre", bk.nextPre)
+	h.U64("openedAt", bk.openedAt)
+	h.Int("served", bk.served)
+	h.Int("servedReads", bk.servedReads)
+	h.Bool("readOnly", bk.readOnly)
+	h.Bool("demandClosed", bk.demandClosed)
+	h.Bool("conflictAct", bk.conflictAct)
 }
 
 // DigestInto folds the channel-level constraint state into h: the tRRD
@@ -31,43 +26,11 @@ func (c *Channel) DigestBank(b int, h *obs.Hasher) {
 // windows. Bank state is folded separately via DigestBank so divergence can
 // be attributed to an individual bank.
 func (c *Channel) DigestInto(h *obs.Hasher) {
-	h.U64(c.nextActAny)
-	h.U64(c.nextColRead)
-	h.U64(c.nextColWrite)
-	h.Int(c.lastColBank)
-	h.U64(c.lastColCycle)
-	h.U64(c.nextRefresh)
-	h.U64(c.refreshUntil)
-}
-
-// DumpBank renders bank b's timing state as one "field=value" line per
-// field, for lazydiverge's focused state diffs.
-func (c *Channel) DumpBank(b int) string {
-	bk := &c.banks[b]
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "openRow=%d\n", bk.OpenRow)
-	fmt.Fprintf(&sb, "nextAct=%d\n", bk.nextAct)
-	fmt.Fprintf(&sb, "nextRead=%d\n", bk.nextRead)
-	fmt.Fprintf(&sb, "nextWrite=%d\n", bk.nextWrite)
-	fmt.Fprintf(&sb, "nextPre=%d\n", bk.nextPre)
-	fmt.Fprintf(&sb, "openedAt=%d\n", bk.openedAt)
-	fmt.Fprintf(&sb, "served=%d servedReads=%d readOnly=%v\n", bk.served, bk.servedReads, bk.readOnly)
-	fmt.Fprintf(&sb, "demandClosed=%v conflictAct=%v\n", bk.demandClosed, bk.conflictAct)
-	return sb.String()
-}
-
-// DumpState renders the channel-level constraint state plus a one-line
-// per-bank open-row summary.
-func (c *Channel) DumpState() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "nextActAny=%d nextColRead=%d nextColWrite=%d\n",
-		c.nextActAny, c.nextColRead, c.nextColWrite)
-	fmt.Fprintf(&sb, "lastColBank=%d lastColCycle=%d\n", c.lastColBank, c.lastColCycle)
-	fmt.Fprintf(&sb, "nextRefresh=%d refreshUntil=%d\n", c.nextRefresh, c.refreshUntil)
-	for b := range c.banks {
-		bk := &c.banks[b]
-		fmt.Fprintf(&sb, "bank[%d]: openRow=%d served=%d nextAct=%d\n",
-			b, bk.OpenRow, bk.served, bk.nextAct)
-	}
-	return sb.String()
+	h.U64("nextActAny", c.nextActAny)
+	h.U64("nextColRead", c.nextColRead)
+	h.U64("nextColWrite", c.nextColWrite)
+	h.Int("lastColBank", c.lastColBank)
+	h.U64("lastColCycle", c.lastColCycle)
+	h.U64("nextRefresh", c.nextRefresh)
+	h.U64("refreshUntil", c.refreshUntil)
 }

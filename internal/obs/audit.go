@@ -232,8 +232,9 @@ type ReasonCount struct {
 type AuditSummary struct {
 	Total        uint64 `json:"total"`
 	RingCapacity int    `json:"ring_capacity"`
-	// RingDropped counts decisions no longer retained in the ring (the
-	// counters above still include them).
+	// RingDropped counts recorded decisions the ring overwrote (the counters
+	// above still include them). Tallied decisions never enter the ring, so
+	// they are not dropped.
 	RingDropped uint64 `json:"ring_dropped,omitempty"`
 
 	DMSDelayHolds    uint64 `json:"dms_delay_holds"`
@@ -255,7 +256,7 @@ func (l *AuditLog) Summary() *AuditSummary {
 	s := &AuditSummary{
 		Total:            l.total,
 		RingCapacity:     l.ring.limit,
-		RingDropped:      l.total - uint64(len(l.ring.buf)),
+		RingDropped:      l.ring.dropped(),
 		DMSDelayHolds:    l.counts[ReasonDMSDelayHold],
 		DMSDelayExpiries: l.counts[ReasonDMSDelayExpired],
 		AMSDrops:         l.counts[ReasonAMSDrop],

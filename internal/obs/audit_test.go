@@ -140,6 +140,21 @@ func TestTallyCountsWithoutRingDetail(t *testing.T) {
 	nl.Tally(ReasonAMSDrop) // nil-safe
 }
 
+// TestRingDroppedIgnoresTallies: tallied decisions never enter the ring, so
+// a ring larger than the recorded decisions drops none of them.
+func TestRingDroppedIgnoresTallies(t *testing.T) {
+	l := NewAuditLog(8)
+	for i := 0; i < 100; i++ {
+		l.Tally(ReasonDMSDelayHold)
+	}
+	for i := 0; i < 3; i++ {
+		l.Record(Decision{Reason: ReasonAMSDrop})
+	}
+	if s := l.Summary(); s.Total != 103 || s.RingDropped != 0 {
+		t.Fatalf("total %d, ring_dropped %d; want 103 and 0", s.Total, s.RingDropped)
+	}
+}
+
 func TestAdaptTraceBounded(t *testing.T) {
 	l := NewAuditLog(4)
 	for i := 0; i < maxAdaptPoints+10; i++ {

@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 )
 
 // This file is the state-digest flight recorder: a deterministic hash over
@@ -61,43 +64,156 @@ func FoldBytes(h uint64, b []byte) uint64 {
 // FoldSeed returns the initial value for a rolling FoldU64/FoldBytes digest.
 func FoldSeed() uint64 { return fnvOffset64 }
 
-// Hasher accumulates a 64-bit state digest. The zero value is NOT ready;
-// use NewHasher (or Reset) so every digest starts from the same seed.
-// All methods are allocation-free.
-type Hasher struct{ h uint64 }
+// Hasher accumulates a 64-bit state digest. Every fold names its field, so
+// one fold list serves both the hash and a human-readable dump: a plain
+// hasher ignores the names (naming costs no allocation and no formatting on
+// the sampling path), while a dumping hasher (NewDumpHasher) also writes one
+// "name=value" line per fold, labeled with the scopes Enter opens
+// ("bank[3].fifo[0].arrival=812"). The name is never hashed, so both kinds
+// reach the same Sum. The zero value is NOT ready; use NewHasher so every
+// digest starts from the same seed.
+//
+// A plain hasher's integer folds inline: they spell FoldU64 out and test
+// one pointer, which keeps them within the inliner's budget.
+type Hasher struct {
+	h   uint64
+	tee *Hasher  // also receives every fold (see Tee)
+	out *dumpOut // the dump's line sink, shared by every hasher of one dump
+}
+
+// dumpOut collects a dump's lines under the open label scopes.
+type dumpOut struct {
+	lines []byte
+	label []byte // the open scopes, e.g. "bank[3].fifo[0]."
+}
 
 // NewHasher returns a hasher seeded with the FNV offset basis.
 func NewHasher() *Hasher { return &Hasher{h: fnvOffset64} }
 
-// Reset re-seeds the hasher so it can be reused without allocating.
-func (h *Hasher) Reset() { h.h = fnvOffset64 }
+// NewDumpHasher returns a seeded hasher that also writes the lines Dump
+// returns.
+func NewDumpHasher() *Hasher { return &Hasher{h: fnvOffset64, out: &dumpOut{}} }
+
+// Tee returns a fresh hasher whose folds also reach h: the digest of one
+// stretch of h's fold list on its own, without folding that stretch twice.
+// Folds reach h on the dumping path only, so a tee always has a line sink:
+// h's, or one that nobody reads.
+func (h *Hasher) Tee() Hasher {
+	out := h.out
+	if out == nil {
+		out = &dumpOut{}
+	}
+	return Hasher{h: fnvOffset64, tee: h, out: out}
+}
+
+// Enter opens a label scope: the folds until the matching Leave are named
+// "name.field" in a dump, or "name[i].field" for list element i.
+func (h *Hasher) Enter(name string, i ...int) {
+	if h.out != nil {
+		h.out.open(name, i)
+	}
+}
+
+// Leave closes the innermost scope Enter opened. Scope names hold no dot, so
+// the scope is the label's last dotted segment.
+func (h *Hasher) Leave() {
+	if o := h.out; o != nil {
+		o.label = o.label[:bytes.LastIndexByte(o.label[:len(o.label)-1], '.')+1]
+	}
+}
 
 // U64 folds one unsigned 64-bit value.
-func (h *Hasher) U64(v uint64) { h.h = FoldU64(h.h, v) }
+func (h *Hasher) U64(name string, v uint64) {
+	if h.h = (h.h ^ v) * fnvPrime64; h.out != nil {
+		h.note(name, v, appendU64)
+	}
+}
 
 // I64 folds one signed 64-bit value.
-func (h *Hasher) I64(v int64) { h.h = FoldU64(h.h, uint64(v)) }
+func (h *Hasher) I64(name string, v int64) {
+	if h.h = (h.h ^ uint64(v)) * fnvPrime64; h.out != nil {
+		h.note(name, uint64(v), appendI64)
+	}
+}
 
 // Int folds one int.
-func (h *Hasher) Int(v int) { h.h = FoldU64(h.h, uint64(int64(v))) }
+func (h *Hasher) Int(name string, v int) {
+	if h.h = (h.h ^ uint64(v)) * fnvPrime64; h.out != nil {
+		h.note(name, uint64(v), appendI64)
+	}
+}
 
-// Bool folds one bool.
-func (h *Hasher) Bool(v bool) {
+// Bool folds one bool as 1 or 0.
+func (h *Hasher) Bool(name string, v bool) {
+	var w uint64
 	if v {
-		h.h = FoldU64(h.h, 1)
-	} else {
-		h.h = FoldU64(h.h, 0)
+		w = 1
+	}
+	if h.h = (h.h ^ w) * fnvPrime64; h.out != nil {
+		h.note(name, w, appendBool)
 	}
 }
 
 // F64 folds one float64 by bit pattern.
-func (h *Hasher) F64(v float64) { h.h = FoldU64(h.h, math.Float64bits(v)) }
+func (h *Hasher) F64(name string, v float64) {
+	if h.h = (h.h ^ math.Float64bits(v)) * fnvPrime64; h.out != nil {
+		h.note(name, math.Float64bits(v), appendF64)
+	}
+}
 
-// Bytes folds a byte slice (length-prefixed; see FoldBytes).
-func (h *Hasher) Bytes(b []byte) { h.h = FoldBytes(h.h, b) }
+// Bytes folds a byte slice (length-prefixed; see FoldBytes); a dump shows it
+// in hex.
+func (h *Hasher) Bytes(name string, b []byte) {
+	for t := h; t != nil; t = t.tee {
+		t.h = FoldBytes(t.h, b)
+	}
+	if h.out != nil {
+		h.out.lines = append(hex.AppendEncode(h.out.field(name), b), '\n')
+	}
+}
 
 // Sum returns the digest accumulated so far.
 func (h *Hasher) Sum() uint64 { return h.h }
+
+// Dump returns the lines of a dumping hasher ("" for a plain one).
+func (h *Hasher) Dump() string {
+	if h.out == nil {
+		return ""
+	}
+	return string(h.out.lines)
+}
+
+// note writes the dump line of a word h folded and folds the word into every
+// hasher h tees into. It stays out of line so that the folds calling it
+// inline.
+//
+//go:noinline
+func (h *Hasher) note(name string, v uint64, appendValue func([]byte, uint64) []byte) {
+	for t := h.tee; t != nil; t = t.tee {
+		t.h = FoldU64(t.h, v)
+	}
+	h.out.lines = append(appendValue(h.out.field(name), v), '\n')
+}
+
+func (o *dumpOut) open(name string, i []int) {
+	o.label = append(o.label, name...)
+	if len(i) > 0 {
+		o.label = append(strconv.AppendInt(append(o.label, '['), int64(i[0]), 10), ']')
+	}
+	o.label = append(o.label, '.')
+}
+
+// field starts a dump line: the open scopes, the name and "=".
+func (o *dumpOut) field(name string) []byte {
+	return append(append(append(o.lines, o.label...), name...), '=')
+}
+
+func appendU64(b []byte, v uint64) []byte  { return strconv.AppendUint(b, v, 10) }
+func appendI64(b []byte, v uint64) []byte  { return strconv.AppendInt(b, int64(v), 10) }
+func appendBool(b []byte, v uint64) []byte { return strconv.AppendBool(b, v != 0) }
+func appendF64(b []byte, v uint64) []byte {
+	return strconv.AppendFloat(b, math.Float64frombits(v), 'g', -1, 64)
+}
 
 // PartDigest is one memory partition's component digests at a sample point.
 // Every field is an independent sub-digest so a divergence can be attributed
@@ -125,19 +241,6 @@ type PartDigest struct {
 	Traffic uint64 `json:"traffic"`
 	// Stats covers the partition's counter block (stats.Mem).
 	Stats uint64 `json:"stats"`
-}
-
-// Sum folds the partition's component digests into one value.
-func (pd *PartDigest) Sum() uint64 {
-	h := NewHasher()
-	h.Int(pd.Part)
-	h.U64(pd.DRAM)
-	h.U64(pd.MC)
-	h.U64(pd.L2)
-	h.U64(pd.Heaps)
-	h.U64(pd.Traffic)
-	h.U64(pd.Stats)
-	return h.Sum()
 }
 
 // DigestRecord is one sample of the machine digest hierarchy.
@@ -211,22 +314,6 @@ func (l *DigestLog) Records() []DigestRecord {
 		return nil
 	}
 	return l.recs.items()
-}
-
-// Intervals returns how many samples were recorded (including dropped ones).
-func (l *DigestLog) Intervals() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.recs.total
-}
-
-// Dropped returns how many records the bounded ring overwrote.
-func (l *DigestLog) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.recs.dropped()
 }
 
 // Chain returns the rolling chain digest over every recorded machine digest.

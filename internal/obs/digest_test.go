@@ -3,36 +3,124 @@ package obs
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 func TestHasherDeterministicAndOrderSensitive(t *testing.T) {
 	h1 := NewHasher()
-	h1.U64(1)
-	h1.I64(-2)
-	h1.Int(3)
-	h1.Bool(true)
-	h1.F64(4.5)
-	h1.Bytes([]byte("abc"))
+	h1.U64("a", 1)
+	h1.I64("b", -2)
+	h1.Int("c", 3)
+	h1.Bool("d", true)
+	h1.F64("e", 4.5)
+	h1.Bytes("f", []byte("abc"))
 
 	h2 := NewHasher()
-	h2.U64(1)
-	h2.I64(-2)
-	h2.Int(3)
-	h2.Bool(true)
-	h2.F64(4.5)
-	h2.Bytes([]byte("abc"))
+	h2.U64("a", 1)
+	h2.I64("b", -2)
+	h2.Int("c", 3)
+	h2.Bool("d", true)
+	h2.F64("e", 4.5)
+	h2.Bytes("f", []byte("abc"))
 
 	if h1.Sum() != h2.Sum() {
 		t.Fatalf("same inputs, different digests: %#x vs %#x", h1.Sum(), h2.Sum())
 	}
 
 	h3 := NewHasher()
-	h3.I64(-2) // swapped order
-	h3.U64(1)
-	if h3.Sum() == func() uint64 { h := NewHasher(); h.U64(1); h.I64(-2); return h.Sum() }() {
+	h3.I64("b", -2) // swapped order
+	h3.U64("a", 1)
+	if h3.Sum() == func() uint64 { h := NewHasher(); h.U64("a", 1); h.I64("b", -2); return h.Sum() }() {
 		t.Fatal("digest is not order-sensitive")
+	}
+}
+
+// foldAll folds one of each kind through scopes, a sub-digest and a tee, the
+// way a component's DigestInto and the digest node walk do.
+func foldAll(h *Hasher) {
+	h.U64("u", 1<<63)
+	h.I64("i", -2)
+	h.Int("n", 3)
+	h.Bool("ok", true)
+	h.F64("f", 4.5)
+	h.Bytes("data", []byte{0xde, 0xad, 0xbe, 0xef, 1})
+	for i := range 2 {
+		h.Enter("fifo", i)
+		h.U64("arrival", uint64(10+i))
+		h.Leave()
+	}
+	sub := NewHasher()
+	sub.Int("x", 7)
+	h.U64("sub", sub.Sum())
+	h.Enter("tee")
+	tee := h.Tee()
+	tee.Bool("y", false)
+	tee.Bytes("z", nil)
+	h.Leave()
+}
+
+// TestDumpHasherMatchesPlain is the one-list property at the hasher level:
+// a dumping hasher reaches the same Sum as a plain one, names are never
+// hashed, and the dump has exactly one "name=value" line per fold.
+func TestDumpHasherMatchesPlain(t *testing.T) {
+	plain, dump := NewHasher(), NewDumpHasher()
+	foldAll(plain)
+	foldAll(dump)
+	if plain.Sum() != dump.Sum() {
+		t.Fatalf("dumping Sum %#x != plain Sum %#x", dump.Sum(), plain.Sum())
+	}
+	if plain.Dump() != "" {
+		t.Errorf("plain hasher dumped %q", plain.Dump())
+	}
+	named, renamed := NewHasher(), NewHasher()
+	named.U64("u", 1<<63)
+	renamed.U64("other", 1<<63)
+	if named.Sum() != renamed.Sum() {
+		t.Error("the field name changed the digest")
+	}
+	want := []string{
+		"u=9223372036854775808",
+		"i=-2",
+		"n=3",
+		"ok=true",
+		"f=4.5",
+		"data=deadbeef01",
+		"fifo[0].arrival=10",
+		"fifo[1].arrival=11",
+		"sub=" + strconv.FormatUint(func() uint64 { h := NewHasher(); h.Int("x", 7); return h.Sum() }(), 10),
+		"tee.y=false",
+		"tee.z=",
+	}
+	if got := strings.Split(strings.TrimSuffix(dump.Dump(), "\n"), "\n"); !reflect.DeepEqual(got, want) {
+		t.Errorf("dump lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestTeeDigestsStretchOnce: a tee gets the digest of its own folds while
+// the enclosing hasher still sees every one of them.
+func TestTeeDigestsStretchOnce(t *testing.T) {
+	outer := NewHasher()
+	outer.Int("before", 1)
+	tee := outer.Tee()
+	tee.U64("a", 2)
+	tee.Bytes("b", []byte("xyz"))
+	outer.Int("after", 3)
+
+	flat := NewHasher()
+	flat.Int("before", 1)
+	flat.U64("a", 2)
+	flat.Bytes("b", []byte("xyz"))
+	flat.Int("after", 3)
+	if outer.Sum() != flat.Sum() {
+		t.Errorf("outer digest %#x, want the flat fold %#x", outer.Sum(), flat.Sum())
+	}
+	alone := NewHasher()
+	alone.U64("a", 2)
+	alone.Bytes("b", []byte("xyz"))
+	if tee.Sum() != alone.Sum() {
+		t.Errorf("tee digest %#x, want its stretch alone %#x", tee.Sum(), alone.Sum())
 	}
 }
 
@@ -46,7 +134,7 @@ func TestFoldBytesLengthDisambiguation(t *testing.T) {
 	}
 	// Hasher.Bytes and FoldBytes agree.
 	h := NewHasher()
-	h.Bytes([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	h.Bytes("b", []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	if h.Sum() != FoldBytes(FoldSeed(), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
 		t.Fatal("Hasher.Bytes != FoldBytes")
 	}
@@ -57,10 +145,10 @@ func TestDigestLogChainAndBound(t *testing.T) {
 	for i := uint64(1); i <= 6; i++ {
 		l.Record(DigestRecord{Cycle: i * 64, Machine: i})
 	}
-	if got := l.Intervals(); got != 6 {
+	if got := l.Summary().Intervals; got != 6 {
 		t.Fatalf("Intervals = %d, want 6", got)
 	}
-	if got := l.Dropped(); got != 2 {
+	if got := l.Summary().Dropped; got != 2 {
 		t.Fatalf("Dropped = %d, want 2", got)
 	}
 	recs := l.Records()
@@ -134,7 +222,7 @@ func TestNilDigestLogIsSafe(t *testing.T) {
 	l.Record(DigestRecord{})
 	l.Finalize(1)
 	if l.Summary() != nil || l.Records() != nil || l.Every() != 0 ||
-		l.Intervals() != 0 || l.Dropped() != 0 || l.Chain() != 0 || l.Final() != 0 {
+		l.Chain() != 0 || l.Final() != 0 {
 		t.Fatal("nil DigestLog accessors not zero")
 	}
 	if err := l.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -155,25 +243,6 @@ func TestOptionsDigestEnables(t *testing.T) {
 	}
 	if c.Telemetry().Digest == nil {
 		t.Fatal("telemetry missing digest summary")
-	}
-}
-
-func TestPartDigestSumCoversEveryField(t *testing.T) {
-	base := PartDigest{Part: 1, DRAM: 2, MC: 3, L2: 4, Heaps: 5, Traffic: 6, Stats: 7}
-	sum := base.Sum()
-	variants := []PartDigest{
-		{Part: 9, DRAM: 2, MC: 3, L2: 4, Heaps: 5, Traffic: 6, Stats: 7},
-		{Part: 1, DRAM: 9, MC: 3, L2: 4, Heaps: 5, Traffic: 6, Stats: 7},
-		{Part: 1, DRAM: 2, MC: 9, L2: 4, Heaps: 5, Traffic: 6, Stats: 7},
-		{Part: 1, DRAM: 2, MC: 3, L2: 9, Heaps: 5, Traffic: 6, Stats: 7},
-		{Part: 1, DRAM: 2, MC: 3, L2: 4, Heaps: 9, Traffic: 6, Stats: 7},
-		{Part: 1, DRAM: 2, MC: 3, L2: 4, Heaps: 5, Traffic: 9, Stats: 7},
-		{Part: 1, DRAM: 2, MC: 3, L2: 4, Heaps: 5, Traffic: 6, Stats: 9},
-	}
-	for i, v := range variants {
-		if v.Sum() == sum {
-			t.Fatalf("variant %d did not change the partition sum", i)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"lazydram/internal/mc"
@@ -159,5 +160,51 @@ func TestDigestDivergesUnderFaults(t *testing.T) {
 	}
 	if !found && len(cr) == len(fr) {
 		t.Errorf("no divergent record found despite differing chains")
+	}
+}
+
+// TestComponentDumpsHashToDigests is the one-list property of the digest
+// node table: for every node ComponentDigests lists, the dump-mode walk of
+// that node hashes to the node's digest, dumps at least one field, and names
+// each field once, so lazydiverge can match the two sides' dumps by name.
+func TestComponentDumpsHashToDigests(t *testing.T) {
+	g := prepare(t, "SCP", mc.DynBoth, digestOn)
+	defer g.Close()
+	for g.CoreCycle() < 4000 {
+		if done, err := g.Step(); err != nil || done {
+			t.Fatalf("run ended early: done=%v err=%v", done, err)
+		}
+	}
+	comps := g.ComponentDigests()
+	paths := make(map[string]bool, len(comps))
+	for _, c := range comps {
+		paths[c.Path] = true
+		dump, digest := g.StateDump(c.Path)
+		if digest != c.Digest {
+			t.Errorf("%s: dump walk hashes to %#x, node digest %#x", c.Path, digest, c.Digest)
+		}
+		if dump == "" {
+			t.Errorf("%s: empty dump", c.Path)
+		}
+		seen := make(map[string]bool)
+		for _, line := range strings.Split(strings.TrimSuffix(dump, "\n"), "\n") {
+			name, _, ok := strings.Cut(line, "=")
+			if !ok || seen[name] {
+				t.Errorf("%s: line %q is not a field named once", c.Path, line)
+				break
+			}
+			seen[name] = true
+		}
+	}
+	for _, p := range []string{"machine", "cores.sm[0]", "icnt.reply", "partition[0].dram.bank[5]", "partition[3].traffic"} {
+		if !paths[p] {
+			t.Errorf("ComponentDigests lacks %s", p)
+		}
+	}
+	if last := comps[len(comps)-1]; last.Path != "machine" || last.Digest != g.MachineDigest() {
+		t.Errorf("last component %s %#x, want machine %#x", last.Path, last.Digest, g.MachineDigest())
+	}
+	if dump, digest := g.StateDump("partition[99]"); dump != "" || digest != 0 {
+		t.Errorf("unknown path dumped %q (%#x)", dump, digest)
 	}
 }

@@ -95,6 +95,10 @@ type GPU struct {
 	met     *gpuMetrics
 	prev    sampleState
 	dig     *obs.DigestLog // flight recorder; nil unless Obs.DigestEvery > 0
+	// dnodes is the digest node table (kids before parents, "machine"
+	// last), built on first use for dnodesSMs resident SMs.
+	dnodes    []*digestNode
+	dnodesSMs int
 
 	// pool runs the SM phase while smPar is set: each due SM's reply and
 	// Advance. It starts on the first cycle that needs it and stops with
