@@ -5,8 +5,9 @@
 // streams to find the first divergent sampling interval. It then re-runs both
 // simulations in lockstep — one core cycle at a time via sim.GPU.Step — over
 // that interval to pinpoint the exact memory cycle of first divergence and
-// the deepest divergent component path. It then dumps that component's
-// labeled fields from both machines and reports the fields that differ.
+// the deepest divergent component paths. It then dumps each of those
+// components' labeled fields from both machines and reports the fields that
+// differ.
 //
 // Usage:
 //
@@ -64,19 +65,21 @@ type report struct {
 	// lockstep re-execution (0 when lockstep was skipped or not applicable).
 	ExactCycle     uint64 `json:"exact_cycle,omitempty"`
 	ExactCoreCycle uint64 `json:"exact_core_cycle,omitempty"`
-	// Deepest is the most specific divergent component path; Components lists
-	// every divergent node of the digest hierarchy.
+	// Deepest is the first of the most specific divergent component paths;
+	// Components lists every divergent node of the digest hierarchy.
 	Deepest    string   `json:"deepest,omitempty"`
 	Components []string `json:"components,omitempty"`
-	// Fields lists the fields of Deepest whose values differ between the
-	// sides, matched by name across the two dumps.
+	// Fields lists, for every divergent node as deep as Deepest, the fields
+	// whose values differ between the sides, matched by name across the two
+	// dumps of that node.
 	Fields []fieldDiff `json:"fields,omitempty"`
 	Note   string      `json:"note,omitempty"`
 }
 
-// fieldDiff is one differing field of the deepest divergent component. A
-// field only one side has reads "" on the other.
+// fieldDiff is one differing field of a deepest divergent component, Path.
+// A field only one side has reads "" on the other.
 type fieldDiff struct {
+	Path  string `json:"path"`
 	Field string `json:"field"`
 	A     string `json:"a"`
 	B     string `json:"b"`
@@ -350,8 +353,9 @@ func lockstepNarrow(rep *report, app string, cfgA, cfgB sim.Config, schA, schB m
 }
 
 // reportDivergentStep fills the exact-cycle fields from two GPUs stopped at
-// the first divergent step: every divergent component path, the deepest one,
-// and the fields in which its dumps on the two sides differ.
+// the first divergent step: every divergent component path, the first of the
+// deepest ones, and for each node of that depth the fields in which its
+// dumps on the two sides differ.
 func reportDivergentStep(rep *report, gA, gB *sim.GPU, note string) {
 	rep.ExactCycle = gA.MemCycle()
 	rep.ExactCoreCycle = gA.CoreCycle()
@@ -362,27 +366,34 @@ func reportDivergentStep(rep *report, gA, gB *sim.GPU, note string) {
 	for _, c := range gB.ComponentDigests() {
 		byPath[c.Path] = c.Digest
 	}
-	deepest, depth := "", -1
+	var deepest []string
+	depth := -1
 	for _, c := range compsA {
 		if d, ok := byPath[c.Path]; ok && d == c.Digest {
 			continue
 		}
 		rep.Components = append(rep.Components, c.Path)
-		if pd := pathDepth(c.Path); pd > depth {
-			deepest, depth = c.Path, pd
+		switch pd := pathDepth(c.Path); {
+		case pd > depth:
+			deepest, depth = []string{c.Path}, pd
+		case pd == depth:
+			deepest = append(deepest, c.Path)
 		}
 	}
-	rep.Deepest = deepest
-	if deepest != "" {
-		dumpA, _ := gA.StateDump(deepest)
-		dumpB, _ := gB.StateDump(deepest)
-		rep.Fields = diffFields(dumpA, dumpB)
+	if len(deepest) > 0 {
+		rep.Deepest = deepest[0]
+	}
+	for _, path := range deepest {
+		dumpA, _ := gA.StateDump(path)
+		dumpB, _ := gB.StateDump(path)
+		rep.Fields = append(rep.Fields, diffFields(path, dumpA, dumpB)...)
 	}
 }
 
-// diffFields matches two dumps' "name=value" lines by name and returns the
-// fields whose values differ, in A's order and then B's.
-func diffFields(dumpA, dumpB string) []fieldDiff {
+// diffFields matches two dumps of node path by their "name=value" lines'
+// names and returns the fields whose values differ, in A's order and then
+// B's.
+func diffFields(path, dumpA, dumpB string) []fieldDiff {
 	var names []string
 	vals := [2]map[string]string{{}, {}}
 	for side, dump := range []string{dumpA, dumpB} {
@@ -396,7 +407,7 @@ func diffFields(dumpA, dumpB string) []fieldDiff {
 	var out []fieldDiff
 	for _, name := range names {
 		if a, b := vals[0][name], vals[1][name]; a != b {
-			out = append(out, fieldDiff{Field: name, A: a, B: b})
+			out = append(out, fieldDiff{Path: path, Field: name, A: a, B: b})
 			delete(vals[0], name) // report each field once
 			delete(vals[1], name)
 		}
@@ -501,7 +512,7 @@ func emit(rep *report, jsonOut bool, stdout, stderr io.Writer) {
 		fmt.Fprintf(stdout, "  deepest: %s\n", rep.Deepest)
 	}
 	for _, f := range rep.Fields {
-		fmt.Fprintf(stdout, "  field %s: A=%s B=%s\n", f.Field, f.A, f.B)
+		fmt.Fprintf(stdout, "  field %s.%s: A=%s B=%s\n", f.Path, f.Field, f.A, f.B)
 	}
 	if rep.Note != "" {
 		fmt.Fprintf(stdout, "  note: %s\n", rep.Note)

@@ -83,6 +83,40 @@ func TestFaultDivergencePinpointed(t *testing.T) {
 	}
 }
 
+// TestDivergenceExplainsEveryDeepestNode checks that the report explains
+// every divergent node of the greatest depth, not only the first: fault on
+// vs off on SCP Baseline diverges at the same cycle in the heaps of
+// partitions 0 and 2, and both must report their faulty done entry.
+func TestDivergenceExplainsEveryDeepestNode(t *testing.T) {
+	code, out, errb := runCLI(t,
+		"-app", "SCP", "-scheme", "baseline", "-digest-every", "512", "-json",
+		"-fault-b", "-fault-ber", "1e-4", "-fault-weak-density", "1e-3")
+	if code != exitDiverged {
+		t.Fatalf("exit %d, want %d\nstderr: %s", code, exitDiverged, errb)
+	}
+	var rep struct {
+		Deepest string `json:"deepest"`
+		Fields  []struct {
+			Path, Field, A, B string
+		} `json:"fields"`
+	}
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("bad JSON report: %v\n%s", err, out)
+	}
+	if rep.Deepest != "partition[0].heaps" {
+		t.Errorf("Deepest = %q, want the first deepest node partition[0].heaps", rep.Deepest)
+	}
+	for _, path := range []string{"partition[0].heaps", "partition[2].heaps"} {
+		found := false
+		for _, f := range rep.Fields {
+			found = found || (f.Path == path && f.Field == "done[0].faults" && f.A != f.B)
+		}
+		if !found {
+			t.Errorf("no differing done[0].faults field reported for %s; fields = %+v", path, rep.Fields)
+		}
+	}
+}
+
 // TestDumpAndStreamMode round-trips recorded streams: -dump-a/-dump-b write
 // the two digest streams, and stream mode re-detects the same first divergent
 // interval from the files alone.

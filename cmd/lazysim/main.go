@@ -70,6 +70,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -416,7 +417,8 @@ type sweepOptions struct {
 	Progress io.Writer
 }
 
-// sweepListError is a bad -sweep scheme or an empty -app or -sweep list,
+// sweepListError is an unknown -app name, a bad -sweep scheme or an empty
+// -app or -sweep list,
 // found before any run starts; like any usage error it exits 2.
 type sweepListError struct{ error }
 
@@ -428,13 +430,17 @@ type sweepListError struct{ error }
 // time.
 func runSweep(w io.Writer, appList, schemeList string, o sweepOptions) error {
 	var apps []string
-	if appList == "all" {
-		apps = workloads.Names()
+	if known := workloads.Names(); appList == "all" {
+		apps = known
 	} else {
 		for _, a := range strings.Split(appList, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				apps = append(apps, a)
+			if a = strings.TrimSpace(a); a == "" {
+				continue
 			}
+			if !slices.Contains(known, a) {
+				return sweepListError{fmt.Errorf("sweep: unknown app %q", a)}
+			}
+			apps = append(apps, a)
 		}
 	}
 	var schemes []mc.Scheme

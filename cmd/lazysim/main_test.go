@@ -63,15 +63,17 @@ func TestObservabilityBindFailuresExitNonzero(t *testing.T) {
 	}
 }
 
-// TestSweepListErrorsExitUsage asserts that a bad -sweep scheme or an empty
-// app or scheme list exits 2, like the single-run path's usage errors,
-// before any run starts.
+// TestSweepListErrorsExitUsage asserts that an unknown app, a bad -sweep
+// scheme or an empty app or scheme list exits 2, like the single-run path's
+// usage errors, before any run starts.
 func TestSweepListErrorsExitUsage(t *testing.T) {
 	for _, tc := range [][]string{
 		{"-app", "SCP", "-sweep", "nope"},
 		{"-app", "SCP", "-sweep", "dms(-5)"},
 		{"-app", "SCP", "-sweep", ","},
 		{"-app", ",", "-sweep", "baseline"},
+		{"-app", "nope", "-sweep", "baseline"},
+		{"-app", "SCP,nope", "-sweep", "baseline"},
 	} {
 		cmd := exec.Command(os.Args[0], tc...)
 		cmd.Env = append(os.Environ(), "LAZYSIM_BE_MAIN=1")

@@ -4,8 +4,8 @@
 // occupancy tracking for bandwidth-utilization (BWUTIL) measurement.
 //
 // The memory controller (package mc) decides which command to issue; this
-// package answers "is that command legal now" and applies its timing and
-// statistics side effects.
+// package answers "from which cycle is that command legal" (ReadyAt) and
+// applies its timing and statistics side effects.
 package dram
 
 import (
@@ -159,19 +159,6 @@ func (c *Channel) bankGroup(b int) int {
 	return b % c.cfg.NumBankGroups
 }
 
-// colGroupReady reports whether a column command to bank b satisfies the
-// same-bank-group tCCDL constraint at cycle now.
-func (c *Channel) colGroupReady(b int, now uint64) bool {
-	t := c.cfg.Timing
-	if t.CCDL == 0 || c.lastColBank < 0 {
-		return true
-	}
-	if c.bankGroup(b) != c.bankGroup(c.lastColBank) {
-		return true
-	}
-	return now >= c.lastColCycle+t.CCDL
-}
-
 // Refreshing reports whether the channel is blocked by an all-bank refresh
 // at cycle now. Call once per memory cycle (from the memory controller)
 // before issuing commands; it also opens refresh windows when due.
@@ -230,77 +217,36 @@ func (c *Channel) OpenAge(b int, now uint64) uint64 {
 	return now - bk.openedAt
 }
 
-// ActBankReady reports whether bank b's own activate timing (tRP/tRC
-// recovery, refresh) allows an ACT at cycle now, ignoring the channel-level
-// tRRD constraint. The cycle census uses it to attribute an ACT block to the
-// bank (tRP) versus the channel (tRRD).
-func (c *Channel) ActBankReady(b int, now uint64) bool {
-	return now >= c.banks[b].nextAct
-}
-
-// ColBankReady reports whether bank b's own column timing (tRCD after ACT,
-// same-bank read/write recovery) allows a column command at cycle now,
-// ignoring the channel-level bus constraints. The cycle census uses it to
-// attribute a column block to the bank (tRCD) versus the bus (turnaround).
-func (c *Channel) ColBankReady(b int, write bool, now uint64) bool {
+// ReadyAt returns the earliest cycle cmd (ACT, PRE, RD, or WR for any
+// other kind) may issue to bank b under the timing state now in force,
+// split by scope. bank is the bank's own constraint: tRCD for a column
+// command, tRAS/tRTP/tWR for PRE, tRP/tRC and refresh for ACT. channel is
+// the shared one: the column bus (tCCD spacing, read/write turnaround,
+// same-bank-group tCCDL behind the last column command) for RD/WR, tRRD for
+// ACT, and 0 for PRE. Neither checks the row state: RD/WR and PRE need an
+// open row, ACT a closed one. Every stamp only ever moves later, and only
+// through a command, so a cycle read here stays a valid lower bound until
+// the next command.
+func (c *Channel) ReadyAt(b int, cmd obs.CmdKind) (bank, channel uint64) {
 	bk := &c.banks[b]
-	if write {
-		return now >= bk.nextWrite
+	switch cmd {
+	case obs.CmdACT:
+		return bk.nextAct, c.nextActAny
+	case obs.CmdPRE:
+		return bk.nextPre, 0
+	case obs.CmdRD:
+		bank, channel = bk.nextRead, c.nextColRead
+	default:
+		bank, channel = bk.nextWrite, c.nextColWrite
 	}
-	return now >= bk.nextRead
-}
-
-// ActReadyAt returns the earliest cycle bank b's own activate timing (tRP/tRC
-// recovery, refresh) allows an ACT. The cycle census uses the ready-at
-// accessors as span horizons: every timestamp below only ever moves later, and
-// only via commands the census observes, so a classification cached "until
-// ready-at" cannot silently become stale.
-func (c *Channel) ActReadyAt(b int) uint64 { return c.banks[b].nextAct }
-
-// ColReadyAt returns the earliest cycle bank b's own column timing allows a
-// read (or write) column command.
-func (c *Channel) ColReadyAt(b int, write bool) uint64 {
-	if write {
-		return c.banks[b].nextWrite
+	if ccdl := c.cfg.Timing.CCDL; ccdl != 0 && c.lastColBank >= 0 && c.bankGroup(b) == c.bankGroup(c.lastColBank) {
+		channel = max(channel, c.lastColCycle+ccdl)
 	}
-	return c.banks[b].nextRead
-}
-
-// PreReadyAt returns the earliest cycle bank b's open row may be precharged
-// (tRAS/tWR/tRTP recovery).
-func (c *Channel) PreReadyAt(b int) uint64 { return c.banks[b].nextPre }
-
-// ActAnyReadyAt returns the earliest cycle the channel-level ACT-to-ACT
-// spacing (tRRD) allows an ACT to any bank.
-func (c *Channel) ActAnyReadyAt() uint64 { return c.nextActAny }
-
-// BusReadyAt returns the earliest cycle the channel-level column-bus
-// constraints (tCCD spacing, read/write turnaround, same-bank-group tCCDL)
-// could allow a column command to bank b under the bus state now in force;
-// commands issued later can only move the horizon further out.
-func (c *Channel) BusReadyAt(b int, write bool) uint64 {
-	at := c.nextColRead
-	if write {
-		at = c.nextColWrite
-	}
-	t := c.cfg.Timing
-	if t.CCDL != 0 && c.lastColBank >= 0 && c.bankGroup(b) == c.bankGroup(c.lastColBank) {
-		if g := c.lastColCycle + t.CCDL; g > at {
-			at = g
-		}
-	}
-	return at
-}
-
-// CanActivate reports whether an ACT for bank b may issue at cycle now.
-// The bank must be precharged (closed).
-func (c *Channel) CanActivate(b int, now uint64) bool {
-	bk := &c.banks[b]
-	return bk.OpenRow == NoRow && now >= bk.nextAct && now >= c.nextActAny
+	return bank, channel
 }
 
 // Activate opens row in bank b at cycle now. The caller must have checked
-// CanActivate.
+// ReadyAt and that the bank is closed.
 func (c *Channel) Activate(b int, row int64, now uint64) {
 	bk := &c.banks[b]
 	t := c.cfg.Timing
@@ -319,12 +265,6 @@ func (c *Channel) Activate(b int, row int64, now uint64) {
 	c.stats.Activations++
 	c.stats.Bank(b).Activations++
 	c.trace.Add(obs.CmdACT, c.chanID, b, row, now)
-}
-
-// CanPrecharge reports whether a PRE for bank b may issue at cycle now.
-func (c *Channel) CanPrecharge(b int, now uint64) bool {
-	bk := &c.banks[b]
-	return bk.OpenRow != NoRow && now >= bk.nextPre
 }
 
 // Precharge closes the open row of bank b at cycle now and records the
@@ -378,13 +318,6 @@ func (c *Channel) closeStats(bk *Bank) {
 	bk.readOnly = true
 }
 
-// CanRead reports whether a RD to the open row of bank b may issue at now.
-func (c *Channel) CanRead(b int, now uint64) bool {
-	bk := &c.banks[b]
-	return bk.OpenRow != NoRow && now >= bk.nextRead && now >= c.nextColRead &&
-		c.colGroupReady(b, now)
-}
-
 // Read issues a RD at cycle now and returns the cycle at which the data burst
 // completes on the bus (when the reply can leave the controller).
 func (c *Channel) Read(b int, now uint64) (dataReady uint64) {
@@ -412,13 +345,6 @@ func (c *Channel) Read(b int, now uint64) (dataReady uint64) {
 		c.nextColWrite = n
 	}
 	return now + t.CL + t.CCD
-}
-
-// CanWrite reports whether a WR to the open row of bank b may issue at now.
-func (c *Channel) CanWrite(b int, now uint64) bool {
-	bk := &c.banks[b]
-	return bk.OpenRow != NoRow && now >= bk.nextWrite && now >= c.nextColWrite &&
-		c.colGroupReady(b, now)
 }
 
 // Write issues a WR at cycle now and returns the cycle at which the write

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lazydram/internal/dram"
+	"lazydram/internal/obs"
 	"lazydram/internal/stats"
 )
 
@@ -13,9 +14,20 @@ func newChannel(t *testing.T) (*dram.Channel, *stats.Mem) {
 	return dram.NewChannel(dram.DefaultConfig(), st), st
 }
 
+// legal reports whether cmd may issue to bank b at cycle now: the bank's row
+// state allows it (ACT needs a closed bank, the rest an open one) and both
+// ReadyAt scopes have elapsed.
+func legal(ch *dram.Channel, b int, cmd obs.CmdKind, now uint64) bool {
+	if (ch.OpenRow(b) == dram.NoRow) != (cmd == obs.CmdACT) {
+		return false
+	}
+	bank, channel := ch.ReadyAt(b, cmd)
+	return now >= bank && now >= channel
+}
+
 func TestActivateOpensRow(t *testing.T) {
 	ch, st := newChannel(t)
-	if !ch.CanActivate(0, 0) {
+	if !legal(ch, 0, obs.CmdACT, 0) {
 		t.Fatal("fresh bank must accept ACT")
 	}
 	ch.Activate(0, 7, 0)
@@ -30,7 +42,7 @@ func TestActivateOpensRow(t *testing.T) {
 func TestActivateRequiresPrechargedBank(t *testing.T) {
 	ch, _ := newChannel(t)
 	ch.Activate(0, 1, 0)
-	if ch.CanActivate(0, 1000) {
+	if legal(ch, 0, obs.CmdACT, 1000) {
 		t.Fatal("open bank must not accept ACT")
 	}
 }
@@ -39,10 +51,10 @@ func TestReadRespectsTRCD(t *testing.T) {
 	ch, _ := newChannel(t)
 	tm := dram.HynixGDDR5()
 	ch.Activate(0, 1, 0)
-	if ch.CanRead(0, tm.RCD-1) {
+	if legal(ch, 0, obs.CmdRD, tm.RCD-1) {
 		t.Fatalf("RD allowed %d cycles after ACT; tRCD=%d", tm.RCD-1, tm.RCD)
 	}
-	if !ch.CanRead(0, tm.RCD) {
+	if !legal(ch, 0, obs.CmdRD, tm.RCD) {
 		t.Fatal("RD must be allowed at tRCD")
 	}
 }
@@ -51,10 +63,10 @@ func TestPrechargeRespectsTRAS(t *testing.T) {
 	ch, _ := newChannel(t)
 	tm := dram.HynixGDDR5()
 	ch.Activate(0, 1, 0)
-	if ch.CanPrecharge(0, tm.RAS-1) {
+	if legal(ch, 0, obs.CmdPRE, tm.RAS-1) {
 		t.Fatal("PRE before tRAS must be illegal")
 	}
-	if !ch.CanPrecharge(0, tm.RAS) {
+	if !legal(ch, 0, obs.CmdPRE, tm.RAS) {
 		t.Fatal("PRE at tRAS must be legal")
 	}
 }
@@ -64,10 +76,10 @@ func TestActToActSameBankRespectsTRC(t *testing.T) {
 	tm := dram.HynixGDDR5()
 	ch.Activate(0, 1, 0)
 	ch.Precharge(0, tm.RAS)
-	if ch.CanActivate(0, tm.RC-1) {
+	if legal(ch, 0, obs.CmdACT, tm.RC-1) {
 		t.Fatalf("ACT allowed %d cycles after previous ACT; tRC=%d", tm.RC-1, tm.RC)
 	}
-	if !ch.CanActivate(0, tm.RC) {
+	if !legal(ch, 0, obs.CmdACT, tm.RC) {
 		t.Fatal("ACT must be allowed at tRC")
 	}
 }
@@ -76,10 +88,10 @@ func TestActToActAcrossBanksRespectsTRRD(t *testing.T) {
 	ch, _ := newChannel(t)
 	tm := dram.HynixGDDR5()
 	ch.Activate(0, 1, 0)
-	if ch.CanActivate(1, tm.RRD-1) {
+	if legal(ch, 1, obs.CmdACT, tm.RRD-1) {
 		t.Fatal("cross-bank ACT before tRRD must be illegal")
 	}
-	if !ch.CanActivate(1, tm.RRD) {
+	if !legal(ch, 1, obs.CmdACT, tm.RRD) {
 		t.Fatal("cross-bank ACT at tRRD must be legal")
 	}
 }
@@ -91,10 +103,10 @@ func TestColumnSpacingRespectsTCCD(t *testing.T) {
 	ch.Activate(1, 2, tm.RRD)
 	now := tm.RCD + tm.RRD
 	ch.Read(0, now)
-	if ch.CanRead(1, now+tm.CCD-1) {
+	if legal(ch, 1, obs.CmdRD, now+tm.CCD-1) {
 		t.Fatal("second RD before tCCD must be illegal")
 	}
-	if !ch.CanRead(1, now+tm.CCD) {
+	if !legal(ch, 1, obs.CmdRD, now+tm.CCD) {
 		t.Fatal("second RD at tCCD must be legal")
 	}
 }
@@ -107,10 +119,10 @@ func TestWriteToReadTurnaround(t *testing.T) {
 	now := tm.RCD + tm.RRD
 	ch.Write(0, now)
 	earliest := now + tm.WL + tm.CCD + tm.CDLR
-	if ch.CanRead(1, earliest-1) {
+	if legal(ch, 1, obs.CmdRD, earliest-1) {
 		t.Fatal("RD before write-to-read turnaround must be illegal")
 	}
-	if !ch.CanRead(1, earliest) {
+	if !legal(ch, 1, obs.CmdRD, earliest) {
 		t.Fatal("RD at write-to-read turnaround must be legal")
 	}
 }
@@ -121,10 +133,10 @@ func TestReadToPrecharge(t *testing.T) {
 	ch.Activate(0, 1, 0)
 	now := tm.RAS // past tRAS so only tRTP can gate
 	ch.Read(0, now)
-	if ch.CanPrecharge(0, now+tm.RTP-1) {
+	if legal(ch, 0, obs.CmdPRE, now+tm.RTP-1) {
 		t.Fatal("PRE before tRTP after RD must be illegal")
 	}
-	if !ch.CanPrecharge(0, now+tm.RTP) {
+	if !legal(ch, 0, obs.CmdPRE, now+tm.RTP) {
 		t.Fatal("PRE at tRTP after RD must be legal")
 	}
 }
@@ -136,10 +148,10 @@ func TestWriteDelaysPrecharge(t *testing.T) {
 	now := tm.RAS
 	ch.Write(0, now)
 	earliest := now + tm.WL + tm.CCD + tm.WR
-	if ch.CanPrecharge(0, earliest-1) {
+	if legal(ch, 0, obs.CmdPRE, earliest-1) {
 		t.Fatal("PRE before write recovery must be illegal")
 	}
-	if !ch.CanPrecharge(0, earliest) {
+	if !legal(ch, 0, obs.CmdPRE, earliest) {
 		t.Fatal("PRE at write recovery must be legal")
 	}
 }
@@ -234,13 +246,13 @@ func TestBankGroupCCDL(t *testing.T) {
 	ch.Activate(1, 1, 2*tm.RRD)
 	now := tm.RCD + 2*tm.RRD
 	ch.Read(0, now)
-	if ch.CanRead(4, now+tm.CCD) {
+	if legal(ch, 4, obs.CmdRD, now+tm.CCD) {
 		t.Fatal("same-group RD at tCCD must be illegal when tCCDL is set")
 	}
-	if !ch.CanRead(1, now+tm.CCD) {
+	if !legal(ch, 1, obs.CmdRD, now+tm.CCD) {
 		t.Fatal("cross-group RD at tCCD must be legal")
 	}
-	if !ch.CanRead(4, now+tm.CCDL) {
+	if !legal(ch, 4, obs.CmdRD, now+tm.CCDL) {
 		t.Fatal("same-group RD at tCCDL must be legal")
 	}
 }
@@ -271,10 +283,10 @@ func TestRefreshBlocksChannelAndClosesRows(t *testing.T) {
 	if ch.Refreshing(249) != true || ch.Refreshing(250) != false {
 		t.Fatal("refresh window must last exactly tRFC")
 	}
-	if ch.CanActivate(0, 249) {
+	if legal(ch, 0, obs.CmdACT, 249) {
 		t.Fatal("ACT inside the refresh window must be illegal")
 	}
-	if !ch.CanActivate(0, 250) {
+	if !legal(ch, 0, obs.CmdACT, 250) {
 		t.Fatal("ACT after the refresh window must be legal")
 	}
 }

@@ -24,8 +24,8 @@ import (
 // timing constraint is an absolute "ready at" cycle that only ever moves
 // later, and only via commands the controller itself issues, so a bank's
 // classification is constant from the cycle it is computed until the
-// earliest of (a) its own expiry horizon — the blocking timestamp the
-// classifier read, (b) a mutation of the bank's queue (push, retire, AMS
+// earliest of (a) its own expiry horizon — the at that Controller.blocker
+// returned, (b) a mutation of the bank's queue (push, retire, AMS
 // drop toggle) or a command to the bank — those sites eagerly set the
 // bank's bit in Controller.cenDirty, (c) for arbitration-dependent causes,
 // a channel command that moves the state they lost to — the column/ACT
@@ -39,22 +39,10 @@ import (
 // and by CensusFinish at end of run; mid-run readers (live metrics) see
 // totals that lag by at most the open span, like any between-sample gauge.
 
-// cenOpen marks a span with no self-expiry: only a dirty mark or a flush
-// can close it.
+// cenOpen marks a horizon with no self-expiry: blocker returns it for a
+// cause that only a queue mutation or a command can end, and a census span
+// under it closes only at a dirty mark or a flush.
 const cenOpen = ^uint64(0)
-
-// Span sensitivity to channel-level command state: a ready head that lost
-// arbitration stays correctly classified only while the channel state that
-// could block it next cycle holds still. cenSensCol tracks the column bus
-// (row-hit heads), cenSensAct the tRRD ACT spacing (activate-ready heads);
-// the bank joins the matching controller mask so the issue sites can dirty
-// exactly the affected spans. Bank-local causes are cenSensNone: their
-// state moves only via the bank's own dirty marks or their expiry horizon.
-const (
-	cenSensNone uint8 = iota
-	cenSensCol
-	cenSensAct
-)
 
 // cenSpan is one bank's open census span: the classification in force since
 // start. The span's expiry horizon lives in the controller's dense cenUntil
@@ -62,8 +50,8 @@ const (
 // cenUntil[b]==0 marks an invalid span (nothing open), and validity otherwise
 // rests on the controller's eager dirty marks, not on stamps stored here.
 // serv1 marks a span opened on a command cycle: its first cycle's residency
-// is BankServing (the command itself) and the rest follow state, which the
-// classifier read from the post-command timing — valid from the command
+// is BankServing (the command itself) and the rest follow state, which
+// blocker read from the post-command timing — valid from the command
 // cycle onward, so one span covers both without an extra re-classify.
 type cenSpan struct {
 	head  *Request
@@ -129,33 +117,8 @@ func (c *Controller) censusPass(now uint64, refreshing bool) {
 		b := bits.TrailingZeros64(work)
 		bit := uint64(1) << uint(b)
 		work &^= bit
-		s := &c.cenSpans[b]
-		if dirty&bit == 0 && c.cenUntil[b] != 0 && s.state == obs.BankTimingWait {
-			// Pure horizon expiry on a clean span. For the two
-			// channel-horizon causes the deadline can move later while the
-			// span is open (each command pushes the bus / tRRD spacing
-			// further out) without changing the classification — extend in
-			// place instead of reclassifying.
-			var nu uint64
-			switch s.cause {
-			case obs.StallBusTurn:
-				nu = c.ch.BusReadyAt(b, s.head.Write)
-			case obs.StallTRRD:
-				nu = c.ch.ActAnyReadyAt()
-			}
-			if nu > now {
-				c.cenUntil[b] = nu
-				if nu < next {
-					next = nu
-				}
-				continue
-			}
-		}
-		c.cenFlush(b, now)
-		c.cenClassify(b, now, delay, refreshing)
-		if u := c.cenUntil[b]; u < next {
-			next = u
-		}
+		c.cenClassify(b, now, delay, dirty&bit == 0)
+		next = min(next, c.cenUntil[b])
 	}
 	c.cenNextUntil = next
 }
@@ -185,47 +148,49 @@ func (c *Controller) cenFlush(b int, now uint64) {
 	c.cenActMask &= bit
 }
 
-// cenClassify opens a new span for bank b at cycle now: it classifies the
-// bank exactly like one pass of the per-cycle reference would, records the
-// horizon under which that classification stays valid, and joins the
-// channel-sensitivity mask matching the cause (the preceding cenFlush
-// cleared both masks).
-func (c *Controller) cenClassify(b int, now, delay uint64, refreshing bool) {
+// cenClassify classifies bank b at cycle now exactly like one pass of the
+// per-cycle reference would, through blocker on the bank head (or on the
+// bank itself when it has none). A clean span (no dirty mark since it
+// opened) whose horizon expired while the classification still holds — a
+// bus or tRRD deadline that later commands pushed out — is extended in
+// place; any other outcome closes the span and opens a new one, under the
+// horizon blocker reported. A ready head that lost this cycle's arbitration
+// holds its span until a dirty mark, and a column or activate head joins
+// the mask of the channel state it lost to (the preceding cenFlush cleared
+// both masks).
+func (c *Controller) cenClassify(b int, now, delay uint64, clean bool) {
+	r := c.banks[b].head()
+	cmd, cause, until := c.blocker(r, b, now, delay)
+	state := obs.BankTimingWait
+	switch {
+	case r == nil && c.ch.OpenRow(b) != dram.NoRow:
+		state = obs.BankOpenIdle
+	case r == nil && until > now:
+		state = obs.BankPrecharging
+	case r == nil:
+		state = obs.BankIdle
+	case cause == obs.StallDMSHold:
+		state = obs.BankDMSHeld
+	}
 	s := &c.cenSpans[b]
-	bq := &c.banks[b]
-	s.start = now
-	until := cenOpen
-	r := bq.head()
-	s.head = r
-	if r != nil {
-		var sens uint8
-		s.cause, until, sens = c.classifyHead(r, b, now, delay, refreshing)
-		switch sens {
-		case cenSensCol:
+	if clean && c.cenUntil[b] != 0 && until > now && cause == s.cause && state == s.state {
+		c.cenUntil[b] = until
+		return
+	}
+	c.cenFlush(b, now)
+	// On a command cycle blocker already read the post-command timing state,
+	// so the classification is valid from this very cycle; the serv1 flag
+	// routes the first cycle's residency to BankServing at flush instead of
+	// opening a throwaway one-cycle span.
+	*s = cenSpan{head: r, start: now, cause: cause, state: state, serv1: b == c.cenBank}
+	if until <= now {
+		until = cenOpen
+		switch cmd {
+		case obs.CmdRD, obs.CmdWR:
 			c.cenColMask |= 1 << uint(b)
-		case cenSensAct:
+		case obs.CmdACT:
 			c.cenActMask |= 1 << uint(b)
 		}
-	}
-	// On a command cycle the classification above already read the
-	// post-command timing state, so it is valid from this very cycle; the
-	// serv1 flag routes the first cycle's residency to BankServing at flush
-	// instead of opening a throwaway one-cycle span.
-	s.serv1 = b == c.cenBank
-	switch {
-	case r != nil:
-		if s.cause == obs.StallDMSHold {
-			s.state = obs.BankDMSHeld
-		} else {
-			s.state = obs.BankTimingWait
-		}
-	case c.ch.OpenRow(b) != dram.NoRow:
-		s.state = obs.BankOpenIdle
-	case !c.ch.ActBankReady(b, now):
-		s.state = obs.BankPrecharging
-		until = c.ch.ActReadyAt(b)
-	default:
-		s.state = obs.BankIdle
 	}
 	c.cenUntil[b] = until
 }
@@ -246,72 +211,6 @@ func (c *Controller) CensusFinish(end uint64) {
 	for b := range c.cenSpans {
 		c.cenFlush(b, end)
 	}
-}
-
-// classifyHead attributes one blocked cycle of bank b's scheduling head r to
-// a stall cause. It reads the channel's post-issue timing state, so a head
-// that was ready but lost this cycle's one-command arbitration shows up as
-// blocked by the command that won (e.g. the winning burst's tCCD) or, when
-// nothing explains the block, as StallQueued.
-//
-// until is the first cycle the classification could change without a queue
-// mutation or a command to this bank: the blocking timestamp for the timer
-// causes (those move only via commands, which dirty the bank), cenOpen when
-// only a dirty mark can end the span. sens marks the
-// ready-but-lost-arbitration causes, which must re-classify after a command
-// that moves the channel state they depend on (column bus or tRRD spacing).
-func (c *Controller) classifyHead(r *Request, b int, now, delay uint64, refreshing bool) (cause obs.StallCause, until uint64, sens uint8) {
-	if refreshing {
-		// The refresh-flag flush bounds the span.
-		return obs.StallRefresh, cenOpen, cenSensNone
-	}
-	or := c.ch.OpenRow(b)
-	if or != dram.NoRow && or == r.Coord.Row {
-		// Row hit waiting on column timing.
-		if !c.ch.ColBankReady(b, r.Write, now) {
-			return obs.StallTRCD, c.ch.ColReadyAt(b, r.Write), cenSensNone
-		}
-		ready := false
-		if r.Write {
-			ready = c.ch.CanWrite(b, now)
-		} else {
-			ready = c.ch.CanRead(b, now)
-		}
-		if !ready {
-			// The bus horizon can move later while the span is open, but a
-			// busier bus is still StallBusTurn; the expiry extends in place.
-			return obs.StallBusTurn, c.ch.BusReadyAt(b, r.Write), cenSensNone
-		}
-		return obs.StallQueued, cenOpen, cenSensCol
-	}
-	// Row-miss path: the head needs a precharge and/or an activate, gated by
-	// the DMS age criterion exactly like issue()'s miss pass.
-	if now-r.Arrival < delay {
-		return obs.StallDMSHold, r.Arrival + delay, cenSensNone
-	}
-	if or != dram.NoRow {
-		// Conflict: under the open-row policy the row only closes once its
-		// pending hits drained — until then the head is queued behind them.
-		// Every drained hit retires on this bank, bumping version.
-		if c.cfg.Policy != FCFS && c.banks[b].open != nil {
-			return obs.StallQueued, cenOpen, cenSensNone
-		}
-		if !c.ch.CanPrecharge(b, now) {
-			return obs.StallTRAS, c.ch.PreReadyAt(b), cenSensNone
-		}
-		// Ready to precharge but another bank's command won arbitration;
-		// both CanPrecharge inputs are bank-local, so no channel stamp.
-		return obs.StallQueued, cenOpen, cenSensNone
-	}
-	if !c.ch.ActBankReady(b, now) {
-		return obs.StallTRP, c.ch.ActReadyAt(b), cenSensNone
-	}
-	if !c.ch.CanActivate(b, now) {
-		// nextActAny cannot move before it elapses: moving it requires an
-		// ACT, which is only legal once the current horizon has passed.
-		return obs.StallTRRD, c.ch.ActAnyReadyAt(), cenSensNone
-	}
-	return obs.StallQueued, cenOpen, cenSensAct
 }
 
 // censusRetire folds one retiring request into the exact decomposition:

@@ -127,9 +127,8 @@ func (c *Controller) censusTickRef(now, delay uint64, refreshing bool) {
 		// an AMS row drop are skipped; their requests get their whole wait
 		// attributed as queued at drop time.
 		r := c.banks[b].head()
-		var cause obs.StallCause
+		_, cause, at := c.blocker(r, b, now, delay)
 		if r != nil {
-			cause, _, _ = c.classifyHead(r, b, now, delay, refreshing)
 			r.stall[cause]++
 		}
 		state := obs.BankIdle
@@ -142,7 +141,7 @@ func (c *Controller) censusTickRef(now, delay uint64, refreshing bool) {
 			state = obs.BankTimingWait
 		case c.ch.OpenRow(b) != dram.NoRow:
 			state = obs.BankOpenIdle
-		case !c.ch.ActBankReady(b, now):
+		case at > now:
 			state = obs.BankPrecharging
 		}
 		c.cen.AddBankCycles(b, state, 1)

@@ -169,6 +169,10 @@ type Controller struct {
 
 	inj *fault.Injector // nil unless fault injection is enabled
 
+	// refreshing is the channel's refresh flag for the current cycle, set
+	// by Tick before anything asks blocker.
+	refreshing bool
+
 	cen *obs.Census // nil unless the cycle census is enabled
 	// cenBank is the bank a DRAM command issued to this cycle (-1 none); the
 	// census pass uses it to classify that bank as serving.
@@ -214,8 +218,8 @@ type Controller struct {
 	activity uint64
 
 	// issueAt is the next-issue horizon: a scan that found no command sets it
-	// to the earliest cycle a blocked candidate could become legal, and Tick
-	// skips issue until then. touch, a Dyn-DMS delay change and refresh reset
+	// to the earliest cycle a blocked candidate's stall cause could lapse
+	// (blocker's at), and Tick skips issue until then. touch, a Dyn-DMS delay change and refresh reset
 	// it to 0. held lists the banks that scan held for the DMS delay; a
 	// skipped cycle charges them exactly as the scan would have.
 	issueAt uint64
@@ -487,6 +491,7 @@ func (c *Controller) Tick(now uint64) {
 	// attributed, not lost.
 	c.cenBank = -1
 	refreshing := c.ch.Refreshing(now)
+	c.refreshing = refreshing
 	switch {
 	case refreshing:
 		for b := range c.banks {
@@ -513,57 +518,120 @@ func (c *Controller) Tick(now uint64) {
 // Drain flushes in-flight activation statistics; call at end of simulation.
 func (c *Controller) Drain() { c.ch.Drain() }
 
-// issue picks at most one DRAM command for this cycle, honouring the
-// configured policy (FR-FCFS by default: row hits first, then oldest) and
-// the DMS age gate on the row-miss path. A scan that issues nothing leaves
-// the next-issue horizon in issueAt: the earliest "ready at" cycle among the
-// timing checks that blocked its candidates. Every other reason a candidate
-// was passed over (no head or open-row queue, a conflict behind pending hits,
-// an FCFS head that is not the hit) changes only through touch.
-func (c *Controller) issue(now uint64) {
-	c.held = c.held[:0]
-	next := ^uint64(0)
-	if c.cfg.Policy == FRFCFSClosedRow {
-		// Closed-row policy: precharge one open row with no pending requests.
-		for b := range c.banks {
-			if c.ch.OpenRow(b) == dram.NoRow || c.banks[b].open != nil {
-				continue
-			}
-			if !c.ch.CanPrecharge(b, now) {
-				next = min(next, c.ch.PreReadyAt(b))
-				continue
-			}
-			c.ch.PrechargeIdle(b, now)
-			c.markCmd(b)
-			return
+// cmdNone is blocker's command for a request that needs none of its own
+// yet (it waits behind its open row's pending hits, or on a refresh window),
+// and for a bank with no request that needs none.
+const cmdNone obs.CmdKind = 0xff
+
+// bankStall and chanStall name the stall cause of each command's bank-scope
+// and channel-scope timing (dram.Channel.ReadyAt): a column command waits on
+// tRCD, then the bus; a precharge on tRAS (with tRTP/tWR); an activate on
+// tRP (with tRC and refresh), then tRRD.
+var (
+	bankStall = [...]obs.StallCause{
+		obs.CmdACT: obs.StallTRP, obs.CmdPRE: obs.StallTRAS,
+		obs.CmdRD: obs.StallTRCD, obs.CmdWR: obs.StallTRCD,
+	}
+	chanStall = [...]obs.StallCause{
+		obs.CmdACT: obs.StallTRRD, obs.CmdRD: obs.StallBusTurn, obs.CmdWR: obs.StallBusTurn,
+	}
+)
+
+// blocker is the one place the controller reads DRAM timing. For request r
+// on bank b at cycle now, under DMS delay delay, it returns the command r
+// needs next (RD/WR to its open row, PRE or ACT, or cmdNone), the stall
+// cause r is charged if it does not issue (StallQueued when r is ready but
+// loses arbitration, or waits behind the open row's pending hits), and at:
+// the first cycle that cause can lapse without a queue mutation or a
+// command. at is cenOpen when only such an event can end the cause, and at
+// most now when r is ready. Every stamp behind at moves only through a
+// command, so the issue horizon and the census spans both trust at until the
+// next command or queue mutation. The checks run in the scheduler's order:
+// refresh; a row hit's column timing, then the bus; the DMS age gate; a
+// conflict behind pending hits; tRAS; tRP; tRRD.
+//
+// With r nil it describes bank b itself: an open row with no pending hits
+// needs an idle PRE under the closed-row policy (legal from at) and nothing
+// otherwise (cenOpen); a closed bank is precharging until at.
+func (c *Controller) blocker(r *Request, b int, now, delay uint64) (cmd obs.CmdKind, cause obs.StallCause, at uint64) {
+	open := c.ch.OpenRow(b)
+	switch {
+	case r != nil && c.refreshing:
+		return cmdNone, obs.StallRefresh, cenOpen
+	case r == nil && open == dram.NoRow:
+		at, _ = c.ch.ReadyAt(b, obs.CmdACT)
+		return cmdNone, obs.StallQueued, at
+	case r == nil && (c.cfg.Policy != FRFCFSClosedRow || c.banks[b].open != nil):
+		return cmdNone, obs.StallQueued, cenOpen
+	case r == nil:
+		cmd = obs.CmdPRE
+	case open == r.Coord.Row:
+		cmd = obs.CmdRD
+		if r.Write {
+			cmd = obs.CmdWR
+		}
+	default:
+		// Row miss: DMS holds the precharge/activate until the head aged
+		// past the delay, and the open-row policy closes a row only once its
+		// pending hits drained (under FCFS the head alone decides). Every
+		// drained hit retires on this bank, a queue mutation.
+		cmd = obs.CmdACT
+		if open != dram.NoRow {
+			cmd = obs.CmdPRE
+		}
+		if now-r.Arrival < delay {
+			return cmd, obs.StallDMSHold, r.Arrival + delay
+		}
+		if cmd == obs.CmdPRE && c.cfg.Policy != FCFS && c.banks[b].open != nil {
+			return cmdNone, obs.StallQueued, cenOpen
 		}
 	}
-	if c.live == 0 {
-		c.issueAt = next
-		return
+	bank, channel := c.ch.ReadyAt(b, cmd)
+	switch {
+	case now < bank:
+		return cmd, bankStall[cmd], bank
+	case now < channel:
+		return cmd, chanStall[cmd], channel
 	}
-	// First priority: the oldest issuable row-buffer hit. Under FCFS a
-	// column access only counts when it is also the bank's oldest request
-	// (no hit-first reordering).
+	return cmd, obs.StallQueued, now
+}
+
+// issue picks at most one DRAM command for this cycle, honouring the
+// configured policy (FR-FCFS by default: row hits first, then oldest) and
+// the DMS age gate on the row-miss path. Every timing question goes to
+// blocker: first for each bank's oldest pending hit (under FCFS only when it
+// is the bank head) and, under the closed-row policy, for an open row with no
+// pending hits; then, if no hit was ready, for each bank head that misses.
+// A scan that issues nothing leaves the next-issue horizon in issueAt: the
+// minimum of the finite at values blocker returned.
+func (c *Controller) issue(now uint64) {
+	c.held = c.held[:0]
+	next := cenOpen
+	delay := uint64(c.Delay())
+	// First priority: the closed-row policy's idle precharge, lowest bank
+	// first; then the oldest ready row hit.
 	var hit *Request
 	for b := range c.banks {
 		bq := &c.banks[b]
-		if bq.open == nil {
+		var r *Request
+		switch {
+		case bq.open != nil:
+			r = bq.open.oldest()
+			if c.cfg.Policy == FCFS && bq.head() != r {
+				continue
+			}
+		case c.cfg.Policy != FRFCFSClosedRow || c.ch.OpenRow(b) == dram.NoRow:
 			continue
 		}
-		r := bq.open.oldest()
-		if c.cfg.Policy == FCFS && bq.head() != r {
-			continue
-		}
-		ok := false
-		if r.Write {
-			ok = c.ch.CanWrite(b, now)
-		} else {
-			ok = c.ch.CanRead(b, now)
-		}
-		if !ok {
-			next = min(next, max(c.ch.ColReadyAt(b, r.Write), c.ch.BusReadyAt(b, r.Write)))
-		} else if hit == nil || r.Arrival < hit.Arrival {
+		_, _, at := c.blocker(r, b, now, delay)
+		switch {
+		case at > now:
+			next = min(next, at)
+		case r == nil:
+			c.ch.PrechargeIdle(b, now)
+			c.markCmd(b)
+			return
+		case hit == nil || r.Arrival < hit.Arrival:
 			hit = r
 		}
 	}
@@ -574,82 +642,52 @@ func (c *Controller) issue(now uint64) {
 
 	// Row-miss path: per bank, the oldest pending request defines the next
 	// row (FR-FCFS); DMS gates precharge/activate on its age.
-	delay := uint64(c.Delay())
-	type action struct {
-		req *Request
-		pre bool
-	}
-	var best action
+	var miss *Request
+	var missCmd obs.CmdKind
 	for b := range c.banks {
 		bq := &c.banks[b]
-		if len(bq.fifo) == 0 {
-			continue
-		}
 		r := bq.head()
-		if r == nil {
-			continue
+		if r == nil || r.rq == bq.open {
+			continue // no head, or a hit the first pass asked about
 		}
-		or := c.ch.OpenRow(b)
-		if or == r.Coord.Row {
-			// A hit exists but its timing is not ready; nothing to do.
-			continue
-		}
-		if now-r.Arrival < delay {
-			// DMS: let the request age in the queue; attribute the blocked
-			// cycle to the bank so per-bank telemetry shows where DMS bites.
-			// The audit counts one delay-hold decision per held bank per
-			// cycle, so its total reconciles exactly with DMSDelayCycles.
+		cmd, cause, at := c.blocker(r, b, now, delay)
+		switch {
+		case cause == obs.StallDMSHold:
+			// Attribute the held cycle to the bank so per-bank telemetry
+			// shows where DMS bites. The audit counts one delay-hold
+			// decision per held bank per cycle, so its total reconciles
+			// exactly with DMSDelayCycles.
 			c.st.Bank(b).DMSDelayCycles++
 			if c.aud != nil {
 				c.auditSampled(now, r, obs.ReasonDMSDelayHold)
 			}
 			c.held = append(c.held, b)
-			next = min(next, r.Arrival+delay)
-			continue
-		}
-		var a action
-		if or != dram.NoRow {
-			// Open-row policy: only close the row once it has no pending
-			// hits left. Under FCFS the bank head alone decides, so a miss
-			// at the head precharges past younger would-be hits.
-			if c.cfg.Policy != FCFS && bq.open != nil {
-				continue
-			}
-			if !c.ch.CanPrecharge(b, now) {
-				next = min(next, c.ch.PreReadyAt(b))
-				continue
-			}
-			a = action{req: r, pre: true}
-		} else {
-			if !c.ch.CanActivate(b, now) {
-				next = min(next, max(c.ch.ActReadyAt(b), c.ch.ActAnyReadyAt()))
-				continue
-			}
-			a = action{req: r}
-		}
-		if best.req == nil || a.req.Arrival < best.req.Arrival {
-			best = a
+			next = min(next, at)
+		case at > now:
+			next = min(next, at)
+		case miss == nil || r.Arrival < miss.Arrival:
+			miss, missCmd = r, cmd
 		}
 	}
 	switch {
-	case best.req == nil:
+	case miss == nil:
 		c.issueAt = next
-	case best.pre:
-		b := best.req.Coord.Bank
+	case missCmd == obs.CmdPRE:
+		b := miss.Coord.Bank
 		c.ch.Precharge(b, now)
 		c.banks[b].open = nil
 		c.markCmd(b)
 	default:
-		b := best.req.Coord.Bank
-		c.ch.Activate(b, best.req.Coord.Row, now)
-		c.banks[b].open = best.req.rq
+		b := miss.Coord.Bank
+		c.ch.Activate(b, miss.Coord.Row, now)
+		c.banks[b].open = miss.rq
 		c.markCmd(b)
 		c.cenDirty |= c.cenActMask
 		// Delay-budget expiry: the request aged past a non-zero in-force
 		// delay and its row is now being opened (recorded once per
 		// activation, not for the preceding precharge).
 		if c.aud != nil && delay > 0 {
-			c.audit(now, best.req, obs.ReasonDMSDelayExpired)
+			c.audit(now, miss, obs.ReasonDMSDelayExpired)
 		}
 	}
 }
