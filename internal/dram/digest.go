@@ -22,15 +22,16 @@ func (c *Channel) DigestBank(b int, h *obs.Hasher) {
 }
 
 // DigestInto folds the channel-level constraint state into h: the tRRD
-// scoreboard, column-bus turnaround, bank-group tracking, and refresh
-// windows. Bank state is folded separately via DigestBank so divergence can
-// be attributed to an individual bank.
+// scoreboard, column-bus turnaround and the per-bank-group tCCDL stamps.
+// Bank state is folded separately via DigestBank so divergence can be
+// attributed to an individual bank.
 func (c *Channel) DigestInto(h *obs.Hasher) {
 	h.U64("nextActAny", c.nextActAny)
 	h.U64("nextColRead", c.nextColRead)
 	h.U64("nextColWrite", c.nextColWrite)
-	h.Int("lastColBank", c.lastColBank)
-	h.U64("lastColCycle", c.lastColCycle)
-	h.U64("nextRefresh", c.nextRefresh)
-	h.U64("refreshUntil", c.refreshUntil)
+	for g, at := range c.nextColGroup {
+		h.Enter("group", g)
+		h.U64("nextCol", at)
+		h.Leave()
+	}
 }

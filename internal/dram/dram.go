@@ -32,32 +32,17 @@ type Timing struct {
 	// groups allow back-to-back bursts (CCD) only across groups. Zero means
 	// no bank-group penalty.
 	CCDL uint64
-	// REFI and RFC enable refresh when both are non-zero: every REFI cycles
-	// an all-bank refresh blocks the channel for RFC cycles.
-	REFI uint64
-	RFC  uint64
 }
 
 // HynixGDDR5 is the timing configuration from Table I of the paper.
 func HynixGDDR5() Timing {
-	// Table I specifies a single tCCD; the same-bank-group tCCDL penalty and
-	// refresh are available (Timing.CCDL/REFI/RFC) but default off so the
-	// baseline matches the paper's model.
+	// Table I specifies a single tCCD; the same-bank-group tCCDL penalty is
+	// available (Timing.CCDL) but defaults off so the baseline matches the
+	// paper's model. Refresh is not modelled: the paper's model has none.
 	return Timing{
 		CL: 12, RP: 12, RC: 40, RAS: 28, CCD: 2,
 		RCD: 12, RRD: 6, CDLR: 5, WL: 4, WR: 12, RTP: 2,
 	}
-}
-
-// HynixGDDR5WithRefresh adds the refresh parameters of the Hynix part
-// (tREFI about 3.9 us, tRFC 160 ns at 924 MHz): refresh is off by default so
-// experiments stay comparable with the paper's model, but the timing model
-// supports it (see Channel.Tick).
-func HynixGDDR5WithRefresh() Timing {
-	t := HynixGDDR5()
-	t.REFI = 3600
-	t.RFC = 148
-	return t
 }
 
 // Config describes one DRAM channel.
@@ -79,6 +64,7 @@ const NoRow int64 = -1
 // Bank is the timing state of one DRAM bank.
 type Bank struct {
 	OpenRow int64
+	group   int // bank group, fixed at NewChannel
 
 	nextAct   uint64 // earliest cycle an ACT may issue
 	nextRead  uint64
@@ -103,7 +89,7 @@ type Bank struct {
 }
 
 // Channel is one DRAM channel: a set of banks plus channel-level constraints
-// (ACT-to-ACT spacing, shared data/command bus, refresh).
+// (ACT-to-ACT spacing, shared data/command bus).
 type Channel struct {
 	cfg   Config
 	banks []Bank
@@ -111,15 +97,9 @@ type Channel struct {
 	nextActAny   uint64 // tRRD across banks
 	nextColRead  uint64 // channel-level column spacing / turnaround
 	nextColWrite uint64
-
-	// lastColBank / lastColCycle implement the tCCDL same-bank-group
-	// column penalty.
-	lastColBank  int
-	lastColCycle uint64
-
-	// nextRefresh / refreshUntil implement all-bank refresh.
-	nextRefresh  uint64
-	refreshUntil uint64
+	// nextColGroup is, per bank group, the earliest cycle a column command
+	// to that group may issue under tCCDL.
+	nextColGroup []uint64
 
 	stats *stats.Mem
 
@@ -131,66 +111,22 @@ type Channel struct {
 
 // NewChannel creates a channel with all banks closed.
 func NewChannel(cfg Config, st *stats.Mem) *Channel {
-	ch := &Channel{cfg: cfg, banks: make([]Bank, cfg.NumBanks), stats: st, lastColBank: -1}
+	groups := max(cfg.NumBankGroups, 1)
+	ch := &Channel{cfg: cfg, banks: make([]Bank, cfg.NumBanks), nextColGroup: make([]uint64, groups), stats: st}
 	st.EnsureBanks(cfg.NumBanks)
-	if cfg.Timing.REFI > 0 {
-		ch.nextRefresh = cfg.Timing.REFI
-	}
 	for i := range ch.banks {
 		ch.banks[i].OpenRow = NoRow
+		ch.banks[i].group = i % groups
 		ch.banks[i].readOnly = true
 	}
 	return ch
 }
 
-// SetTrace attaches a command trace ring; every subsequent ACT/PRE/RD/WR and
-// refresh window is recorded under the given channel id. A nil trace
-// disables recording.
+// SetTrace attaches a command trace ring; every subsequent ACT/PRE/RD/WR is
+// recorded under the given channel id. A nil trace disables recording.
 func (c *Channel) SetTrace(t *obs.CmdTrace, channel int) {
 	c.trace = t
 	c.chanID = channel
-}
-
-// bankGroup returns the bank-group index of bank b.
-func (c *Channel) bankGroup(b int) int {
-	if c.cfg.NumBankGroups <= 0 {
-		return 0
-	}
-	return b % c.cfg.NumBankGroups
-}
-
-// Refreshing reports whether the channel is blocked by an all-bank refresh
-// at cycle now. Call once per memory cycle (from the memory controller)
-// before issuing commands; it also opens refresh windows when due.
-//
-// A refresh implicitly precharges every bank, closing open rows (their RBL
-// is recorded). Refresh is enabled by Timing.REFI/RFC.
-func (c *Channel) Refreshing(now uint64) bool {
-	t := c.cfg.Timing
-	if t.REFI == 0 || t.RFC == 0 {
-		return false
-	}
-	if now >= c.nextRefresh && now >= c.refreshUntil {
-		// Open a refresh window: all banks precharge.
-		for i := range c.banks {
-			bk := &c.banks[i]
-			if bk.OpenRow != NoRow {
-				c.closeStats(bk)
-				bk.OpenRow = NoRow
-			}
-			// A refresh close is not a demand precharge: the next
-			// activation's first access classifies as a row miss.
-			bk.demandClosed = false
-			if n := now + t.RFC; n > bk.nextAct {
-				bk.nextAct = n
-			}
-		}
-		c.refreshUntil = now + t.RFC
-		c.nextRefresh = now + t.REFI
-		c.stats.Refreshes++
-		c.trace.Add(obs.CmdREF, c.chanID, -1, NoRow, now)
-	}
-	return now < c.refreshUntil
 }
 
 // Config returns the channel configuration.
@@ -220,13 +156,12 @@ func (c *Channel) OpenAge(b int, now uint64) uint64 {
 // ReadyAt returns the earliest cycle cmd (ACT, PRE, RD, or WR for any
 // other kind) may issue to bank b under the timing state now in force,
 // split by scope. bank is the bank's own constraint: tRCD for a column
-// command, tRAS/tRTP/tWR for PRE, tRP/tRC and refresh for ACT. channel is
-// the shared one: the column bus (tCCD spacing, read/write turnaround,
-// same-bank-group tCCDL behind the last column command) for RD/WR, tRRD for
-// ACT, and 0 for PRE. Neither checks the row state: RD/WR and PRE need an
-// open row, ACT a closed one. Every stamp only ever moves later, and only
-// through a command, so a cycle read here stays a valid lower bound until
-// the next command.
+// command, tRAS/tRTP/tWR for PRE, tRP/tRC for ACT. channel is the shared
+// one: the column bus (tCCD spacing, read/write turnaround, tCCDL behind the
+// bank group's last column command) for RD/WR, tRRD for ACT, and 0 for PRE.
+// Neither checks the row state: RD/WR and PRE need an open row, ACT a closed
+// one. Every stamp only ever moves later, and only through a command, so a
+// cycle read here stays a valid lower bound until the next command.
 func (c *Channel) ReadyAt(b int, cmd obs.CmdKind) (bank, channel uint64) {
 	bk := &c.banks[b]
 	switch cmd {
@@ -239,10 +174,7 @@ func (c *Channel) ReadyAt(b int, cmd obs.CmdKind) (bank, channel uint64) {
 	default:
 		bank, channel = bk.nextWrite, c.nextColWrite
 	}
-	if ccdl := c.cfg.Timing.CCDL; ccdl != 0 && c.lastColBank >= 0 && c.bankGroup(b) == c.bankGroup(c.lastColBank) {
-		channel = max(channel, c.lastColCycle+ccdl)
-	}
-	return bank, channel
+	return bank, max(channel, c.nextColGroup[bk.group])
 }
 
 // Activate opens row in bank b at cycle now. The caller must have checked
@@ -337,8 +269,7 @@ func (c *Channel) Read(b int, now uint64) (dataReady uint64) {
 		bk.nextPre = n
 	}
 	c.nextColRead = now + t.CCD
-	c.lastColBank = b
-	c.lastColCycle = now
+	c.nextColGroup[bk.group] = now + t.CCDL
 	// Read-to-write bus turnaround: the write burst must not collide with the
 	// tail of the read burst.
 	if n := now + t.CL + t.CCD - t.WL + 1; n > c.nextColWrite {
@@ -365,8 +296,7 @@ func (c *Channel) Write(b int, now uint64) (done uint64) {
 		bk.nextPre = n
 	}
 	c.nextColWrite = now + t.CCD
-	c.lastColBank = b
-	c.lastColCycle = now
+	c.nextColGroup[bk.group] = now + t.CCDL
 	// Write-to-read turnaround (tCDLR) applies channel wide.
 	if n := now + t.WL + t.CCD + t.CDLR; n > c.nextColRead {
 		c.nextColRead = n

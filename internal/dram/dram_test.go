@@ -256,49 +256,3 @@ func TestBankGroupCCDL(t *testing.T) {
 		t.Fatal("same-group RD at tCCDL must be legal")
 	}
 }
-
-func TestRefreshBlocksChannelAndClosesRows(t *testing.T) {
-	cfg := dram.DefaultConfig()
-	cfg.Timing.REFI = 200
-	cfg.Timing.RFC = 50
-	st := &stats.Mem{}
-	ch := dram.NewChannel(cfg, st)
-	ch.Activate(0, 7, 0)
-	ch.Read(0, cfg.Timing.RCD)
-	if ch.Refreshing(100) {
-		t.Fatal("refresh fired before tREFI")
-	}
-	if !ch.Refreshing(200) {
-		t.Fatal("refresh did not open at tREFI")
-	}
-	if ch.OpenRow(0) != dram.NoRow {
-		t.Fatal("refresh must close open rows")
-	}
-	if st.Refreshes != 1 {
-		t.Fatalf("Refreshes = %d, want 1", st.Refreshes)
-	}
-	if st.RBL[1] != 1 {
-		t.Fatal("refresh-closed activation not recorded in the RBL histogram")
-	}
-	if ch.Refreshing(249) != true || ch.Refreshing(250) != false {
-		t.Fatal("refresh window must last exactly tRFC")
-	}
-	if legal(ch, 0, obs.CmdACT, 249) {
-		t.Fatal("ACT inside the refresh window must be illegal")
-	}
-	if !legal(ch, 0, obs.CmdACT, 250) {
-		t.Fatal("ACT after the refresh window must be legal")
-	}
-}
-
-func TestRefreshDisabledByDefault(t *testing.T) {
-	ch, st := newChannel(t)
-	for now := uint64(0); now < 100000; now += 1000 {
-		if ch.Refreshing(now) {
-			t.Fatal("default config must not refresh")
-		}
-	}
-	if st.Refreshes != 0 {
-		t.Fatal("refresh counted without being enabled")
-	}
-}

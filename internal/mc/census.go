@@ -30,7 +30,7 @@ import (
 // bank's bit in Controller.cenDirty, (c) for arbitration-dependent causes,
 // a channel command that moves the state they lost to — the column/ACT
 // issue sites fold cenColMask/cenActMask into the dirty set, and (d) a
-// change of the refresh flag or the DMS delay (re-classify all). censusTick
+// change of the DMS delay (Tick marks every bank dirty). censusTick
 // therefore touches only dirty or expired banks and charges whole spans at
 // their close. The cycle-by-cycle evaluation is kept as the executable
 // specification in census_equiv_test.go (censusTickRef), and
@@ -62,25 +62,25 @@ type cenSpan struct {
 }
 
 // censusTick runs the census for cycle now. The quiescent-cycle guard is
-// small enough to inline into Tick: a cycle with no dirty bank, no reached
-// horizon, and no refresh transition provably extends every open span, and
-// costs three compares (skipped cycles are bulk-accounted into BankCycles
-// by the next pass or by CensusFinish). Delay changes mark every bank dirty
-// at the Tick site, so they need no compare here; the reference hook keeps
-// cenNextUntil at its zero value so every cycle takes the pass.
-func (c *Controller) censusTick(now uint64, refreshing bool) {
-	if c.cenDirty == 0 && now < c.cenNextUntil && refreshing == c.cenRefreshing {
+// small enough to inline into Tick: a cycle with no dirty bank and no
+// reached horizon provably extends every open span, and costs two compares
+// (skipped cycles are bulk-accounted into BankCycles by the next pass or by
+// CensusFinish). Delay changes mark every bank dirty at the Tick site, so
+// they need no compare here; the reference hook keeps cenNextUntil at its
+// zero value so every cycle takes the pass.
+func (c *Controller) censusTick(now uint64) {
+	if c.cenDirty == 0 && now < c.cenNextUntil {
 		return
 	}
-	c.censusPass(now, refreshing)
+	c.censusPass(now)
 }
 
 // censusPass is the non-quiescent census pass: it settles the bulk cycle
 // account, then re-classifies exactly the dirty and horizon-expired banks.
-func (c *Controller) censusPass(now uint64, refreshing bool) {
+func (c *Controller) censusPass(now uint64) {
 	delay := uint64(c.Delay())
 	if c.cenRef != nil {
-		c.cenRef(now, delay, refreshing)
+		c.cenRef(now, delay)
 		return
 	}
 	if c.cenTicked == cenOpen {
@@ -88,13 +88,6 @@ func (c *Controller) censusPass(now uint64, refreshing bool) {
 	}
 	c.cen.AddCycles(now + 1 - c.cenTicked)
 	c.cenTicked = now + 1
-	if refreshing != c.cenRefreshing || delay != c.cenDelay {
-		// Refresh opening/closing rewrites every bank's row and activate
-		// state; a Dyn-DMS delay change moves every head's age gate.
-		c.cenRefreshing = refreshing
-		c.cenDelay = delay
-		c.cenDirty = c.cenAllMask
-	}
 	dirty := c.cenDirty
 	c.cenDirty = 0
 	work := dirty
@@ -160,7 +153,7 @@ func (c *Controller) cenFlush(b int, now uint64) {
 // both masks).
 func (c *Controller) cenClassify(b int, now, delay uint64, clean bool) {
 	r := c.banks[b].head()
-	cmd, cause, until := c.blocker(r, b, now, delay)
+	cmd, cause, until, _ := c.blocker(r, b, now, delay)
 	state := obs.BankTimingWait
 	switch {
 	case r == nil && c.ch.OpenRow(b) != dram.NoRow:

@@ -17,36 +17,26 @@ import (
 // one caching it behind validity horizons and stamps — must produce the
 // same Census down to every histogram bucket, and the same completion
 // latencies (the census must never perturb scheduling). The sweep crosses
-// every scheme, every policy, and refresh on/off so each stall cause and
-// residency state exercises its span-invalidation rules.
+// every scheme and every policy so each stall cause and residency state
+// exercises its span-invalidation rules.
 func TestCensusSpanEquivalence(t *testing.T) {
 	schemes := []Scheme{
 		Baseline, StaticDMS, DynDMS, StaticAMS, DynAMS, StaticBoth, DynBoth,
 	}
-	timings := []struct {
-		name   string
-		timing dram.Timing
-	}{
-		{"base", dram.HynixGDDR5()},
-		{"refresh", dram.HynixGDDR5WithRefresh()},
-	}
-	policies := []Policy{FRFCFS, FCFS, FRFCFSClosedRow}
-	for _, tm := range timings {
-		for _, pol := range policies {
-			for _, scheme := range schemes {
-				for seed := int64(1); seed <= 3; seed++ {
-					name := fmt.Sprintf("%s/%s/%s/seed%d", tm.name, pol, scheme.Name(), seed)
-					want, wantLat := runCensusTrace(t, tm.timing, pol, scheme, seed, true)
-					got, gotLat := runCensusTrace(t, tm.timing, pol, scheme, seed, false)
-					if !reflect.DeepEqual(wantLat, gotLat) {
-						t.Fatalf("%s: span census perturbed scheduling: %d vs %d completions",
-							name, len(gotLat), len(wantLat))
-					}
-					if !reflect.DeepEqual(want, got) {
-						t.Errorf("%s: span census diverges from per-cycle reference", name)
-						t.Errorf("  ref:  stalls=%v residency=%v", stallTotals(want), want.Residency)
-						t.Fatalf("  span: stalls=%v residency=%v", stallTotals(got), got.Residency)
-					}
+	for _, pol := range []Policy{FRFCFS, FCFS, FRFCFSClosedRow} {
+		for _, scheme := range schemes {
+			for seed := int64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("%s/%s/seed%d", pol, scheme.Name(), seed)
+				want, wantLat := runCensusTrace(t, pol, scheme, seed, true)
+				got, gotLat := runCensusTrace(t, pol, scheme, seed, false)
+				if !reflect.DeepEqual(wantLat, gotLat) {
+					t.Fatalf("%s: span census perturbed scheduling: %d vs %d completions",
+						name, len(gotLat), len(wantLat))
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s: span census diverges from per-cycle reference", name)
+					t.Errorf("  ref:  stalls=%v residency=%v", stallTotals(want), want.Residency)
+					t.Fatalf("  span: stalls=%v residency=%v", stallTotals(got), got.Residency)
 				}
 			}
 		}
@@ -56,11 +46,10 @@ func TestCensusSpanEquivalence(t *testing.T) {
 // runCensusTrace drives one controller with the deterministic traffic trace
 // for seed and returns its census and completion latencies. ref selects the
 // per-cycle reference census.
-func runCensusTrace(t *testing.T, timing dram.Timing, pol Policy, scheme Scheme, seed int64, ref bool) (*obs.Census, []uint64) {
+func runCensusTrace(t *testing.T, pol Policy, scheme Scheme, seed int64, ref bool) (*obs.Census, []uint64) {
 	t.Helper()
 	dcfg := dram.DefaultConfig()
 	dcfg.NumBanks = 8
-	dcfg.Timing = timing
 	var st stats.Mem
 	ch := dram.NewChannel(dcfg, &st)
 	var lat []uint64
@@ -105,8 +94,7 @@ func runCensusTrace(t *testing.T, timing dram.Timing, pol Policy, scheme Scheme,
 		ctrl.Tick(now)
 		now++
 	}
-	// A tail of empty ticks exercises the no-head residency spans (and, with
-	// refresh enabled, whole refresh windows over an idle channel).
+	// A tail of empty ticks exercises the no-head residency spans.
 	for i := 0; i < 4000; i++ {
 		ctrl.Tick(now)
 		now++
@@ -121,13 +109,13 @@ func runCensusTrace(t *testing.T, timing dram.Timing, pol Policy, scheme Scheme,
 // censusTickRef is the cycle-by-cycle reference census: one classification
 // and one charge per bank per cycle. It is the executable specification the
 // span census is tested against, installed through the cenRef hook.
-func (c *Controller) censusTickRef(now, delay uint64, refreshing bool) {
+func (c *Controller) censusTickRef(now, delay uint64) {
 	for b := range c.banks {
 		// The same head view issue() schedules from: rows being drained by
 		// an AMS row drop are skipped; their requests get their whole wait
 		// attributed as queued at drop time.
 		r := c.banks[b].head()
-		_, cause, at := c.blocker(r, b, now, delay)
+		_, cause, at, _ := c.blocker(r, b, now, delay)
 		if r != nil {
 			r.stall[cause]++
 		}

@@ -66,35 +66,3 @@ func TestCensusExactDecomposition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestCensusRefreshAttribution: with refresh enabled, cycles a head spends
-// blocked behind an all-bank refresh must land in the refresh cause, and the
-// Σ-invariant must survive refresh windows.
-func TestCensusRefreshAttribution(t *testing.T) {
-	h := newHarness(t, mc.Baseline, func(cfg *mc.Config) {})
-	cen := obs.NewCensus()
-	h.ctrl.SetCensus(cen)
-	// Drive long enough that at least one tREFI boundary passes with work
-	// pending (DefaultConfig enables refresh when REFI > 0; if this config
-	// has none, the test degrades to the invariant check).
-	rng := rand.New(rand.NewSource(42))
-	now := uint64(0)
-	for now < 30000 {
-		if now%50 == 0 && !h.ctrl.Full() {
-			h.push(rng.Intn(8), int64(rng.Intn(16)), uint64(rng.Intn(16)*128), false, false)
-		}
-		h.ctrl.Tick(now)
-		now++
-	}
-	for h.ctrl.Pending() > 0 {
-		h.ctrl.Tick(now)
-		now++
-	}
-	h.ctrl.CensusFinish(now)
-	if err := cen.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if h.st.Refreshes > 0 && cen.StallHist[obs.StallRefresh].Sum() == 0 {
-		t.Log("refreshes occurred but no head was ever blocked by one (timing-dependent; not a failure)")
-	}
-}

@@ -169,34 +169,26 @@ type Controller struct {
 
 	inj *fault.Injector // nil unless fault injection is enabled
 
-	// refreshing is the channel's refresh flag for the current cycle, set
-	// by Tick before anything asks blocker.
-	refreshing bool
-
 	cen *obs.Census // nil unless the cycle census is enabled
 	// cenBank is the bank a DRAM command issued to this cycle (-1 none); the
 	// census pass uses it to classify that bank as serving.
 	cenBank int
-	// cenSpans holds each bank's open census span (allocated by SetCensus);
-	// cenRefreshing/cenDelay are the refresh-window flag and DMS delay the
-	// spans were classified under — a change in either re-classifies every
-	// span, because refresh and the DMS age gate feed every classification.
+	// cenSpans holds each bank's open census span (allocated by SetCensus).
 	cenSpans []cenSpan
 	// cenUntil holds each open span's expiry horizon (0 = no span open),
 	// kept dense and separate from cenSpans so the censusPass expiry scan
 	// reads two cache lines instead of one per span.
-	cenUntil      []uint64
-	cenRefreshing bool
-	cenDelay      uint64
+	cenUntil []uint64
 	// cenDirty is the set of banks whose open span must re-classify: every
 	// queue mutation and command site marks the affected bank eagerly, and
 	// column/ACT commands fold in cenColMask/cenActMask — the banks whose
 	// span cause depends on the channel's bus state (a ready row-hit head
 	// that lost arbitration) or tRRD spacing (a ready activate). Bank-local
 	// causes carry their own expiry horizon instead; cenNextUntil is the
-	// earliest horizon across all open spans. A cycle with no dirty bank, no
-	// reached horizon, and unchanged refresh/delay flags provably extends
-	// every span. Maintained unconditionally — an OR costs nothing.
+	// earliest horizon across all open spans. A cycle with no dirty bank and
+	// no reached horizon provably extends every span (a Dyn-DMS delay change
+	// marks every bank dirty). Maintained unconditionally — an OR costs
+	// nothing.
 	cenDirty   uint64
 	cenColMask uint64
 	cenActMask uint64
@@ -209,19 +201,18 @@ type Controller struct {
 	cenTicked uint64
 	// cenRef, when set, replaces the span census with a per-cycle
 	// reference pass; only the span-equivalence test sets it.
-	cenRef func(now, delay uint64, refreshing bool)
+	cenRef func(now, delay uint64)
 	// activity counts controller progress events (pushes, issued commands,
-	// drops); together with the refresh counter it lets the partition census
-	// detect cycles where provably nothing changed. Maintained
-	// unconditionally — a counter bump costs nothing and keeps the hot path
-	// branch-free.
+	// drops); it lets the partition census detect cycles where provably
+	// nothing changed. Maintained unconditionally — a counter bump costs
+	// nothing and keeps the hot path branch-free.
 	activity uint64
 
 	// issueAt is the next-issue horizon: a scan that found no command sets it
-	// to the earliest cycle a blocked candidate's stall cause could lapse
-	// (blocker's at), and Tick skips issue until then. touch, a Dyn-DMS delay change and refresh reset
-	// it to 0. held lists the banks that scan held for the DMS delay; a
-	// skipped cycle charges them exactly as the scan would have.
+	// to the earliest cycle a blocked candidate's command could issue
+	// (blocker's ready), and Tick skips issue until then. touch and a Dyn-DMS
+	// delay change reset it to 0. held lists the banks that scan held for the
+	// DMS delay; a skipped cycle charges them exactly as the scan would have.
 	issueAt uint64
 	held    []int
 	// scanRef makes Tick scan every cycle, ignoring the horizon; only the
@@ -331,9 +322,9 @@ func (c *Controller) markCmd(b int) {
 
 // Activity returns a counter that advances whenever the controller's
 // architectural state changed: a request entered the queue, a DRAM command
-// issued, an AMS drop happened, or a refresh window opened. Two equal
-// readings bracket a cycle where the controller provably did nothing.
-func (c *Controller) Activity() uint64 { return c.activity + c.st.Refreshes }
+// issued, or an AMS drop happened. Two equal readings bracket a cycle where
+// the controller provably did nothing.
+func (c *Controller) Activity() uint64 { return c.activity }
 
 // coverage returns the running prediction coverage (dropped / reads).
 func (c *Controller) coverage() float64 {
@@ -486,19 +477,8 @@ func (c *Controller) Tick(now uint64) {
 			c.amsStep(now)
 		}
 	}
-	// An all-bank refresh blocks the whole channel for the cycle and closes
-	// every row; the census pass still runs so refresh cycles are
-	// attributed, not lost.
 	c.cenBank = -1
-	refreshing := c.ch.Refreshing(now)
-	c.refreshing = refreshing
-	switch {
-	case refreshing:
-		for b := range c.banks {
-			c.banks[b].open = nil
-		}
-		c.issueAt = 0
-	case now < c.issueAt && !c.scanRef:
+	if now < c.issueAt && !c.scanRef {
 		// Nothing can issue before the horizon; the scan would only have
 		// charged its held banks.
 		for _, b := range c.held {
@@ -507,11 +487,11 @@ func (c *Controller) Tick(now uint64) {
 				c.auditSampled(now, c.banks[b].head(), obs.ReasonDMSDelayHold)
 			}
 		}
-	default:
+	} else {
 		c.issue(now)
 	}
 	if c.cen != nil {
-		c.censusTick(now, refreshing)
+		c.censusTick(now)
 	}
 }
 
@@ -519,14 +499,14 @@ func (c *Controller) Tick(now uint64) {
 func (c *Controller) Drain() { c.ch.Drain() }
 
 // cmdNone is blocker's command for a request that needs none of its own
-// yet (it waits behind its open row's pending hits, or on a refresh window),
-// and for a bank with no request that needs none.
+// yet (it waits behind its open row's pending hits), and for a bank with no
+// request that needs none.
 const cmdNone obs.CmdKind = 0xff
 
 // bankStall and chanStall name the stall cause of each command's bank-scope
 // and channel-scope timing (dram.Channel.ReadyAt): a column command waits on
 // tRCD, then the bus; a precharge on tRAS (with tRTP/tWR); an activate on
-// tRP (with tRC and refresh), then tRRD.
+// tRP (with tRC), then tRRD.
 var (
 	bankStall = [...]obs.StallCause{
 		obs.CmdACT: obs.StallTRP, obs.CmdPRE: obs.StallTRAS,
@@ -541,28 +521,30 @@ var (
 // on bank b at cycle now, under DMS delay delay, it returns the command r
 // needs next (RD/WR to its open row, PRE or ACT, or cmdNone), the stall
 // cause r is charged if it does not issue (StallQueued when r is ready but
-// loses arbitration, or waits behind the open row's pending hits), and at:
-// the first cycle that cause can lapse without a queue mutation or a
-// command. at is cenOpen when only such an event can end the cause, and at
-// most now when r is ready. Every stamp behind at moves only through a
-// command, so the issue horizon and the census spans both trust at until the
-// next command or queue mutation. The checks run in the scheduler's order:
-// refresh; a row hit's column timing, then the bus; the DMS age gate; a
-// conflict behind pending hits; tRAS; tRP; tRRD.
+// loses arbitration, or waits behind the open row's pending hits), at: the
+// first cycle that cause can lapse without a queue mutation or a command,
+// and ready: the first cycle cmd can issue without one. at is cenOpen when
+// only such an event can end the cause, and at most now when r is ready.
+// ready is at for every cause but a bank-scope timing stall, where it is
+// the later of the bank and channel stamps: the census charges the bank
+// cause until at, and the issue horizon waits for ready. Every stamp behind
+// them moves only through a command the controller issues, so the issue
+// horizon and the census spans both trust them until the next command or
+// queue mutation. The checks run in the scheduler's order: a row hit's
+// column timing, then the bus; the DMS age gate; a conflict behind pending
+// hits; tRAS; tRP; tRRD.
 //
 // With r nil it describes bank b itself: an open row with no pending hits
 // needs an idle PRE under the closed-row policy (legal from at) and nothing
 // otherwise (cenOpen); a closed bank is precharging until at.
-func (c *Controller) blocker(r *Request, b int, now, delay uint64) (cmd obs.CmdKind, cause obs.StallCause, at uint64) {
+func (c *Controller) blocker(r *Request, b int, now, delay uint64) (cmd obs.CmdKind, cause obs.StallCause, at, ready uint64) {
 	open := c.ch.OpenRow(b)
 	switch {
-	case r != nil && c.refreshing:
-		return cmdNone, obs.StallRefresh, cenOpen
 	case r == nil && open == dram.NoRow:
 		at, _ = c.ch.ReadyAt(b, obs.CmdACT)
-		return cmdNone, obs.StallQueued, at
+		return cmdNone, obs.StallQueued, at, at
 	case r == nil && (c.cfg.Policy != FRFCFSClosedRow || c.banks[b].open != nil):
-		return cmdNone, obs.StallQueued, cenOpen
+		return cmdNone, obs.StallQueued, cenOpen, cenOpen
 	case r == nil:
 		cmd = obs.CmdPRE
 	case open == r.Coord.Row:
@@ -580,20 +562,22 @@ func (c *Controller) blocker(r *Request, b int, now, delay uint64) (cmd obs.CmdK
 			cmd = obs.CmdPRE
 		}
 		if now-r.Arrival < delay {
-			return cmd, obs.StallDMSHold, r.Arrival + delay
+			// The horizon stops at the gate too: every cycle a head is held
+			// charges DMSDelayCycles.
+			return cmd, obs.StallDMSHold, r.Arrival + delay, r.Arrival + delay
 		}
 		if cmd == obs.CmdPRE && c.cfg.Policy != FCFS && c.banks[b].open != nil {
-			return cmdNone, obs.StallQueued, cenOpen
+			return cmdNone, obs.StallQueued, cenOpen, cenOpen
 		}
 	}
 	bank, channel := c.ch.ReadyAt(b, cmd)
 	switch {
 	case now < bank:
-		return cmd, bankStall[cmd], bank
+		return cmd, bankStall[cmd], bank, max(bank, channel)
 	case now < channel:
-		return cmd, chanStall[cmd], channel
+		return cmd, chanStall[cmd], channel, channel
 	}
-	return cmd, obs.StallQueued, now
+	return cmd, obs.StallQueued, now, now
 }
 
 // issue picks at most one DRAM command for this cycle, honouring the
@@ -603,7 +587,7 @@ func (c *Controller) blocker(r *Request, b int, now, delay uint64) (cmd obs.CmdK
 // is the bank head) and, under the closed-row policy, for an open row with no
 // pending hits; then, if no hit was ready, for each bank head that misses.
 // A scan that issues nothing leaves the next-issue horizon in issueAt: the
-// minimum of the finite at values blocker returned.
+// minimum of the finite ready values blocker returned.
 func (c *Controller) issue(now uint64) {
 	c.held = c.held[:0]
 	next := cenOpen
@@ -623,10 +607,10 @@ func (c *Controller) issue(now uint64) {
 		case c.cfg.Policy != FRFCFSClosedRow || c.ch.OpenRow(b) == dram.NoRow:
 			continue
 		}
-		_, _, at := c.blocker(r, b, now, delay)
+		_, _, _, ready := c.blocker(r, b, now, delay)
 		switch {
-		case at > now:
-			next = min(next, at)
+		case ready > now:
+			next = min(next, ready)
 		case r == nil:
 			c.ch.PrechargeIdle(b, now)
 			c.markCmd(b)
@@ -650,7 +634,7 @@ func (c *Controller) issue(now uint64) {
 		if r == nil || r.rq == bq.open {
 			continue // no head, or a hit the first pass asked about
 		}
-		cmd, cause, at := c.blocker(r, b, now, delay)
+		cmd, cause, _, ready := c.blocker(r, b, now, delay)
 		switch {
 		case cause == obs.StallDMSHold:
 			// Attribute the held cycle to the bank so per-bank telemetry
@@ -662,9 +646,9 @@ func (c *Controller) issue(now uint64) {
 				c.auditSampled(now, r, obs.ReasonDMSDelayHold)
 			}
 			c.held = append(c.held, b)
-			next = min(next, at)
-		case at > now:
-			next = min(next, at)
+			next = min(next, ready)
+		case ready > now:
+			next = min(next, ready)
 		case miss == nil || r.Arrival < miss.Arrival:
 			miss, missCmd = r, cmd
 		}

@@ -13,8 +13,7 @@ import (
 
 // horizonTraffic mixes Zipf reads and writes (AMS candidates and DMS
 // conflicts), streaming row hits and sparse strided misses whose long gaps
-// let the queue drain, so horizons run long and refresh windows land on
-// both busy and idle channels.
+// let the queue drain, so horizons run long on both busy and idle channels.
 func horizonTraffic() generator {
 	return &mixedGen{Gens: []generator{
 		&zipfGen{Banks: 16, Rows: 256, S: 1.3, Gap: 3, WriteFrac: 0.2},
@@ -39,10 +38,9 @@ type horizonRun struct {
 // runHorizon drives the horizon traffic with the audit and census attached;
 // scanRef makes the controller scan every cycle instead of skipping to its
 // next-issue horizon.
-func runHorizon(timing dram.Timing, pol Policy, scheme Scheme, seed int64, scanRef bool) horizonRun {
+func runHorizon(pol Policy, scheme Scheme, seed int64, scanRef bool) horizonRun {
 	var out horizonRun
 	cfg := driveConfig{MC: DefaultConfig(), DRAM: dram.DefaultConfig(), Seed: seed}
-	cfg.DRAM.Timing = timing
 	cfg.MC.Policy = pol
 	cfg.MC.Scheme = scheme
 	cfg.MC.ProfileWindow = 256 // many Dyn-DMS delay changes per run
@@ -64,37 +62,71 @@ func runHorizon(timing dram.Timing, pol Policy, scheme Scheme, seed int64, scanR
 // a controller that skips issue until its horizon must complete the same
 // requests at the same cycles, and leave the same memory statistics (per-bank
 // DMSDelayCycles included), audit log and census as one that scans every
-// cycle, under every scheme, policy and refresh setting.
+// cycle, under every scheme and policy.
 func TestIssueHorizonEquivalence(t *testing.T) {
 	schemes := []Scheme{Baseline, StaticDMS, DynDMS, StaticAMS, DynAMS, StaticBoth, DynBoth}
-	timings := []struct {
-		name   string
-		timing dram.Timing
-	}{
-		{"base", dram.HynixGDDR5()},
-		{"refresh", dram.HynixGDDR5WithRefresh()},
-	}
-	for _, tm := range timings {
-		for _, pol := range []Policy{FRFCFS, FCFS, FRFCFSClosedRow} {
-			for _, scheme := range schemes {
-				for seed := int64(1); seed <= 3; seed++ {
-					name := fmt.Sprintf("%s/%s/%s/seed%d", tm.name, pol, scheme.Name(), seed)
-					want := runHorizon(tm.timing, pol, scheme, seed, true)
-					got := runHorizon(tm.timing, pol, scheme, seed, false)
-					if !reflect.DeepEqual(want.done, got.done) {
-						t.Fatalf("%s: completions differ (%d vs %d)", name, len(got.done), len(want.done))
-					}
-					if !reflect.DeepEqual(want.mem, got.mem) {
-						t.Fatalf("%s: memory statistics differ:\n scan:    %+v\n horizon: %+v", name, want.mem, got.mem)
-					}
-					if !reflect.DeepEqual(want.audit, got.audit) {
-						t.Fatalf("%s: audit log differs: %d vs %d decisions", name, got.audit.Total(), want.audit.Total())
-					}
-					if !reflect.DeepEqual(want.census, got.census) {
-						t.Fatalf("%s: census differs:\n scan:    %v\n horizon: %v", name, stallTotals(want.census), stallTotals(got.census))
-					}
+	for _, pol := range []Policy{FRFCFS, FCFS, FRFCFSClosedRow} {
+		for _, scheme := range schemes {
+			for seed := int64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("%s/%s/seed%d", pol, scheme.Name(), seed)
+				want := runHorizon(pol, scheme, seed, true)
+				got := runHorizon(pol, scheme, seed, false)
+				if !reflect.DeepEqual(want.done, got.done) {
+					t.Fatalf("%s: completions differ (%d vs %d)", name, len(got.done), len(want.done))
+				}
+				if !reflect.DeepEqual(want.mem, got.mem) {
+					t.Fatalf("%s: memory statistics differ:\n scan:    %+v\n horizon: %+v", name, want.mem, got.mem)
+				}
+				if !reflect.DeepEqual(want.audit, got.audit) {
+					t.Fatalf("%s: audit log differs: %d vs %d decisions", name, got.audit.Total(), want.audit.Total())
+				}
+				if !reflect.DeepEqual(want.census, got.census) {
+					t.Fatalf("%s: census differs:\n scan:    %v\n horizon: %v", name, stallTotals(want.census), stallTotals(got.census))
 				}
 			}
+		}
+	}
+}
+
+// TestIssueHorizonTakesLaterStamp scripts one candidate that bank timing
+// blocks first and channel timing longer: a row hit behind tRCD and then the
+// write-to-read turnaround, and an activate behind tRP and then tRRD. A scan
+// that finds nothing must leave the later stamp as the issue horizon; the
+// earlier one only buys a second scan that finds nothing either.
+func TestIssueHorizonTakesLaterStamp(t *testing.T) {
+	tm := dram.HynixGDDR5()
+	for _, tc := range []struct {
+		name  string
+		cmd   obs.CmdKind
+		bank  int
+		row   int64
+		setup func(ch *dram.Channel)
+		scan  uint64
+	}{
+		{"hit", obs.CmdRD, 0, 5, func(ch *dram.Channel) {
+			ch.Activate(1, 0, 0)
+			ch.Activate(0, 5, tm.RRD)
+			ch.Write(1, tm.RCD)
+		}, tm.RCD + 1},
+		{"activate", obs.CmdACT, 2, 7, func(ch *dram.Channel) {
+			ch.Activate(2, 1, 0)
+			ch.Precharge(2, tm.RAS)
+			ch.Activate(3, 0, tm.RC-2)
+		}, tm.RC - 1},
+	} {
+		st := &stats.Mem{}
+		ch := dram.NewChannel(dram.DefaultConfig(), st)
+		c := New(DefaultConfig(), ch, st, func(*Request, bool, uint64) {}, nil)
+		tc.setup(ch)
+		c.Push(0, false, false, dram.Coord{Bank: tc.bank, Row: tc.row})
+		bank, channel := ch.ReadyAt(tc.bank, tc.cmd)
+		if !(tc.scan < bank && bank < channel) {
+			t.Fatalf("%s: scan at %d, bank stamp %d, channel stamp %d: not blocked by both", tc.name, tc.scan, bank, channel)
+		}
+		c.Tick(tc.scan)
+		if c.issueAt != channel {
+			t.Errorf("%s: issue horizon %d after the scan at %d, want the channel stamp %d (bank stamp %d)",
+				tc.name, c.issueAt, tc.scan, channel, bank)
 		}
 	}
 }
@@ -166,7 +198,6 @@ func TestRequestRecycling(t *testing.T) {
 				var now uint64
 				distinct := map[*Request]bool{}
 				cfg := driveConfig{MC: DefaultConfig(), DRAM: dram.DefaultConfig(), Seed: seed}
-				cfg.DRAM.Timing = dram.HynixGDDR5WithRefresh()
 				cfg.MC.Policy = pol
 				cfg.MC.Scheme = scheme
 				cfg.MC.ProfileWindow = 256

@@ -17,8 +17,7 @@ import (
 // dram.Timing fields of cfg (and its bank-group count), never from
 // internal/dram state or methods. The rules:
 //
-//   - one command per channel per cycle, none inside a REF window of tRFC,
-//     and REF closes every bank;
+//   - one command per channel per cycle;
 //   - per bank: ACT→RD/WR ≥ tRCD, ACT→PRE ≥ tRAS, PRE→ACT ≥ tRP,
 //     ACT→ACT ≥ tRC, RD→PRE ≥ tRTP and WR→PRE ≥ WL+tCCD+tWR;
 //   - row state: RD/WR only to the row the bank's last ACT opened, PRE only
@@ -66,7 +65,6 @@ type legalBank struct {
 type legalChan struct {
 	banks  []legalBank
 	last   int64   // previous command of any kind
-	refEnd int64   // end of the last REF window
 	act    int64   // last ACT, any bank
 	col    int64   // last RD/WR, any bank
 	wr     int64   // last WR, any bank
@@ -96,16 +94,6 @@ func (ch *legalChan) step(cfg dram.Config, c obs.Cmd) error {
 		return fmt.Errorf("issued at or before the channel's previous command (cycle %d)", ch.last)
 	}
 	ch.last = now
-	if now < ch.refEnd {
-		return fmt.Errorf("inside the refresh window ending at %d", ch.refEnd)
-	}
-	if c.Kind == obs.CmdREF {
-		ch.refEnd = now + int64(t.RFC)
-		for i := range ch.banks {
-			ch.banks[i].open = false
-		}
-		return nil
-	}
 	bk := ch.bank(int(c.Bank))
 	var err error
 	switch c.Kind {
@@ -163,18 +151,21 @@ func firstErr(errs ...error) error {
 }
 
 // TestCommandLegalityHorizonTraffic replays the command trace of the
-// horizon traffic mix through CheckCommandLegality under every policy and
-// scheme, with refresh off and on and with a same-bank-group tCCDL.
+// horizon traffic mix through CheckCommandLegality, and recounts its row
+// metrics against the model's statistics, under every policy and scheme, without a same-bank-group tCCDL and with one of 3 and of 5
+// cycles: above 2·tCCD, a same-group column command can be due after a
+// command to another group came between.
 func TestCommandLegalityHorizonTraffic(t *testing.T) {
-	ccdl := dram.HynixGDDR5()
-	ccdl.CCDL = 3
+	ccdl3, ccdl5 := dram.HynixGDDR5(), dram.HynixGDDR5()
+	ccdl3.CCDL = 3
+	ccdl5.CCDL = 5
 	timings := []struct {
 		name   string
 		timing dram.Timing
 	}{
 		{"base", dram.HynixGDDR5()},
-		{"refresh", dram.HynixGDDR5WithRefresh()},
-		{"ccdl", ccdl},
+		{"ccdl", ccdl3},
+		{"ccdl5", ccdl5},
 	}
 	schemes := []Scheme{Baseline, StaticDMS, DynDMS, StaticAMS, DynAMS, StaticBoth, DynBoth}
 	for _, tm := range timings {
@@ -197,14 +188,12 @@ func TestCommandLegalityHorizonTraffic(t *testing.T) {
 				if err := CheckCommandLegality(cfg.DRAM, cmds); err != nil {
 					t.Errorf("%s: %v", name, err)
 				}
-				refs := 0
-				for _, c := range cmds {
-					if c.Kind == obs.CmdREF {
-						refs++
-					}
+				rc := RecountCommands(cfg.DRAM, cmds)
+				if len(rc) != 1 {
+					t.Fatalf("%s: %d channels recounted, want 1", name, len(rc))
 				}
-				if (refs > 0) != (tm.timing.REFI > 0) {
-					t.Errorf("%s: %d refresh windows with tREFI %d", name, refs, tm.timing.REFI)
+				if err := rc[0].Check(&res.Mem, pol != FRFCFSClosedRow); err != nil {
+					t.Errorf("%s: recount: %v", name, err)
 				}
 			}
 		}

@@ -130,7 +130,7 @@ type bankQ struct {
 	spare []*rowQ
 	// open is rows' queue for the bank's open DRAM row (nil when the bank is
 	// closed or its open row has no live queue): set at ACT and by a push
-	// that creates the open row's queue, cleared at PRE, refresh and release.
+	// that creates the open row's queue, cleared at PRE and release.
 	// It is never being dropped: AMS does not drop an open row, and a row
 	// being dropped has no request that can become a bank head to activate.
 	open *rowQ

@@ -52,8 +52,6 @@ const (
 	// open time / write recovery / read-to-precharge (tRAS/tWR/tRTP) blocks
 	// it.
 	StallTRAS
-	// StallRefresh: the channel is blocked by an all-bank refresh window.
-	StallRefresh
 	// StallCAS: column-access latency of the issued command (CL for reads,
 	// WL for writes).
 	StallCAS
@@ -73,7 +71,6 @@ var stallNames = [NumStallCauses]string{
 	StallTRP:     "trp",
 	StallTRRD:    "trrd",
 	StallTRAS:    "tras",
-	StallRefresh: "refresh",
 	StallCAS:     "cas",
 	StallBurst:   "burst",
 	StallVP:      "vp",
@@ -100,8 +97,7 @@ const (
 	// BankOpenIdle: a row is open but the bank has no pending work.
 	BankOpenIdle
 	// BankPrecharging: the bank is closed with no pending work and its
-	// activate timing (tRP/tRC recovery, or a refresh window) has not
-	// elapsed.
+	// activate timing (tRP/tRC recovery) has not elapsed.
 	BankPrecharging
 	// BankIdle: closed, no pending work, ready to activate.
 	BankIdle

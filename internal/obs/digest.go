@@ -222,7 +222,7 @@ type PartDigest struct {
 	// Part is the partition (channel) index.
 	Part int `json:"part"`
 	// DRAM covers the channel's bank timing/row state plus channel-level
-	// constraints (tRRD/turnaround/refresh scoreboards).
+	// constraints (tRRD, column-bus turnaround and tCCDL scoreboards).
 	DRAM uint64 `json:"dram"`
 	// MC covers the controller's pending queue (per-bank FIFO order, pending
 	// entries only), live/ID counters, and the DMS/AMS unit state.

@@ -15,11 +15,10 @@ const (
 	CmdPRE
 	CmdRD
 	CmdWR
-	CmdREF
 	numCmdKinds
 )
 
-var cmdNames = [numCmdKinds]string{"ACT", "PRE", "RD", "WR", "REF"}
+var cmdNames = [numCmdKinds]string{"ACT", "PRE", "RD", "WR"}
 
 // String returns the command mnemonic.
 func (k CmdKind) String() string {
@@ -32,9 +31,9 @@ func (k CmdKind) String() string {
 // Cmd is one traced DRAM command.
 type Cmd struct {
 	Cycle   uint64  // memory cycle the command issued
-	Row     int64   // target row (-1 when not row-specific, e.g. REF)
+	Row     int64   // target row (the open row for PRE/RD/WR)
 	Channel int16   // memory channel / partition id
-	Bank    int16   // bank (-1 for all-bank commands)
+	Bank    int16   // bank
 	Kind    CmdKind // command class
 }
 

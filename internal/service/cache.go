@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,7 +64,9 @@ func (c *Cache) path(id string) string {
 
 // Get returns the cached document for id, consulting the resident tier then
 // the spill directory. A disk hit re-admits the document to the resident
-// tier (it is now hot again).
+// tier (it is now hot again). A spill file that is not one complete JSON
+// document (truncated or corrupted on disk) is removed and counts as a
+// miss, so the job runs and spills again.
 func (c *Cache) Get(id string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -76,7 +79,7 @@ func (c *Cache) Get(id string) ([]byte, bool) {
 		return el.Value.(*centry).doc, true
 	}
 	if c.dir != "" {
-		if doc, err := os.ReadFile(c.path(id)); err == nil {
+		if doc, err := os.ReadFile(c.path(id)); err == nil && json.Valid(doc) {
 			c.spillReads++
 			c.hits++
 			if c.met != nil {
@@ -85,6 +88,9 @@ func (c *Cache) Get(id string) ([]byte, bool) {
 			}
 			c.admitLocked(id, doc, true)
 			return doc, true
+		} else if err == nil {
+			// Damaged on disk; a failed remove only repeats this miss.
+			os.Remove(c.path(id))
 		}
 	}
 	c.misses++

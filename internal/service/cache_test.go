@@ -8,9 +8,13 @@ import (
 	"testing"
 )
 
+// doc returns a document of size bytes: a JSON string, so a spill reload
+// accepts it.
 func doc(i int, size int) (string, []byte) {
 	id := fmt.Sprintf("doc-%03d", i)
-	return id, bytes.Repeat([]byte{byte('a' + i%26)}, size)
+	d := bytes.Repeat([]byte{byte('a' + i%26)}, size)
+	d[0], d[size-1] = '"', '"'
+	return id, d
 }
 
 // TestCacheLRUEvictionBound: the resident tier never exceeds its byte bound
@@ -131,5 +135,34 @@ func TestCacheSpillTempIgnored(t *testing.T) {
 	}
 	if _, ok := c.Get("key"); ok {
 		t.Fatal("temp file served as a document")
+	}
+}
+
+// TestCacheRejectsDamagedSpill: a spill file that is not one complete JSON
+// document (here a truncated one) is never served. The reload counts as a
+// miss and removes the file, so the job runs again and a later Put spills a
+// whole copy that does serve.
+func TestCacheRejectsDamagedSpill(t *testing.T) {
+	dir := t.TempDir()
+	whole := []byte(`{"run":{"app":"SCP","core_cycles":512}}`)
+	path := filepath.Join(dir, "key.json")
+	if err := os.WriteFile(path, whole[:len(whole)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(1, dir, nil)
+	if got, ok := c.Get("key"); ok {
+		t.Fatalf("truncated spill file served: %q", got)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 || st.SpillReads != 0 {
+		t.Fatalf("stats after a damaged reload = %+v, want one miss", st)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("damaged spill file kept (stat err %v)", err)
+	}
+	c.Put("key", whole)
+	c.Put("other", []byte(`{}`)) // evicts and spills key
+	got, ok := NewCache(1, dir, nil).Get("key")
+	if !ok || !bytes.Equal(got, whole) {
+		t.Fatalf("respilled document not served (ok=%v): %q", ok, got)
 	}
 }

@@ -22,7 +22,6 @@ func (m *Mem) DigestInto(h *obs.Hasher) {
 		h.Leave()
 	}
 	h.U64("readOnlyActs", m.ReadOnlyActs)
-	h.U64("refreshes", m.Refreshes)
 	h.U64("queueOccSum", m.QueueOccSum)
 	h.U64("delaySum", m.DelaySum)
 	h.U64("thRBLSum", m.ThRBLSum)

@@ -42,8 +42,6 @@ type Mem struct {
 	ReadsPerRBL [MaxTrackedRBL + 1]uint64
 	// ReadOnlyActs counts activations that served only global reads.
 	ReadOnlyActs uint64
-	// Refreshes counts all-bank refresh windows (0 unless refresh enabled).
-	Refreshes uint64
 	// QueueOccSum accumulates the pending-queue occupancy each memory cycle;
 	// QueueOccSum/Cycles is the mean occupancy.
 	QueueOccSum uint64
@@ -74,7 +72,7 @@ type Mem struct {
 // them exactly.
 type Bank struct {
 	// Activations, Reads, Writes, and Precharges count the bank's ACT, RD,
-	// WR, and demand/idle PRE commands (refresh closes are not PREs).
+	// WR, and demand/idle PRE commands.
 	Activations uint64 `json:"activations"`
 	Reads       uint64 `json:"reads"`
 	Writes      uint64 `json:"writes"`
@@ -286,7 +284,6 @@ func (m *Mem) Merge(o *Mem) {
 		m.ReadsPerRBL[i] += o.ReadsPerRBL[i]
 	}
 	m.ReadOnlyActs += o.ReadOnlyActs
-	m.Refreshes += o.Refreshes
 	m.QueueOccSum += o.QueueOccSum
 	m.DelaySum += o.DelaySum
 	m.ThRBLSum += o.ThRBLSum
