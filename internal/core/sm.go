@@ -444,9 +444,8 @@ func (s *SM) Tick(now uint64, send func(*MemReq) bool) {
 }
 
 // Send offers the outbox head to send, the one part of a Tick that touches
-// state outside the SM. A caller that ticks many SMs sends for them in a
-// fixed order and may then run their Advance (and HandleReply) in any order,
-// or concurrently.
+// state outside the SM, so a caller that ticks many SMs sends for them in a
+// fixed order.
 func (s *SM) Send(send func(*MemReq) bool) {
 	if len(s.outbox) > 0 && send(s.outbox[0]) {
 		s.outbox = slices.Delete(s.outbox, 0, 1)

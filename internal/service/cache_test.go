@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -165,4 +166,37 @@ func TestCacheRejectsDamagedSpill(t *testing.T) {
 	if !ok || !bytes.Equal(got, whole) {
 		t.Fatalf("respilled document not served (ok=%v): %q", ok, got)
 	}
+}
+
+// FuzzCacheSpillReload writes arbitrary bytes as a spill file: Get serves
+// them, byte for byte, as a hit only when they are one complete JSON
+// document; anything else is a miss that removes the file. No content
+// panics the reload.
+func FuzzCacheSpillReload(f *testing.F) {
+	f.Fuzz(func(t *testing.T, content []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "key.json")
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := NewCache(1<<20, dir, nil)
+		got, ok := c.Get("key")
+		st := c.Stats()
+		_, statErr := os.Stat(path)
+		if json.Valid(content) {
+			if !ok || !bytes.Equal(got, content) || st.Hits != 1 || st.Misses != 0 || st.SpillReads != 1 {
+				t.Fatalf("valid spill %q: served ok=%v %q, stats %+v", content, ok, got, st)
+			}
+			if statErr != nil {
+				t.Fatalf("valid spill file removed: %v", statErr)
+			}
+			return
+		}
+		if ok || got != nil || st.Hits != 0 || st.Misses != 1 || st.SpillReads != 0 {
+			t.Fatalf("invalid spill %q: served ok=%v %q, stats %+v", content, ok, got, st)
+		}
+		if !os.IsNotExist(statErr) {
+			t.Fatalf("invalid spill file kept (stat err %v)", statErr)
+		}
+	})
 }

@@ -150,16 +150,18 @@ func Canonicalize(spec JobSpec) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("job: %w", err)
 	}
-	// Normalize alias spellings (dms vs static-dms) so the echoed spec is
-	// canonical and stays re-submittable through ParseScheme. The run key
-	// uses scheme.Name(), so aliases share a key either way.
-	switch s := strings.ToLower(spec.Scheme); s {
-	case "base":
-		spec.Scheme = "baseline"
-	case "dms", "ams", "both":
-		spec.Scheme = "static-" + s
-	default:
-		spec.Scheme = s
+	// Spell the spec with the scheme's name, as the run key does, so that
+	// aliases (dms, DMS(64), dyn-both) and parameters the scheme ignores (a
+	// baseline's delay) canonicalize to the spec of the same key. The name
+	// keeps a zero static parameter (dms(0)), which the defaulting above
+	// would otherwise turn into 128 on the next pass.
+	spec.Scheme = strings.ToLower(scheme.Name())
+	spec.Delay, spec.ThRBL = DefaultDelay, DefaultThRBL
+	if scheme.DMS == mc.Static {
+		spec.Delay = scheme.StaticDelay
+	}
+	if scheme.AMS == mc.Static {
+		spec.ThRBL = scheme.StaticThRBL
 	}
 
 	o := spec.Obs

@@ -17,8 +17,8 @@ import (
 // folded bank → channel → partition → machine. One node table drives the
 // sampled record, the labeled component digests and the dump of any node, so
 // the hash and the dump come from the same fold list. Everything here runs on
-// the simulation goroutine outside the SM phase, so it reads machine state
-// without locking.
+// the simulation goroutine between cycles, so it reads machine state without
+// locking.
 
 // digestNode is one node of the digest hierarchy.
 type digestNode struct {

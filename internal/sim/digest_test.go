@@ -30,94 +30,57 @@ func prepare(t *testing.T, app string, scheme mc.Scheme, mutate ...func(*sim.Con
 
 // TestStepMatchesRun is the stepwise-execution gate: driving a GPU one Step at
 // a time must be bit-identical to Run — same outputs, same statistics, same
-// digest stream and final machine digest — with the SM phase serial and
-// sharded over the two-worker pool, because cmd/lazydiverge's lockstep
-// bisection depends on Step being Run's exact loop body.
+// digest stream and final machine digest — because cmd/lazydiverge's
+// lockstep bisection depends on Step being Run's exact loop body.
 func TestStepMatchesRun(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		forced bool
-	}{
-		{"sequential", false},
-		{"sharded", true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			run := simulate(t, "SCP", mc.Baseline, digestOn)
+	// Run and Step both drive the serial cycle loop, the only execution path.
+	t.Run("sequential", func(t *testing.T) {
+		run := simulate(t, "SCP", mc.Baseline, digestOn)
 
-			g := prepare(t, "SCP", mc.Baseline, digestOn)
-			if mode.forced {
-				sim.SetParallelSMs(g)
+		g := prepare(t, "SCP", mc.Baseline, digestOn)
+		defer g.Close()
+		steps := 0
+		for {
+			done, err := g.Step()
+			if err != nil {
+				t.Fatal(err)
 			}
-			defer g.Close()
-			steps := 0
-			for {
-				done, err := g.Step()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if done {
-					break
-				}
-				if steps++; steps > 50_000_000 {
-					t.Fatal("stepwise run did not terminate")
-				}
+			if done {
+				break
 			}
-			stepped := g.Finish()
+			if steps++; steps > 50_000_000 {
+				t.Fatal("stepwise run did not terminate")
+			}
+		}
+		stepped := g.Finish()
 
-			if !outputBitsEqual(run.Output, stepped.Output) {
-				t.Errorf("outputs differ between Run and Step")
-			}
-			if !reflect.DeepEqual(run.Run, stepped.Run) {
-				t.Errorf("run statistics differ:\nrun:  %+v\nstep: %+v", run.Run, stepped.Run)
-			}
-			if run.Digest == nil || stepped.Digest == nil {
-				t.Fatalf("digest log missing: run=%v step=%v", run.Digest != nil, stepped.Digest != nil)
-			}
-			if run.Digest.Chain() != stepped.Digest.Chain() {
-				t.Errorf("digest chains differ: %#x vs %#x", run.Digest.Chain(), stepped.Digest.Chain())
-			}
-			if run.Digest.Final() != stepped.Digest.Final() {
-				t.Errorf("final machine digests differ: %#x vs %#x", run.Digest.Final(), stepped.Digest.Final())
-			}
-			if run.Digest.Final() == 0 {
-				t.Errorf("final machine digest was never recorded")
-			}
-			if !reflect.DeepEqual(run.Digest.Records(), stepped.Digest.Records()) {
-				t.Errorf("digest record streams differ")
-			}
-		})
-	}
-}
-
-// TestDigestShardedMatchesSequential gates the lazydiverge premise: the digest
-// stream — not just the end-of-run results — must be identical between a
-// serial run and one whose SM phase is sharded over the two-worker pool,
-// including with fault injection active.
-func TestDigestShardedMatchesSequential(t *testing.T) {
-	faultOn := func(cfg *sim.Config) {
-		cfg.Fault.Enabled = true
-		cfg.Fault.BusBER = 1e-7
-		cfg.Fault.WeakCellDensity = 1e-6
-	}
-	seq := simulate(t, "SCP", mc.DynBoth, digestOn, faultOn)
-	par := simulateParallelSMs(t, "SCP", mc.DynBoth, digestOn, faultOn)
-	if seq.Digest == nil || par.Digest == nil {
-		t.Fatal("digest logs missing")
-	}
-	if seq.Digest.Chain() != par.Digest.Chain() {
-		t.Errorf("digest chains differ: %#x vs %#x", seq.Digest.Chain(), par.Digest.Chain())
-	}
-	if seq.Digest.Final() != par.Digest.Final() {
-		t.Errorf("final digests differ: %#x vs %#x", seq.Digest.Final(), par.Digest.Final())
-	}
-	if !reflect.DeepEqual(seq.Digest.Records(), par.Digest.Records()) {
-		t.Errorf("digest record streams differ")
-	}
-	if tel := seq.Telemetry; tel == nil || tel.Digest == nil {
-		t.Fatal("telemetry digest summary missing")
-	} else if tel.Digest.Intervals == 0 || tel.Digest.Final == "0x0000000000000000" {
-		t.Errorf("telemetry digest summary empty: %+v", tel.Digest)
-	}
+		if !outputBitsEqual(run.Output, stepped.Output) {
+			t.Errorf("outputs differ between Run and Step")
+		}
+		if !reflect.DeepEqual(run.Run, stepped.Run) {
+			t.Errorf("run statistics differ:\nrun:  %+v\nstep: %+v", run.Run, stepped.Run)
+		}
+		if run.Digest == nil || stepped.Digest == nil {
+			t.Fatalf("digest log missing: run=%v step=%v", run.Digest != nil, stepped.Digest != nil)
+		}
+		if run.Digest.Chain() != stepped.Digest.Chain() {
+			t.Errorf("digest chains differ: %#x vs %#x", run.Digest.Chain(), stepped.Digest.Chain())
+		}
+		if run.Digest.Final() != stepped.Digest.Final() {
+			t.Errorf("final machine digests differ: %#x vs %#x", run.Digest.Final(), stepped.Digest.Final())
+		}
+		if run.Digest.Final() == 0 {
+			t.Errorf("final machine digest was never recorded")
+		}
+		if !reflect.DeepEqual(run.Digest.Records(), stepped.Digest.Records()) {
+			t.Errorf("digest record streams differ")
+		}
+		if tel := run.Telemetry; tel == nil || tel.Digest == nil {
+			t.Fatal("telemetry digest summary missing")
+		} else if tel.Digest.Intervals == 0 || tel.Digest.Final == "0x0000000000000000" {
+			t.Errorf("telemetry digest summary empty: %+v", tel.Digest)
+		}
+	})
 }
 
 // TestDigestDivergesUnderFaults asserts the flight recorder actually sees a

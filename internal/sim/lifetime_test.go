@@ -12,7 +12,6 @@ import (
 	"lazydram/internal/mc"
 	"lazydram/internal/memimage"
 	"lazydram/internal/sim"
-	"lazydram/internal/workloads"
 )
 
 // dupStoreKernel scatters two lanes onto one word of line dupLine, first
@@ -112,25 +111,14 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
-// TestRunsReleaseWarpCoroutines checks that no warp-slot coroutine and no
-// worker-pool helper outlives a run: one abandoned halfway through a
-// multi-phase kernel with Close, one completed by Run, one stepped to its
-// end, where the last phase releases the parked coroutines and stops the
-// pool before Finish, and one stopped by a Step error for exceeding
-// MaxCoreCycles. Every run forces its SM phase onto the pool.
+// TestRunsReleaseWarpCoroutines checks that no warp-slot coroutine outlives
+// a run: one abandoned halfway through a multi-phase kernel with Close, one
+// completed by Run, one stepped to its end, where the last phase releases
+// the parked coroutines before Finish, and one stopped by a Step error for
+// exceeding MaxCoreCycles.
 func TestRunsReleaseWarpCoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
-	prepare := func(app string, scheme mc.Scheme, cfg sim.Config) *sim.GPU {
-		t.Helper()
-		kern, err := workloads.New(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := sim.Prepare(kern, cfg, scheme, 1)
-		sim.SetParallelSMs(g)
-		return g
-	}
-	g := prepare("FWT", mc.DynDMS, sim.DefaultConfig())
+	g := prepare(t, "FWT", mc.DynDMS)
 	for g.CoreCycle() < 30000 {
 		if _, err := g.Step(); err != nil {
 			t.Fatal(err)
@@ -139,19 +127,16 @@ func TestRunsReleaseWarpCoroutines(t *testing.T) {
 	if runtime.NumGoroutine() <= base {
 		t.Fatal("no warp coroutine is alive halfway through FWT")
 	}
-	if sim.ParallelSMPhases(g) == 0 {
-		t.Fatal("the forced SM phase never ran on the pool")
-	}
 	g.Close()
 	g.Close()
 	waitGoroutines(t, base, "Close halfway through FWT")
 
-	if _, err := prepare("MVT", mc.Baseline, sim.DefaultConfig()).Run(); err != nil {
+	if _, err := prepare(t, "MVT", mc.Baseline).Run(); err != nil {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, base, "Run")
 
-	g = prepare("MVT", mc.Baseline, sim.DefaultConfig())
+	g = prepare(t, "MVT", mc.Baseline)
 	for {
 		done, err := g.Step()
 		if err != nil {
@@ -164,9 +149,7 @@ func TestRunsReleaseWarpCoroutines(t *testing.T) {
 	waitGoroutines(t, base, "the last phase's end")
 	g.Finish()
 
-	cfg := sim.DefaultConfig()
-	cfg.MaxCoreCycles = 5000
-	g = prepare("MVT", mc.Baseline, cfg)
+	g = prepare(t, "MVT", mc.Baseline, func(cfg *sim.Config) { cfg.MaxCoreCycles = 5000 })
 	for {
 		done, err := g.Step()
 		if done {
