@@ -14,6 +14,7 @@ package main
 import (
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -301,22 +302,37 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "core-cycles/s")
 }
 
-// benchTelemetry measures one full SCP run under Dyn-Both with the given
+// timedRun prepares one SCP run under Dyn-Both with the given
+// observability options with the timer stopped, then times its Run alone:
+// whether Prepare pays SCP's Setup depends on whether the collector has
+// dropped the memoized input since the last run, which is noise to every
+// comparison made here.
+func timedRun(b *testing.B, o obs.Options) time.Duration {
+	b.Helper()
+	b.StopTimer()
+	k, err := workloads.New("SCP")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Obs = o
+	g := sim.Prepare(k, cfg, mc.DynBoth, 1)
+	b.StartTimer()
+	start := time.Now()
+	if _, err := g.Run(); err != nil {
+		b.Fatal(err)
+	}
+	return time.Since(start)
+}
+
+// benchTelemetry measures full SCP runs under Dyn-Both with the given
 // observability options. BenchmarkTelemetryOff against BenchmarkTelemetryOn
 // quantifies the cost of the nil-check hooks (off must stay within 2% of the
 // pre-observability simulator) and of full tracing respectively.
 func benchTelemetry(b *testing.B, o obs.Options) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		k, err := workloads.New("SCP")
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := sim.DefaultConfig()
-		cfg.Obs = o
-		if _, err := sim.Simulate(k, cfg, mc.DynBoth, 1); err != nil {
-			b.Fatal(err)
-		}
+		timedRun(b, o)
 	}
 }
 
@@ -349,10 +365,25 @@ func BenchmarkDigestOn(b *testing.B) {
 	benchTelemetry(b, obs.Options{DigestEvery: obs.DefaultDigestEvery})
 }
 
-// BenchmarkCensusOff / BenchmarkCensusOn bracket the cycle census: On runs
-// the per-cycle stall-attribution and bank-residency classification in every
-// controller tick plus the partition-cycle census, and must stay within the
-// 2% overhead budget of Off (Off measures the disabled nil-check hooks).
-func BenchmarkCensusOff(b *testing.B) { benchTelemetry(b, obs.Options{}) }
-
-func BenchmarkCensusOn(b *testing.B) { benchTelemetry(b, obs.Options{Census: true}) }
+// BenchmarkCensusOverhead brackets the cycle census: On runs the
+// stall-attribution and bank-residency classification in every controller
+// tick plus the partition-cycle census, Off only the disabled nil-check
+// hooks. Each iteration times one run of each, back to back in alternating
+// order, and the benchmark reports the median of the per-pair On/Off ratios
+// as census-on/off. Pairing run by run cancels the host drift that moves
+// separately timed batches.
+func BenchmarkCensusOverhead(b *testing.B) {
+	sides := [2]obs.Options{{}, {Census: true}}
+	var ratios []float64
+	for i := 0; i < b.N; i++ {
+		var wall [2]time.Duration
+		for j := range sides {
+			side := (i + j) % 2 // odd iterations run On first
+			wall[side] = timedRun(b, sides[side])
+		}
+		ratios = append(ratios, wall[1].Seconds()/wall[0].Seconds())
+	}
+	b.Logf("per-pair census On/Off: %.3f", ratios)
+	slices.Sort(ratios)
+	b.ReportMetric(ratios[len(ratios)/2], "census-on/off")
+}

@@ -237,10 +237,12 @@ func main() {
 	// The golden functional run is only needed when the scheme can perturb
 	// the output (AMS value prediction or injected faults); exact schemes are
 	// bit-identical by construction, so skip the duplicate work unless
-	// -golden forces the check. The kernel instance is reused: Setup is
-	// deterministic per seed.
+	// -golden forces the check. It runs on a fresh instance of the kernel,
+	// whose pre-Setup value matches the timed run's, so it forks the input
+	// that run built instead of running Setup again.
 	if sch.AMS != mc.Off || *faultOn || *golden {
-		goldenOut := sim.RunFunctional(kern, *seed)
+		fresh, _ := workloads.New(*app) // the name resolved above
+		goldenOut := sim.RunFunctional(fresh, *seed)
 		res.Run.AppError = approx.MeanRelativeError(goldenOut, res.Output)
 	}
 

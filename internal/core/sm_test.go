@@ -540,7 +540,8 @@ func TestBackToBackStoresSync(t *testing.T) {
 }
 
 // syncProbe wraps a kernel and counts the ops after which a program's Ctx
-// had a slot pending.
+// had a slot pending. Like every sim.Kernel it runs as a pointer to a
+// comparable struct.
 type syncProbe struct {
 	sim.Kernel
 	pending *int
@@ -568,7 +569,7 @@ func TestFunctionalCtxNeverSyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	pending := 0
-	got := sim.RunFunctional(syncProbe{k, &pending}, 1)
+	got := sim.RunFunctional(&syncProbe{k, &pending}, 1)
 	if pending != 0 {
 		t.Fatalf("%d ops left a slot pending outside an SM", pending)
 	}

@@ -111,12 +111,15 @@ func (k *streamKernel) Program(phase, w int, ctx *core.Ctx, yield func(core.Op) 
 }
 
 // TestFunctionalRunAllocsFlatInWarps checks a golden run allocates per run,
-// not per warp: the image, one Ctx, one callback and the output, whether it
-// runs 64 warps or 4096.
+// not per warp: the image fork and the pages it writes, one Ctx, one
+// callback and the output, whether it runs 64 warps or 4096. A held fork
+// keeps the input alive, so every measured run forks it rather than one run
+// rebuilding it after a collection.
 func TestFunctionalRunAllocsFlatInWarps(t *testing.T) {
 	allocs := func(warps int) float64 {
-		k := &streamKernel{phases: 2, warps: warps}
-		return testing.AllocsPerRun(3, func() { sim.RunFunctional(k, 1) })
+		held := sim.SetupInput(&streamKernel{phases: 2, warps: warps}, 1)
+		defer runtime.KeepAlive(held)
+		return testing.AllocsPerRun(3, func() { sim.RunFunctional(&streamKernel{phases: 2, warps: warps}, 1) })
 	}
 	few, many := allocs(64), allocs(4096)
 	t.Logf("functional run: %.0f allocations at 64 warps, %.0f at 4096", few, many)

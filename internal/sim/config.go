@@ -27,6 +27,14 @@ import (
 // (the inter-kernel-launch barrier of real GPU programs, which dependent
 // launches like the chained matrix multiplies of 2MM/3MM rely on). Warps
 // within one phase must be race-free with respect to each other.
+//
+// A Kernel is a pointer to a comparable struct, and Setup is a pure function
+// of that struct's value before Setup and of the seed: Prepare and
+// RunFunctional run Setup once per (kernel type, pre-Setup value, seed) and
+// hand every later run of that input a copy of the post-Setup value and a
+// copy-on-write fork of its image. So Setup must keep what it derives in the
+// struct's fields (never in state shared between instances), and no field
+// may refer to the image.
 type Kernel interface {
 	// Name returns the application's abbreviation (Table II).
 	Name() string

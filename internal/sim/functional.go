@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math/rand"
-
 	"lazydram/internal/core"
 	"lazydram/internal/memimage"
 )
@@ -12,11 +10,10 @@ import (
 // it, warps run sequentially. For race-free kernels (all of the bundled
 // workloads write disjoint outputs) this produces the exact result, and is
 // both the golden reference for application-error measurement and a fast
-// oracle for testing the timed data path.
+// oracle for testing the timed data path. Like Prepare, it sets the kernel's
+// input up through the memo of post-Setup images.
 func RunFunctional(kern Kernel, seed int64) []float32 {
-	im := memimage.New(kern.MemBytes() + 4*memimage.LineSize)
-	rng := rand.New(rand.NewSource(seed))
-	kern.Setup(im, rng)
+	im := setupInput(kern, seed)
 	// One Ctx and one callback serve every warp; each warp starts from
 	// zeroed registers, as on the SM.
 	ctx := new(core.Ctx)

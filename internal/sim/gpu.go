@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"lazydram/internal/core"
@@ -20,7 +19,9 @@ type Result struct {
 	Run    stats.Run
 	Output []float32
 	// Image is the final memory image, with all dirty cache lines flushed;
-	// useful for inspecting buffers beyond Output.
+	// useful for inspecting buffers beyond Output. It is a fork of the
+	// run's input image: it shares every page the run did not write with
+	// the input (and with other runs of it), and keeps the input alive.
 	Image *memimage.Image
 	// VPPredictions / VPFallbacks aggregate the value-prediction unit's
 	// activity across partitions.
@@ -562,9 +563,11 @@ func (g *GPU) faultSummary() *obs.FaultSummary {
 	return fs
 }
 
-// Prepare performs Simulate's setup — fault-seed defaulting, memory image
-// construction, deterministic kernel initialization — and returns a GPU ready
-// to execute. Callers either Run it, or drive it with Step and then Finish
+// Prepare performs Simulate's setup — fault-seed defaulting, then the
+// kernel's input: its post-Setup value and a copy-on-write fork of its
+// post-Setup image, from a memo that runs Setup once per (kernel value,
+// seed) while any run holds the input — and returns a GPU ready to
+// execute. Callers either Run it, or drive it with Step and then Finish
 // (or Close, to abandon it).
 func Prepare(kern Kernel, cfg Config, scheme mc.Scheme, seed int64) *GPU {
 	if cfg.Fault.Enabled && cfg.Fault.Seed == 0 {
@@ -572,10 +575,7 @@ func Prepare(kern Kernel, cfg Config, scheme mc.Scheme, seed int64) *GPU {
 		// fault run end to end.
 		cfg.Fault.Seed = seed
 	}
-	im := memimage.New(kern.MemBytes() + 4*memimage.LineSize)
-	rng := rand.New(rand.NewSource(seed))
-	kern.Setup(im, rng)
-	return NewGPU(cfg, scheme, kern, im)
+	return NewGPU(cfg, scheme, kern, setupInput(kern, seed))
 }
 
 // Simulate is the one-call entry point: set up the kernel's memory, run all
